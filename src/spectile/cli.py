@@ -186,6 +186,8 @@ def _cmd_verify(args) -> int:
         "max_residual": orth.max_residual,
         "pairs_checked": orth.num_differences,
         "tolerance": orth.tolerance,
+        "max_err_bound": orth.max_err_bound,
+        "fallbacks": orth.fallbacks,
     }
     sym = symmetry_report(poly)
     if sym.facet_pairs:

@@ -11,16 +11,25 @@ and the surface transform of a k-face either reduces to measure times a
 phase when xi projects to zero on the face's direction space, or recurses
 over the face's relative boundary the same way.  The projection test is
 an exact rational zero test -- the only branch in the algorithm is never
-decided by a tolerance.  Phases are reduced modulo 1 in exact rationals
-and only then evaluated trigonometrically, at SPECTILE_PRECISION_BITS
-working precision (default 128); the geometry contributes no error at
-all, and each value carries an a-posteriori bound for the phase rounding.
+decided by a tolerance.  Phases are reduced modulo 1 exactly and only then
+evaluated trigonometrically; the geometry contributes no error at all, and
+each value carries an a-posteriori bound for the rounding.
+
+Two evaluators share that recursion.  Values (ft_indicator, ft_surface,
+ft_with_boundary, asymptotic_cone_check) are computed at
+SPECTILE_PRECISION_BITS working precision (default 128).  Decisions over
+many frequencies (spectrum.verify_orthogonality, decay_bound_check) go
+through a float64 batch kernel on integer-scaled frequencies, a floating-
+point filter: a frequency whose float64 bound is too coarse to decide is
+evaluated again at working precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._backend import (
     Rat,
@@ -41,7 +50,7 @@ from ._backend import (
 )
 from .errors import DimensionMismatch, NotStandardPosition, ZeroFrequency
 from .geometry import Polytope
-from .linalg import centroid, cross3, is_zero_vec, norm_sq, vdot, vneg, vsub
+from .linalg import centroid, cross3, is_zero_vec, norm_sq, primitive, vdot, vneg, vsub
 
 __all__ = [
     "ComplexValue",
@@ -150,9 +159,25 @@ def _ft_geometry(p: Polytope):
     return geom
 
 
-# Error-accounting epsilon: a few ulps at working precision.
-def _eps() -> float:
-    return 2.0 ** (3 - precision_bits())
+def _phase_eps(bits: int) -> float:
+    """Bound on |computed cis(-2 pi t) - e^{-2 pi i t}| at `bits` of precision
+    for an exactly reduced rational t; it is also a generous per-operation
+    rounding unit for the arithmetic around the phases.
+
+    With u = 2^-bits the unit roundoff, and cis 1-Lipschitz in the angle:
+    * float64 (_cis): t is reduced to [-1/2, 1/2) in integers, so the angle
+      2 pi t lies in [-pi, pi].  Converting t's numerator and denominator
+      and dividing cost 3u relative, the rounded 2 pi and the product 2u
+      more, so the angle is off by at most 5u * pi < 16u.  numpy documents
+      at most 4 ulp for its float64 sin and cos, at most 4u each for values
+      in [-1, 1], which adds sqrt(2) * 4u < 6u: 22u in all.
+    * working precision (cis_neg): t is reduced to [0, 1), so the angle
+      lies in [0, 2 pi].  The conversion of t, the rounded pi and the
+      product cost at most 4u relative, 8u * pi < 26u, and MPFR or mpmath
+      sin and cos are within 1 ulp, sqrt(2) u more: 27u in all.
+    Both stay below 2^5 u.
+    """
+    return 2.0 ** (5 - bits)
 
 
 def _hp_constants(p: Polytope, geom):
@@ -165,7 +190,7 @@ def _hp_constants(p: Polytope, geom):
         return cache[bits]
     pi = hp_pi()
     data = {
-        "eps": _eps(),
+        "eps": _phase_eps(bits),
         "pi_f": to_float(pi),
         "m2pi_i": hp_complex(0, -2) * pi,
         "sqrt_measure": {},
@@ -217,7 +242,8 @@ def _face_value(geom, hp, key, xi, memo):
         if xi_par_sq == 0:
             measure = hp["sqrt_measure"][key]
             val = measure * cis_neg(vdot(xi, ent["centroid"]))
-            out = (val, 3 * hp["eps"] * to_float(measure))
+            # the phase costs eps, the rounded measure and product far less
+            out = (val, 2 * hp["eps"] * to_float(measure))
         else:
             out = _combine_children(
                 ent["children"], hp["child_wden"][key], xi, xi_par_sq, geom, hp, memo
@@ -235,6 +261,210 @@ def _indicator_hp(p: Polytope, xi, geom=None, memo=None):
     return _combine_children(
         geom["body_children"], hp["body_wden"], xi, norm_sq(xi), geom, hp, memo
     )
+
+
+# --- the float64 batch kernel ------------------------------------------------
+#
+# The same recursion for many frequencies at once, level by level (vertices,
+# edges, facets, body), in float64 with an a-posteriori bound per row.  Row
+# i is the frequency X[i] / D[i]: integer numerators over a positive integer
+# denominator.  Every phase and every branch quantity is an exact integer
+# matrix product: phases are reduced modulo their denominator in integers,
+# the facet quantity |xi|^2 |n|^2 - <xi, n>^2 is formed before any
+# rounding, and every projects-to-zero branch is an integer zero test, so
+# floats never see a cancelled difference of large numbers.  The integers
+# are int64 when a magnitude bound rules out overflow and Python ints
+# otherwise, with identical results.  Rows go _CHUNK at a time, so memory
+# stays O(_CHUNK x faces).  Callers recompute rows whose bound is too
+# coarse for their decision with _indicator_rows_hp.
+
+_CHUNK = 256
+_UNIT = 2.0**-53  # float64 unit roundoff
+_INT64_MAX = 2**63 - 1
+# share of tol * volume above which a row's float64 bound is too coarse to
+# decide zero-set membership, and the row goes to working precision
+FALLBACK_FRACTION = 2.0**-10
+
+
+def _scaled_rows(vectors):
+    """Rational vectors as rows of an integer matrix over one common scale."""
+    scale = math.lcm(*(int(c.denominator) for v in vectors for c in v))
+    rows = [[int(c.numerator) * (scale // int(c.denominator)) for c in v] for v in vectors]
+    return np.array(rows, dtype=object), scale
+
+
+def _primitive_rows(vectors):
+    """Each vector scaled positively to coprime integers, for quantities
+    that depend on its direction only."""
+    return np.array([primitive(v) for v in vectors], dtype=object)
+
+
+def _norms(mat):
+    return np.sqrt(np.array([float(sum(c * c for c in row)) for row in mat]))
+
+
+def _batch_level(children, kind, faces=None):
+    """Integer data of one level: the children of every parent, contiguous
+    so that np.add.reduceat sums them, and for a face level the data of its
+    projects-to-zero test and flat value."""
+    flat = [c for group in children for c in group]
+    m = _primitive_rows([vec for _, vec, _ in flat])
+    sizes = np.array([len(group) for group in children])
+    lv = {
+        "child": np.array([key[1] for key, _, _ in flat]),
+        "m": m,
+        "m_norm": _norms(m),
+        "starts": np.concatenate(([0], np.cumsum(sizes)[:-1])),
+        # relative rounding of the weights, the products and the sum
+        "rho": (sizes + 8) * _UNIT,
+        "kind": kind,
+    }
+    if faces is not None:
+        normal = _primitive_rows([f["u"] if kind == "edge" else f["normal"] for f in faces])
+        lv["normal"] = normal
+        lv["normal_sq"] = np.array([sum(c * c for c in row) for row in normal], dtype=object)
+        lv["normal_norm"] = _norms(normal)
+        lv["centroid"], lv["c_scale"] = _scaled_rows([f["centroid"] for f in faces])
+        lv["measure"] = np.sqrt(np.array([to_float(f["measure_sq"]) for f in faces]))
+    return lv
+
+
+def _batch_geometry(p: Polytope):
+    if "ftbatch" in p._cache:
+        return p._cache["ftbatch"]
+    geom = _ft_geometry(p)
+    entries = geom["entries"]
+    count = [sum(1 for k, _ in entries if k == level) for level in range(p.dim)]
+    verts, v_scale = _scaled_rows([entries[(0, i)]["point"] for i in range(count[0])])
+    levels = []
+    for k in range(1, p.dim):
+        faces = [entries[(k, i)] for i in range(count[k])]
+        levels.append(_batch_level([f["children"] for f in faces], "edge" if k == 1 else "facet", faces))
+    body = _batch_level([geom["body_children"]], "body")
+    # xi = 0 is the body's flat case: the volume, as in ft_indicator
+    body["centroid"], body["c_scale"] = np.zeros((1, p.dim), dtype=object), 1
+    body["measure"] = np.array([to_float(p.volume)])
+    levels.append(body)
+    faces = levels[:-1]
+    ints = [verts] + [lv["m"] for lv in levels] + [lv[n] for lv in faces for n in ("normal", "centroid")]
+    g = {
+        "verts": verts,
+        "v_scale": v_scale,
+        "levels": levels,
+        # magnitude bounds for _fits_int64
+        "l1": max(sum(abs(c) for c in row) for mat in ints for row in mat),
+        "scale": max([v_scale] + [lv["c_scale"] for lv in faces]),
+        "normal_sq": max([1] + [x for lv in faces for x in lv["normal_sq"]]),
+    }
+    p._cache["ftbatch"] = g
+    return g
+
+
+def _fits_int64(g, dim: int, x_max: int, d_max: int) -> bool:
+    """Whether every integer the kernel forms fits in int64: the products
+    <X, row> (at most x_max times the row's 1-norm), twice a phase modulus
+    D * scale, and |X|^2 |n|^2, which bounds <X, n>^2 as well."""
+    largest = max(x_max * g["l1"], 2 * d_max * g["scale"], dim * x_max * x_max * g["normal_sq"])
+    return largest <= _INT64_MAX
+
+
+def _cis(num, mod):
+    """e^{-2 pi i num / mod} for integer arrays; num is reduced modulo the
+    positive mod to [-mod/2, mod/2) in integers, so _phase_eps(53) bounds
+    the error."""
+    r = num % mod
+    r = np.where(2 * r >= mod, r - mod, r)
+    angle = (2 * np.pi) * (r.astype(float) / mod.astype(float))
+    z = np.empty(angle.shape, dtype=complex)
+    z.real = np.cos(angle)
+    z.imag = -np.sin(angle)
+    return z
+
+
+def _batch_combine(lv, x, den, den_f, x_sq, z, e):
+    """_combine_children (and the flat branch of _face_value) for every row
+    and every parent of one level, given the children's values z and error
+    bounds e."""
+    w = (x @ lv["m"].astype(x.dtype).T).astype(float) / (den_f[:, None] * lv["m_norm"])
+    zc, ec = z[:, lv["child"]], e[:, lv["child"]]
+    aw = np.abs(w)
+    acc = np.add.reduceat(w * zc, lv["starts"], axis=1)
+    # |computed acc - exact acc|: the children's errors through the weights,
+    # plus the rounding of weights, products and sum relative to the terms
+    spread = np.add.reduceat(aw * ec, lv["starts"], axis=1) + lv["rho"] * np.add.reduceat(
+        aw * (np.abs(zc) + ec), lv["starts"], axis=1
+    )
+    den_sq = den_f * den_f
+    if lv["kind"] == "body":  # |xi|^2
+        flat = (x_sq == 0)[:, None]
+        s = (x_sq.astype(float) / den_sq)[:, None]
+    else:
+        c = x @ lv["normal"].astype(x.dtype).T
+        if lv["kind"] == "edge":  # |xi_par|^2 = <xi, u>^2 / |u|^2
+            flat = c == 0
+            s = (c.astype(float) / (den_f[:, None] * lv["normal_norm"])) ** 2
+        else:  # a facet: |xi|^2 - <xi, n>^2 / |n|^2, numerator exact
+            num = x_sq[:, None] * lv["normal_sq"].astype(x.dtype) - c * c
+            flat = num == 0
+            s = num.astype(float) / (den_sq[:, None] * lv["normal_sq"].astype(float))
+    with np.errstate(divide="ignore"):
+        k = 1.0 / ((2 * np.pi) * s)
+    k[flat] = 0.0
+    # acc / (-2 pi i s) = i acc k; s (at most 12u off for an edge), k and
+    # the product stay within 16u relative, which rho2 covers
+    rho2 = 24 * _UNIT
+    val = 1j * acc * k
+    err = k * (spread * (1 + rho2) + rho2 * np.abs(acc))
+    if flat.any():
+        rows, faces = np.nonzero(flat)
+        phase = (x[rows] * lv["centroid"].astype(x.dtype)[faces]).sum(axis=1)
+        measure = lv["measure"][faces]
+        val[rows, faces] = measure * _cis(phase, den[rows] * lv["c_scale"])
+        # as in _face_value: the measure's rounding is far below eps
+        err[rows, faces] = 2 * _phase_eps(53) * measure
+    return val, err
+
+
+def _indicator_batch(p: Polytope, X, D):
+    """float64 values of 1^_P(X[i] / D[i]) and their error bounds, as two
+    arrays, for integer rows X and positive integer denominators D."""
+    g = _batch_geometry(p)
+    X = np.array(X, dtype=object).reshape(-1, p.dim)
+    D = np.array(D, dtype=object)
+    val = np.empty(len(D), dtype=complex)
+    err = np.empty(len(D))
+    for lo in range(0, len(D), _CHUNK):
+        x, den = X[lo : lo + _CHUNK], D[lo : lo + _CHUNK]
+        if _fits_int64(g, p.dim, max(abs(c) for c in x.flat), max(den)):
+            x, den = x.astype(np.int64), den.astype(np.int64)
+        den_f = den.astype(float)
+        x_sq = (x * x).sum(axis=1)
+        z = _cis(x @ g["verts"].astype(x.dtype).T, (den * g["v_scale"])[:, None])
+        e = np.full(z.shape, _phase_eps(53))
+        for lv in g["levels"]:
+            z, e = _batch_combine(lv, x, den, den_f, x_sq, z, e)
+        val[lo : lo + _CHUNK] = z[:, 0]
+        # the bound's own arithmetic is within 2^-20 relative of exact
+        err[lo : lo + _CHUNK] = e[:, 0] * (1 + 2.0**-20)
+    return val, err
+
+
+def _integer_rows(xis):
+    """Rational rows as integer numerators over one denominator per row."""
+    dens = [math.lcm(*(int(c.denominator) for c in xi)) for xi in xis]
+    nums = [[int(c.numerator) * (den // int(c.denominator)) for c in xi] for xi, den in zip(xis, dens)]
+    return nums, dens
+
+
+def _indicator_rows_hp(p: Polytope, X, D, rows, val, err):
+    """Overwrite the given rows of a batch result by _indicator_hp values
+    at working precision."""
+    geom = _ft_geometry(p)
+    with phase_context():
+        for i in rows:
+            z, e = _indicator_hp(p, tuple(Rat(int(c), int(D[i])) for c in X[i]), geom)
+            val[i] = complex(to_float(z.real), to_float(z.imag))
+            err[i] = e
 
 
 def _check_frequency(p: Polytope, xi) -> tuple:
@@ -263,7 +493,7 @@ def ft_surface(p: Polytope, facet: int, xi) -> ComplexValue:
         v = p.vertices[p.facets[facet].indices[0]]
         with phase_context():
             z = cis_neg(vdot(xi, v))
-            return ComplexValue(to_float(z.real), to_float(z.imag), _eps())
+            return ComplexValue(to_float(z.real), to_float(z.imag), _phase_eps(precision_bits()))
     with phase_context():
         hp = _hp_constants(p, geom)
         val, err = _face_value(geom, hp, key, xi, {})
@@ -334,25 +564,33 @@ def decay_bound_check(p: Polytope, samples) -> DecayReport:
     """|1^_P(xi)| <= (|boundary| / 2 pi) |xi|^{-1} at every sample.
 
     The boundary measure is rounded up and |xi| down, so the verified
-    inequality is never tightened by the square-root bounds.
+    inequality is never tightened by the square-root bounds.  All samples
+    go through the float64 batch kernel; a sample whose error bound
+    straddles the decay bound is evaluated again at working precision.
     """
-    sample_list = list(samples)
-    area_ub = surface_area_upper(p)
-    worst = -1.0
-    worst_xi = None
-    for raw in sample_list:
+    xis = []
+    for raw in samples:
         xi = _check_frequency(p, raw)
         if is_zero_vec(xi):
             raise ZeroFrequency("decay bound applies to nonzero frequencies")
-        norm_lb = sqrt_lower(norm_sq(xi))
-        bound = to_float(area_ub / (2 * _PI_LB * norm_lb))
-        val = ft_indicator(p, xi)
-        ratio = val.magnitude / bound
+        xis.append(xi)
+    area_ub = surface_area_upper(p)
+    bound = np.array([to_float(area_ub / (2 * _PI_LB * sqrt_lower(norm_sq(xi)))) for xi in xis])
+    X, D = _integer_rows(xis)
+    val, err = _indicator_batch(p, X, D)
+    mag = np.abs(val)
+    # float64 decides a sample when |v| + err <= bound or |v| - err > bound
+    _indicator_rows_hp(p, X, D, np.flatnonzero((mag + err > bound) & (mag - err <= bound)), val, err)
+    mag = np.abs(val)
+    worst = -1.0
+    worst_xi = None
+    for xi, m, b, e in zip(xis, mag, bound, err):
+        ratio = float(m / b)
         if ratio > worst:
             worst, worst_xi = ratio, xi
-        if val.magnitude > bound + val.err_bound:
-            return DecayReport(False, len(sample_list), ratio, xi)
-    return DecayReport(True, len(sample_list), worst, worst_xi)
+        if m > b + e:
+            return DecayReport(False, len(xis), ratio, xi)
+    return DecayReport(True, len(xis), worst, worst_xi)
 
 
 def surface_decay_bound(p: Polytope, facet: int, xi) -> float:

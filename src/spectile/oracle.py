@@ -22,12 +22,13 @@ from ._backend import (
     hp_pi,
     hp_real,
     phase_context,
+    precision_bits,
     rational,
     sqrt_upper,
     to_float,
 )
-from .errors import RankDeficient
-from .fourier import ComplexValue, _check_frequency, _eps
+from .errors import PreconditionFailed, RankDeficient
+from .fourier import ComplexValue, _check_frequency, _phase_eps
 from .geometry import Polytope
 from .linalg import det, hnf_rational, norm_sq, rank, vdot, vsub
 
@@ -39,6 +40,10 @@ class SampleConfig:
     count: int
     seed: int
     bounding_box: tuple | None = None  # ((lo,...), (hi,...)) in floats
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise PreconditionFailed(f"sample count must be at least 1, got {self.count}")
 
     def resolve_box(self, p: Polytope):
         if self.bounding_box is not None:
@@ -226,5 +231,5 @@ def simplex_ft(p: Polytope, xi) -> ComplexValue:
             total_weight += weight
             phases = [vdot(xi, v) for v in simplex]
             acc = acc + hp_real(weight) * _divided_difference_exp(phases)
-        err = to_float(total_weight) * len(xi) * 20 * _eps()
+        err = to_float(total_weight) * len(xi) * 20 * _phase_eps(precision_bits())
         return ComplexValue(to_float(acc.real), to_float(acc.imag), err)

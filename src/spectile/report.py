@@ -51,6 +51,7 @@ def analyze(
     seed: int = DEFAULT_SEED,
     samples: int = DEFAULT_SAMPLES,
 ) -> dict:
+    sample_cfg = SampleConfig(count=samples, seed=seed)  # rejects samples < 1
     timings = {}
 
     def clock(label, fn):
@@ -146,6 +147,8 @@ def analyze(
             "max_residual": orth.max_residual,
             "pairs_checked": orth.num_differences,
             "tolerance": orth.tolerance,
+            "max_err_bound": orth.max_err_bound,
+            "fallbacks": orth.fallbacks,
         }
         try:
             dens = clock("density", lambda: verify_density(p, sp))
@@ -176,7 +179,7 @@ def analyze(
 
         def run_oracle():
             try:
-                return multiplicity_sample(p, taus, SampleConfig(count=samples, seed=seed))
+                return multiplicity_sample(p, taus, sample_cfg)
             except SpectileError:
                 return None
 

@@ -28,7 +28,15 @@ from .errors import (
     UnsupportedDimension,
     WindowTooSmall,
 )
-from .fourier import TOL_ZERO, _indicator_hp, ft_indicator
+from .fourier import (
+    FALLBACK_FRACTION,
+    TOL_ZERO,
+    _indicator_batch,
+    _indicator_hp,
+    _indicator_rows_hp,
+    _integer_rows,
+    frequency_from_floats,
+)
 from .geometry import Polytope
 from .linalg import norm_sq, vdot, vneg, vsub
 from .tiling import Lattice, TilingReport, is_prism, lattice_T, venkov_mcmullen
@@ -51,10 +59,6 @@ __all__ = [
     "prism_spectrum",
     "chi_estimate",
 ]
-
-
-def _coord_float(c) -> float:
-    return float(c)
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ class SpectrumPatch:
 def _separation(points) -> float:
     if len(points) < 2:
         return math.inf
-    arr = np.array([[_coord_float(c) for c in p] for p in points])
+    arr = np.array([[float(c) for c in p] for p in points])
     best = math.inf
     chunk = 512
     for i in range(0, len(arr), chunk):
@@ -144,18 +148,15 @@ def patch(lattice: Lattice, radius: float) -> SpectrumPatch:
     return make_patch(pts, float(radius))
 
 
-def _differences(s: SpectrumPatch, collapse_sign: bool) -> set:
-    """Distinct differences q_j - q_i (i < j) of the patch points.
+def _integer_differences(s: SpectrumPatch, collapse_sign: bool):
+    """(den, D): the distinct differences q_j - q_i (i < j) of an exact
+    patch are the integer tuples in D divided by den.
 
-    An exact patch is scaled by its common denominator once, so the O(n^2)
-    pair loop runs on Python ints and only the distinct differences are
-    turned back into Rat.  With collapse_sign, d and -d count once, kept
-    with the first nonzero coordinate positive.  Float patches are
-    differenced as given and never collapsed.
+    The patch is scaled by its common denominator once, so the O(n^2) pair
+    loop runs on Python ints.  With collapse_sign, d and -d count once,
+    kept with the first nonzero coordinate positive.
     """
     pts = s.points
-    if not s.is_exact:
-        return {vsub(pts[j], pts[i]) for i in range(len(pts)) for j in range(i + 1, len(pts))}
     den = math.lcm(*(int(c.denominator) for q in pts for c in q))
     ints = [tuple(int(c.numerator) * (den // int(c.denominator)) for c in q) for q in pts]
     if collapse_sign:
@@ -165,50 +166,76 @@ def _differences(s: SpectrumPatch, collapse_sign: bool) -> set:
     diffs = set()
     for i, a in enumerate(ints):
         diffs.update(tuple(map(operator.sub, b, a)) for b in ints[i + 1 :])
+    return den, diffs
+
+
+def _differences(s: SpectrumPatch, collapse_sign: bool) -> set:
+    """Distinct differences q_j - q_i (i < j) of the patch points: exact
+    ones as Rat (see _integer_differences); float patches are differenced
+    as given and never collapsed."""
+    pts = s.points
+    if not s.is_exact:
+        return {vsub(pts[j], pts[i]) for i in range(len(pts)) for j in range(i + 1, len(pts))}
+    den, diffs = _integer_differences(s, collapse_sign)
     return {tuple(Rat(c, den) for c in d) for d in diffs}
 
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
+    """passed is certified: every |1^_P(d)| plus its error bound is at most
+    tolerance * volume.  max_residual is the largest |1^_P(d)|, max_err_bound
+    the largest bound, and fallbacks counts the differences whose float64
+    bound was too coarse and that were evaluated at working precision."""
+
     passed: bool
     max_residual: float
     worst_difference: tuple | None
     num_points: int
     num_differences: int
     tolerance: float
+    max_err_bound: float
+    fallbacks: int
 
 
 def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -> OrthogonalityReport:
     """All pairwise differences must lie in the zero set of the transform.
 
-    Differences are deduplicated (and +-collapsed for exact patches), so
-    the transform is evaluated once per distinct difference.
+    Differences are deduplicated (and +-collapsed for exact patches) and go
+    through the float64 batch kernel in one call; a difference whose error
+    bound exceeds FALLBACK_FRACTION of tol * volume is evaluated again at
+    working precision.  Float patches are snapped coordinate-wise to
+    rationals with denominators up to 10^9.
     """
     if len(s) == 0:
         raise PreconditionFailed("empty patch")
-    pts = s.points
     exact = s.is_exact
-    diffs = _differences(s, collapse_sign=True)
-    vol = to_float(p.volume)
-    worst = -1.0
-    worst_d = None
-    for d in diffs:
-        if exact:
-            xi = d
-        else:
-            from .fourier import frequency_from_floats
-
-            xi = frequency_from_floats(d, 10**9)
-        mag = ft_indicator(p, xi).magnitude
-        if mag > worst:
-            worst, worst_d = mag, d
+    if exact:
+        den, ints = _integer_differences(s, collapse_sign=True)
+        X = list(ints)
+        D = [den] * len(X)
+    else:
+        diffs = list(_differences(s, collapse_sign=True))
+        X, D = _integer_rows([frequency_from_floats(d, 10**9) for d in diffs])
+    limit = tol * to_float(p.volume)
+    val, err = _indicator_batch(p, X, D)
+    fallbacks = np.flatnonzero(err > FALLBACK_FRACTION * limit)
+    _indicator_rows_hp(p, X, D, fallbacks, val, err)
+    mag = np.abs(val)
+    max_residual, worst_d, passed = -1.0, None, True
+    if X:
+        i = int(np.argmax(mag))
+        max_residual = float(mag[i])
+        worst_d = tuple(Rat(c, den) for c in X[i]) if exact else diffs[i]
+        passed = bool(np.max(mag + err) <= limit)
     return OrthogonalityReport(
-        passed=worst <= tol * vol,
-        max_residual=worst,
+        passed=passed,
+        max_residual=max_residual,
         worst_difference=worst_d,
-        num_points=len(pts),
-        num_differences=len(diffs),
+        num_points=len(s.points),
+        num_differences=len(X),
         tolerance=tol,
+        max_err_bound=float(np.max(err, initial=0.0)),
+        fallbacks=len(fallbacks),
     )
 
 

@@ -24,6 +24,7 @@ def test_analyze_cube(capsys, tmp_path):
     assert rep["tiling"]["fedorov"] == "Parallelepiped"
     assert rep["spectral"]["is_spectral"] is True
     assert rep["verification"]["orthogonality"]["passed"] is True
+    assert rep["verification"]["orthogonality"]["fallbacks"] == 0
     assert rep["parameters"]["seed"] == 20170529
     assert rep["tool"]["name"] == "spectile"
 
@@ -104,6 +105,8 @@ def test_verify_roundtrip(capsys, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["orthogonality"]["passed"] is True
+    assert rep["orthogonality"]["fallbacks"] == 0
+    assert 0 < rep["orthogonality"]["max_err_bound"] < 1e-12
     assert rep["c2_integrality"]["passed"] is True
     assert rep["uniqueness"]["status"] == "pass"
 
@@ -149,6 +152,15 @@ def test_oracle_multiplicity(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["histogram"] == {"1": 4000}
+
+
+def test_samples_below_one_exit_2(capsys):
+    code, _, err = run_cli(capsys, "oracle", "catalog:hexagon", "--op", "volume", "--samples", "0")
+    assert code == 2 and "sample count must be at least 1" in err
+    # a non-tiler reaches the covering oracle, a tiler the covering check
+    for shape in ("catalog:rhombic-icosahedron", "catalog:square"):
+        code, _, err = run_cli(capsys, "analyze", shape, "--samples", "0")
+        assert code == 2 and "sample count must be at least 1" in err
 
 
 def test_oracle_transform(capsys, tmp_path):

@@ -1,0 +1,180 @@
+"""The float64 batch kernel: agreement with the working-precision recursion
+and the simplex oracle within its own bounds, the cancellation branch and
+its fallback, the int64/object-int paths, and the certified reports."""
+
+import math
+import random
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectile import Rat, make, zonotope
+from spectile import fourier
+from spectile._backend import cis_neg, phase_context, to_complex
+from spectile.fourier import (
+    FALLBACK_FRACTION,
+    TOL_ZERO,
+    _batch_geometry,
+    _cis,
+    _fits_int64,
+    _indicator_batch,
+    _indicator_hp,
+    _indicator_rows_hp,
+    _integer_rows,
+    _phase_eps,
+)
+from spectile.linalg import cross3
+from spectile.oracle import simplex_ft
+from spectile.spectrum import decide_spectral, make_patch, patch, verify_orthogonality
+
+from conftest import random_generators
+
+rationals = st.builds(Rat, st.integers(-40, 40), st.integers(1, 12))
+
+
+def _hp(p, xi):
+    with phase_context():
+        z, e = _indicator_hp(p, xi)
+        return to_complex(z), e
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=8))
+def test_batch_matches_hp_and_simplex_oracle(seed, raw):
+    rng = random.Random(seed)
+    dim = rng.choice((2, 3))
+    p = zonotope(random_generators(rng, rng.randint(dim, dim + 2), dim))
+    xis = [tuple(r[:dim]) for r in raw if any(r[:dim])]
+    if not xis:
+        return
+    X, D = _integer_rows(xis)
+    val, err = _indicator_batch(p, X, D)
+    for xi, v, e in zip(xis, val, err):
+        h, h_err = _hp(p, xi)
+        assert abs(v - h) <= e + h_err
+        o = simplex_ft(p, xi)
+        assert abs(v - o.as_complex()) <= max(1e-9 * abs(v), 1e-12)
+
+
+def test_phase_allowance_at_both_precisions():
+    # large reduced phases, against a 300-bit reference
+    rng = random.Random(5)
+    nums = [rng.randrange(-(10**15), 10**15) for _ in range(200)]
+    mods = [rng.randrange(1, 10**12) for _ in range(200)]
+    z = _cis(np.array(nums, dtype=object), np.array(mods, dtype=object))
+    for n, m, got in zip(nums, mods, z):
+        with mpmath.workprec(300):
+            ref = complex(mpmath.expjpi(-2 * mpmath.mpf(n) / m))
+        assert abs(got - ref) <= _phase_eps(53)
+        with phase_context(53):
+            hp53 = to_complex(cis_neg(Rat(n, m)))
+        assert abs(hp53 - ref) <= _phase_eps(53)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_near_degenerate_frequencies_take_the_fallback(k):
+    # xi perpendicular to an edge plus 10^-k along it: the edge projects to
+    # a tiny nonzero <xi, u>, whose cancellation the bound must show
+    p = make("hexagonal-prism")
+    entry = next(e for key, e in fourier._ft_geometry(p)["entries"].items() if key[0] == 1)
+    u = entry["u"]
+    base = cross3(u, (Rat(1, 3), Rat(2, 7), Rat(5, 11)))
+    xi = tuple(b + Rat(1, 10**k) * c for b, c in zip(base, u))
+    X, D = _integer_rows([xi, base])
+    val, err = _indicator_batch(p, X, D)
+    h, h_err = _hp(p, xi)
+    assert abs(val[0] - h) <= err[0] + h_err
+    # the exactly perpendicular frequency takes the flat branch instead
+    assert err[1] < err[0]
+    limit = TOL_ZERO * float(p.volume)
+    if k >= 6:
+        assert err[0] > FALLBACK_FRACTION * limit
+    rows = np.flatnonzero(err > FALLBACK_FRACTION * limit)
+    _indicator_rows_hp(p, X, D, rows, val, err)
+    for i in rows:
+        ref, ref_err = _hp(p, (xi, base)[i])
+        assert val[i] == ref and err[i] == ref_err
+
+
+def test_object_ints_match_int64_bit_for_bit(monkeypatch):
+    p = make("truncated-octahedron")
+    rng = random.Random(9)
+    xis = [tuple(Rat(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(3)) for _ in range(300)]
+    X, D = _integer_rows([xi for xi in xis if any(xi)])
+    g = _batch_geometry(p)
+    assert _fits_int64(g, 3, max(abs(c) for row in X for c in row), max(D))
+    fast = _indicator_batch(p, X, D)
+    monkeypatch.setattr(fourier, "_fits_int64", lambda *args: False)
+    slow = _indicator_batch(p, X, D)
+    assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
+
+
+def test_coordinates_near_two_to_the_62_use_python_ints():
+    p = make("cube")
+    big = 2**62 - 57
+    X = [(big, 3 * big + 1, -big), (big - 2, 5, 7)]
+    D = [big + 11, 2**61 + 1]
+    g = _batch_geometry(p)
+    assert not _fits_int64(g, 3, big * 3 + 1, max(D))
+    val, err = _indicator_batch(p, X, D)
+    for x, den, v, e in zip(X, D, val, err):
+        h, h_err = _hp(p, tuple(Rat(c, den) for c in x))
+        assert abs(v - h) <= e + h_err
+
+
+# the benchmark's analyze radii: the README default 5 where it is fast, the
+# smallest 1/8 step with a passing density window elsewhere
+BENCH_RADII = {
+    "square": 5.0,
+    "hexagon": 5.0,
+    "cube": 5.0,
+    "hexagonal-prism": 2.0,
+    "rhombic-dodecahedron": 1.25,
+    "elongated-dodecahedron": 1.125,
+    "truncated-octahedron": 1.25,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_RADII))
+def test_catalog_orthogonality_certified_without_fallbacks(name):
+    p = make(name)
+    rep = verify_orthogonality(p, patch(decide_spectral(p).spectrum, BENCH_RADII[name]))
+    assert rep.passed and rep.fallbacks == 0
+    assert rep.max_residual + rep.max_err_bound <= TOL_ZERO * float(p.volume)
+
+
+def test_orthogonality_counts_fallbacks(cube):
+    # x-component 1 puts the difference in the zero set; the tiny
+    # y-component makes the float64 bound too coarse to say so
+    sp = make_patch([(0, 0, 0), (1, Rat(1, 10**12), 0)], 1.0)
+    rep = verify_orthogonality(cube, sp)
+    assert rep.fallbacks == 1 and rep.passed
+    assert rep.max_err_bound < 1e-20
+
+
+def test_float_patch_difference_rounding_to_zero_fails(cube):
+    # a nonzero float difference that snaps to 0 evaluates to the volume
+    sp = make_patch([(0.0, 0.0, 0.0), (1e-12, 0.0, 0.0)], 1.0)
+    rep = verify_orthogonality(cube, sp)
+    assert not rep.passed and rep.max_residual == 1.0
+
+
+def test_decay_check_sends_straddling_samples_to_working_precision(monkeypatch, truncated_octahedron):
+    rng = random.Random(3)
+    samples = [tuple(Rat(rng.randint(-8, 8), rng.randint(1, 7)) for _ in range(3)) for _ in range(40)]
+    samples = [xi for xi in samples if any(xi)]
+    fast = fourier.decay_bound_check(truncated_octahedron, samples)
+    batch = fourier._indicator_batch
+
+    def coarse(p, X, D):  # a bound that straddles every decay bound
+        val, err = batch(p, X, D)
+        return val, err + 10.0
+
+    monkeypatch.setattr(fourier, "_indicator_batch", coarse)
+    slow = fourier.decay_bound_check(truncated_octahedron, samples)
+    assert fast.passed and slow.passed and fast.worst_xi == slow.worst_xi
+    assert math.isclose(fast.worst_ratio, slow.worst_ratio, rel_tol=1e-12)
+    assert fourier.decay_bound_check(truncated_octahedron, []).passed
