@@ -13,7 +13,7 @@ import time
 
 from . import __version__
 from ._backend import BACKEND, precision_bits, rat_str
-from .errors import PrismExcluded, SpectileError
+from .errors import PrismExcluded, SpectileError, UnsupportedDimension
 from .fourier import TOL_ZERO
 from .geometry import Polytope
 from .oracle import SampleConfig, multiplicity_sample
@@ -51,6 +51,11 @@ def analyze(
     seed: int = DEFAULT_SEED,
     samples: int = DEFAULT_SAMPLES,
 ) -> dict:
+    if p.dim not in (2, 3):
+        raise UnsupportedDimension(
+            f"analyze covers dimensions 2 and 3, got dimension {p.dim}; "
+            "use `spectile fourier` or `spectile oracle` for it"
+        )
     sample_cfg = SampleConfig(count=samples, seed=seed)  # rejects samples < 1
     timings = {}
 

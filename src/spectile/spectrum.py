@@ -15,12 +15,12 @@ the reports.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._backend import Rat, cis_neg, frac_part, phase_context, rational, to_float
+from ._backend import Rat, cis_neg, phase_context, rational, to_float
 from .errors import (
     PreconditionFailed,
     PrismExcluded,
@@ -29,6 +29,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .fourier import (
+    _INT64_MAX,
     FALLBACK_FRACTION,
     TOL_ZERO,
     _indicator_batch,
@@ -38,7 +39,7 @@ from .fourier import (
     frequency_from_floats,
 )
 from .geometry import Polytope
-from .linalg import norm_sq, vdot, vneg, vsub
+from .linalg import inverse, norm_sq, vdot, vneg
 from .tiling import Lattice, TilingReport, is_prism, lattice_T, venkov_mcmullen
 
 __all__ = [
@@ -61,21 +62,58 @@ __all__ = [
 ]
 
 
+# pair differences are formed and checked this many rows at a time
+_BLOCK = 1 << 15
+
+
+def _cleared(rows):
+    """(den, ints): rational rows as Python-int rows over their common
+    denominator."""
+    den = math.lcm(*(int(c.denominator) for r in rows for c in r))
+    return den, [[int(c.numerator) * (den // int(c.denominator)) for c in r] for r in rows]
+
+
+def _abs_max(a) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
 @dataclass(frozen=True)
 class SpectrumPatch:
     """Finite window of a candidate spectrum.
 
     Points are exact rationals when lattice-derived; user patches may carry
     floats.  separation is the minimal pairwise distance on the patch.
+    is_exact and the array form of the points (_coords) are computed once
+    per instance, on first use.
     """
 
     points: tuple
     window_radius: float
     separation: float
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all(not isinstance(c, float) for p in self.points for c in p)
+
+    @cached_property
+    def _coords(self):
+        """(den, A): the points are the rows of A / den.
+
+        An exact patch is cleared by its common denominator into integers:
+        int64 when twice the largest magnitude fits, so that every
+        difference does, and Python ints otherwise.  A float patch gives
+        den 1 and float64 rows, with -0.0 stored as 0.0.  A is read-only.
+        """
+        d = len(self.points[0]) if self.points else 0
+        if self.is_exact:
+            den, ints = _cleared(self.points)
+            big = max((abs(c) for q in ints for c in q), default=0)
+            a = np.array(ints, dtype=np.int64 if 2 * big <= _INT64_MAX else object)
+        else:
+            den, a = 1, np.array([[float(c) for c in q] for q in self.points], dtype=float) + 0.0
+        a = a.reshape(len(self.points), d)
+        a.flags.writeable = False  # shared by every check of the patch
+        return den, a
 
     def __len__(self):
         return len(self.points)
@@ -118,7 +156,14 @@ class SpectralVerdict:
 
 def decide_spectral(p: Polytope) -> SpectralVerdict:
     """Spectral iff the polytope tiles by translations (dimensions 2, 3);
-    for a tiler the dual of the tiling lattice is a spectrum."""
+    for a tiler the dual of the tiling lattice is a spectrum.  The verdict
+    is computed once per polytope and kept in its cache."""
+    if "spectral" not in p._cache:
+        p._cache["spectral"] = _decide_spectral(p)
+    return p._cache["spectral"]
+
+
+def _decide_spectral(p: Polytope) -> SpectralVerdict:
     if p.dim not in (2, 3):
         raise UnsupportedDimension("the decision procedure covers dimensions 2 and 3")
     rep = venkov_mcmullen(p)
@@ -148,36 +193,107 @@ def patch(lattice: Lattice, radius: float) -> SpectrumPatch:
     return make_patch(pts, float(radius))
 
 
-def _integer_differences(s: SpectrumPatch, collapse_sign: bool):
-    """(den, D): the distinct differences q_j - q_i (i < j) of an exact
-    patch are the integer tuples in D divided by den.
+def _unique(a):
+    """The distinct entries of a 1-D array, or rows of a 2-D one, in
+    (lexicographic) order."""
+    if len(a) < 2:
+        return a
+    keep = np.ones(len(a), dtype=bool)
+    if a.ndim == 1:
+        a = np.sort(a)
+        keep[1:] = a[1:] != a[:-1]
+    else:
+        a = a[np.lexsort(a.T[::-1])]
+        keep[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[keep]
 
-    The patch is scaled by its common denominator once, so the O(n^2) pair
-    loop runs on Python ints.  With collapse_sign, d and -d count once,
-    kept with the first nonzero coordinate positive.
+
+def _pair_blocks(a):
+    """The differences a[i + k] - a[i] for every offset k >= 1, as arrays
+    of about _BLOCK entries."""
+    n = len(a)
+    parts, size = [], 0
+    for k in range(1, n):
+        for lo in range(0, n - k, _BLOCK):
+            hi = min(lo + _BLOCK, n - k)
+            parts.append(a[lo + k : hi + k] - a[lo:hi])
+            size += hi - lo
+            if size >= _BLOCK:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+    if parts:
+        yield np.concatenate(parts)
+
+
+def _radix(a):
+    """(spans, places) when the int64 rows of a have a one-number code.
+
+    A difference d of two rows has |d_k| <= span_k, the range of column k,
+    so sum(d_k * place_k), with place_k the product of 2 * span_l + 1 over
+    the later columns l, determines d and orders differences as their rows
+    order lexicographically.  None when that code could overflow int64.
     """
-    pts = s.points
-    den = math.lcm(*(int(c.denominator) for q in pts for c in q))
-    ints = [tuple(int(c.numerator) * (den // int(c.denominator)) for c in q) for q in pts]
-    if collapse_sign:
-        # in lexicographic order every later-minus-earlier difference has
-        # its first nonzero coordinate positive, which is the collapsed form
-        ints.sort()
-    diffs = set()
-    for i, a in enumerate(ints):
-        diffs.update(tuple(map(operator.sub, b, a)) for b in ints[i + 1 :])
-    return den, diffs
+    if a.dtype != np.int64 or not a.size:
+        return None
+    spans = [int(c) for c in a.max(axis=0) - a.min(axis=0)]
+    places, size = [], 1
+    for span in reversed(spans):
+        places.insert(0, size)
+        size *= 2 * span + 1
+    return (spans, places) if size <= _INT64_MAX else None
 
 
-def _differences(s: SpectrumPatch, collapse_sign: bool) -> set:
-    """Distinct differences q_j - q_i (i < j) of the patch points: exact
-    ones as Rat (see _integer_differences); float patches are differenced
-    as given and never collapsed."""
-    pts = s.points
-    if not s.is_exact:
-        return {vsub(pts[j], pts[i]) for i in range(len(pts)) for j in range(i + 1, len(pts))}
-    den, diffs = _integer_differences(s, collapse_sign)
-    return {tuple(Rat(c, den) for c in d) for d in diffs}
+def _difference_rows(s: SpectrumPatch, collapse_sign: bool):
+    """(den, U): the distinct differences q_j - q_i (i < j) of the patch
+    points are the rows of U / den, in lexicographic order.
+
+    U has the dtype of the patch's array (see SpectrumPatch._coords).  The
+    pairs are formed one block at a time, offset by offset, and each block
+    is deduplicated before it joins the distinct set, so memory stays
+    bounded by the distinct set plus a few blocks; on a lattice patch the
+    differences at one offset repeat heavily.  Integer rows are coded as
+    single int64 numbers where _radix allows, so that a block sorts as a
+    1-D array; other rows are sorted with np.lexsort.  With collapse_sign,
+    d and -d count once, kept with the first nonzero coordinate positive.
+    """
+    den, a = s._coords
+    radix = _radix(a)
+    if radix is not None:
+        spans, places = radix
+        a = (a - a.min(axis=0)) @ np.array(places, dtype=np.int64)
+    distinct, fresh, size = a[:0], [], 0
+    for diff in _pair_blocks(a):
+        if collapse_sign and radix is not None:
+            diff = np.abs(diff)  # a code's sign is its row's first nonzero sign
+        elif collapse_sign:
+            first = (diff != 0).argmax(axis=1)
+            neg = diff[np.arange(len(diff)), first] < 0
+            diff[neg] = -diff[neg]
+            if diff.dtype == float:
+                diff += 0.0  # -(0.0) is -0.0, which must count and print as 0.0
+        fresh.append(_unique(diff))
+        size += len(fresh[-1])
+        if size >= max(len(distinct), _BLOCK):
+            distinct = _unique(np.concatenate([distinct, *fresh]))
+            fresh, size = [], 0
+    distinct = _unique(np.concatenate([distinct, *fresh]))
+    if radix is None:
+        return den, distinct
+    rest = distinct + sum(span * place for span, place in zip(spans, places))
+    cols = []
+    for span, place in zip(spans, places):
+        digit, rest = np.divmod(rest, place)
+        cols.append(digit - span)
+    return den, np.stack(cols, axis=1).reshape(-1, len(spans))
+
+
+def _matmul_mod(u, t, m: int):
+    """(u @ t) % m for integer arrays u and t, in int64 when no product,
+    sum or modulus can overflow, and in Python ints otherwise."""
+    t = np.array(t, dtype=object)
+    if u.dtype == object or max(u.shape[1] * _abs_max(u) * _abs_max(t), m) > _INT64_MAX:
+        return (u.astype(object) @ t) % m
+    return (u @ t.astype(np.int64)) % m
 
 
 @dataclass(frozen=True)
@@ -200,39 +316,37 @@ class OrthogonalityReport:
 def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -> OrthogonalityReport:
     """All pairwise differences must lie in the zero set of the transform.
 
-    Differences are deduplicated (and +-collapsed for exact patches) and go
-    through the float64 batch kernel in one call; a difference whose error
-    bound exceeds FALLBACK_FRACTION of tol * volume is evaluated again at
-    working precision.  Float patches are snapped coordinate-wise to
+    The distinct differences (+-collapsed for exact patches, see
+    _difference_rows) go through the float64 batch kernel in one call; a
+    difference whose error bound exceeds FALLBACK_FRACTION of tol * volume
+    is evaluated again at working precision.  Float patches are snapped coordinate-wise to
     rationals with denominators up to 10^9.
     """
     if len(s) == 0:
         raise PreconditionFailed("empty patch")
     exact = s.is_exact
+    den, U = _difference_rows(s, collapse_sign=exact)
     if exact:
-        den, ints = _integer_differences(s, collapse_sign=True)
-        X = list(ints)
-        D = [den] * len(X)
+        X, D = U, [den] * len(U)
     else:
-        diffs = list(_differences(s, collapse_sign=True))
-        X, D = _integer_rows([frequency_from_floats(d, 10**9) for d in diffs])
+        X, D = _integer_rows([frequency_from_floats(d, 10**9) for d in U.tolist()])
     limit = tol * to_float(p.volume)
     val, err = _indicator_batch(p, X, D)
     fallbacks = np.flatnonzero(err > FALLBACK_FRACTION * limit)
     _indicator_rows_hp(p, X, D, fallbacks, val, err)
     mag = np.abs(val)
     max_residual, worst_d, passed = -1.0, None, True
-    if X:
+    if len(U):
         i = int(np.argmax(mag))
         max_residual = float(mag[i])
-        worst_d = tuple(Rat(c, den) for c in X[i]) if exact else diffs[i]
+        worst_d = tuple(Rat(int(c), den) for c in U[i]) if exact else tuple(U[i].tolist())
         passed = bool(np.max(mag + err) <= limit)
     return OrthogonalityReport(
         passed=passed,
         max_residual=max_residual,
         worst_difference=worst_d,
         num_points=len(s.points),
-        num_differences=len(X),
+        num_differences=len(U),
         tolerance=tol,
         max_err_bound=float(np.max(err, initial=0.0)),
         fallbacks=len(fallbacks),
@@ -288,23 +402,41 @@ class C2Report:
 
 def condition_C2_check(s: SpectrumPatch, taus, tol: float = 1e-9) -> C2Report:
     """<difference, tau> must be within tol of an integer for every pair
-    of patch points and every facet translation tau."""
-    exact = s.is_exact
+    of patch points and every facet translation tau.
+
+    The check runs on the distinct differences, not +-collapsed, which
+    num_differences counts.  An exact patch with exact taus is checked in
+    integers: with the differences U / den and the taus T / tden, the
+    distance of <u, t> / M (M = den * tden) to the nearest integer is
+    min(r, M - r) / M for r = <u, t> mod M, and the largest numerator is
+    divided by M once, so max_distance_to_integer is the correctly rounded
+    float of the exact maximum.  Otherwise every <d, tau> is summed in
+    float64 as ((0.0 + d_0 t_0) + d_1 t_1) + ..., with t_k = float(tau_k),
+    and its distance is |v - rint(v)|.
+    """
     taus = [tuple(t) for t in taus]
-    diffs = _differences(s, collapse_sign=False)
+    den, U = _difference_rows(s, collapse_sign=False)
     worst = 0.0
-    for d in diffs:
-        for t in taus:
-            val = vdot(d, t)
-            if exact and not isinstance(val, float):
-                fr = frac_part(val)
-                dist = to_float(min(fr, 1 - fr))
-            else:
-                fval = float(val)
-                dist = abs(fval - round(fval))
-            if dist > worst:
-                worst = dist
-    return C2Report(passed=worst <= tol, max_distance_to_integer=worst, num_differences=len(diffs), tolerance=tol)
+    if len(U) and taus:
+        if s.is_exact and not any(isinstance(c, float) for t in taus for c in t):
+            tden, T = _cleared(taus)
+            m = den * tden
+            num = 0
+            for lo in range(0, len(U), _BLOCK):
+                r = _matmul_mod(U[lo : lo + _BLOCK], list(zip(*T)), m)
+                num = max(num, int(np.minimum(r, m - r).max()))
+            worst = num / m
+        else:
+            if s.is_exact:  # float taus: each difference is rounded once
+                U = (U.astype(object) / den).astype(float)
+            t = np.array([[float(c) for c in tau] for tau in taus])
+            for lo in range(0, len(U), _BLOCK):
+                f = U[lo : lo + _BLOCK]
+                v = 0.0
+                for k in range(f.shape[1]):
+                    v = v + f[:, k, None] * t[:, k]
+                worst = max(worst, float(np.abs(v - np.rint(v)).max()))
+    return C2Report(passed=worst <= tol, max_distance_to_integer=worst, num_differences=len(U), tolerance=tol)
 
 
 def uniqueness_check(p: Polytope, s: SpectrumPatch, tol: float = 1e-9) -> bool:
@@ -313,6 +445,13 @@ def uniqueness_check(p: Polytope, s: SpectrumPatch, tol: float = 1e-9) -> bool:
     That is a theorem for every true spectrum of a tiler that is not a
     prism (not a parallelogram in the plane); for prisms the check raises
     PrismExcluded because uniqueness genuinely fails there.
+
+    With B the dual basis (rows), q - q_0 is in the lattice iff
+    (q - q_0) B^-1 is integral.  An exact patch tests this for all points
+    at once in integers: with the points A / den and B^-1 = C / cden,
+    (A - A_0) C must vanish mod den * cden.  A float patch takes the
+    float64 coordinates and accepts a distance of tol to the nearest
+    integer.
     """
     verdict = decide_spectral(p)
     if not verdict.is_spectral:
@@ -326,17 +465,14 @@ def uniqueness_check(p: Polytope, s: SpectrumPatch, tol: float = 1e-9) -> bool:
     dual = verdict.spectrum
     if len(s) == 0:
         raise PreconditionFailed("empty patch")
-    base = s.points[0]
+    den, a = s._coords
+    delta = a - a[0]
     if s.is_exact:
-        return all(dual.contains(vsub(q, base)) for q in s.points)
+        cden, c = _cleared(inverse(dual.basis))
+        return not _matmul_mod(delta, c, den * cden).any()
     bt = np.array([[float(c) for c in row] for row in dual.basis]).T
-    inv = np.linalg.inv(bt)
-    for q in s.points:
-        delta = np.array([float(a) - float(b) for a, b in zip(q, base)])
-        k = inv @ delta
-        if np.max(np.abs(k - np.round(k))) > tol:
-            return False
-    return True
+    k = delta @ np.linalg.inv(bt).T
+    return not (np.abs(k - np.round(k)) > tol).any()
 
 
 @dataclass(frozen=True)

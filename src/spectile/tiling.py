@@ -410,10 +410,17 @@ def is_prism(p: Polytope):
 
     Such a pair exists exactly when P is the Minkowski sum of a facet and a
     segment; the convex hull of two parallel translate facets always sits
-    inside P, so equality of volumes decides equality of the bodies.
+    inside P, so equality of volumes decides equality of the bodies.  The
+    witness is found once per polytope and kept in its cache.
     """
     if p.dim != 3:
         raise PreconditionFailed("prism detection is three-dimensional")
+    if "prism" not in p._cache:
+        p._cache["prism"] = _prism_witness(p)
+    return p._cache["prism"]
+
+
+def _prism_witness(p: Polytope):
     seen = set()
     for fi in range(len(p.facets)):
         if fi in seen:

@@ -67,6 +67,12 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_analyze_interval_exit_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "catalog:interval")
+    assert code == 2 and out == ""
+    assert "dimension 1" in err and "fourier" in err and "oracle" in err
+
+
 def test_fourier_csv(capsys, tmp_path):
     freq_file = tmp_path / "freqs.csv"
     freq_file.write_text("1,0,0\n1/2,0,0\n1/3,1/5,1/7\n")

@@ -1,7 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectile import AffineMap, Rat
 from spectile.catalog import prism
@@ -16,7 +20,8 @@ from spectile._backend import frac_part
 from spectile.linalg import det
 from spectile.spectrum import (
     PrismSpectrumSpec,
-    _differences,
+    SpectrumPatch,
+    _difference_rows,
     chi_estimate,
     condition_C2_check,
     decide_spectral,
@@ -96,6 +101,117 @@ def _brute_differences(points, collapse_sign):
     return out
 
 
+def _rat_rows(sp, collapse_sign):
+    """_difference_rows of an exact patch as a set of Rat tuples."""
+    den, rows = _difference_rows(sp, collapse_sign)
+    return {tuple(Rat(int(c), den) for c in row) for row in rows}
+
+
+def _brute_c2(points, taus):
+    """Largest distance of <q_j - q_i, tau> to an integer: Fraction
+    arithmetic for exact points and taus, else a float sum in vdot order
+    (exact differences are rounded once)."""
+    worst = 0.0
+    exact_pts = all(not isinstance(c, float) for q in points for c in q)
+    exact = exact_pts and all(not isinstance(c, float) for t in taus for c in t)
+    for i, a in enumerate(points):
+        for b in points[i + 1 :]:
+            if exact_pts:
+                d = [Fraction(y) - Fraction(x) for x, y in zip(a, b)]
+            else:
+                d = [float(y) - float(x) for x, y in zip(a, b)]
+            for t in taus:
+                if exact:
+                    v = sum(x * Fraction(c) for x, c in zip(d, t))
+                    fr = v - math.floor(v)
+                    dist = float(min(fr, 1 - fr))
+                else:
+                    v = sum((float(x) * float(c) for x, c in zip(d, t)), 0.0)
+                    dist = abs(v - round(v))
+                worst = max(worst, dist)
+    return worst
+
+
+fractions = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 7, 12]))
+# offsets that send integer rows down the three paths: one-number codes,
+# int64 rows sorted with lexsort, and Python-int rows (magnitudes near 2^62)
+offsets = st.sampled_from([0, 2**40, 2**62])
+floats = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, -0.5, 1.25]), st.floats(-8, 8, allow_nan=False))
+
+
+@st.composite
+def exact_patches(draw):
+    d = draw(st.sampled_from([2, 3]))
+    offset = draw(offsets)
+    pts = draw(st.lists(st.tuples(*[fractions] * d), max_size=9))
+    shift = [offset * (k + 1) for k in range(d)] if offset else [0] * d
+    # distinct offsets per column give int64 rows no one-number code
+    if offset == 2**40 and pts:
+        pts[0] = tuple(c + offset * (k + 1) for k, c in enumerate(pts[0]))
+        shift = [0] * d
+    return [tuple(Rat(c + s) for c, s in zip(q, shift)) for q in pts], d
+
+
+@settings(max_examples=40, deadline=None)
+@example(  # int64 points whose products with the taus overflow int64
+    patch_and_dim=([(Rat(0), Rat(0)), (Rat(2**61), Rat(1)), (Rat(7 - 2**61), Rat(3))], 2),
+    collapse_sign=False,
+    tau_rows=[[Fraction(5, 3), Fraction(1, 7), Fraction(0)]],
+    tau_type=Rat,
+)
+@given(
+    exact_patches(),
+    st.booleans(),
+    st.lists(st.lists(fractions, min_size=3, max_size=3), max_size=3),
+    st.sampled_from([Rat, float]),
+)
+def test_difference_set_and_c2_match_brute_force_exact(patch_and_dim, collapse_sign, tau_rows, tau_type):
+    pts, d = patch_and_dim
+    sp = SpectrumPatch(points=tuple(pts), window_radius=1.0, separation=0.0)
+    den, rows = _difference_rows(sp, collapse_sign)
+    brute = _brute_differences(pts, collapse_sign)
+    assert _rat_rows(sp, collapse_sign) == brute and len(rows) == len(brute)
+    assert [tuple(r) for r in rows.tolist()] == sorted(tuple(r) for r in rows.tolist())
+    # Python ints exactly when twice the cleared magnitudes overflow int64
+    den = math.lcm(*(c.denominator for q in pts for c in q))
+    big = max((abs(c) * den for q in pts for c in q), default=0)
+    assert (sp._coords[1].dtype == object) == (2 * big >= 2**63)
+    taus = [tuple(tau_type(c) for c in t[:d]) for t in tau_rows]
+    rep = condition_C2_check(sp, taus)
+    assert rep.max_distance_to_integer == _brute_c2(pts, taus)
+    assert rep.num_differences == len(_brute_differences(pts, False))
+    assert rep.passed == (rep.max_distance_to_integer <= rep.tolerance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]).flatmap(lambda d: st.lists(st.tuples(*[floats] * d), max_size=9)),
+    st.booleans(),
+    st.lists(st.lists(fractions, min_size=3, max_size=3), min_size=1, max_size=3),
+)
+def test_difference_set_and_c2_match_brute_force_float(pts, collapse_sign, tau_rows):
+    sp = SpectrumPatch(points=tuple(pts), window_radius=1.0, separation=0.0)
+    den, rows = _difference_rows(sp, collapse_sign)
+    brute = _brute_differences(pts, collapse_sign)  # -0.0 == 0.0 in the set
+    assert den == 1 and {tuple(r) for r in rows.tolist()} == brute and len(rows) == len(brute)
+    assert not np.signbit(rows[rows == 0]).any()
+    if pts and pts[0]:
+        d = len(pts[0])
+        taus = [tuple(Rat(c) for c in t[:d]) for t in tau_rows]
+        rep = condition_C2_check(sp, taus)
+        assert rep.max_distance_to_integer == _brute_c2(pts, taus)
+        assert rep.num_differences == len(_brute_differences(pts, False))
+
+
+def test_c2_empty_and_single_point_patches():
+    taus = [(Rat(1), Rat(0))]
+    for pts in ((), ((Rat(1, 3), Rat(2)),), ((0.5, -0.0),)):
+        sp = make_patch(pts, 1.0)
+        rep = condition_C2_check(sp, taus)
+        assert rep.passed and rep.max_distance_to_integer == 0.0 and rep.num_differences == 0
+        assert len(_difference_rows(sp, True)[1]) == 0
+
+
 def test_integer_differences_match_fraction_brute_force():
     # mixed denominators 1 and 4: the integer path must clear them exactly
     z3 = Lattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -105,7 +221,7 @@ def test_integer_differences_match_fraction_brute_force():
     # the reversed order puts every pair against the collapsed sign
     for sp in (make_patch(ordered, 2.3), make_patch(ordered[::-1], 2.3)):
         for collapse_sign in (True, False):
-            got = _differences(sp, collapse_sign)
+            got = _rat_rows(sp, collapse_sign)
             assert got == _brute_differences(sp.points, collapse_sign)
             assert all(isinstance(c, Rat) for d in got for c in d)
 
@@ -188,6 +304,29 @@ def test_uniqueness_detects_alien_point(hexagon):
     pts = list(patch(dual, 3.0).points)
     pts.append((Rat(1, 2) + pts[0][0], pts[0][1]))
     assert not uniqueness_check(hexagon, make_patch(pts, 3.5))
+
+
+def test_uniqueness_exact_with_huge_coordinates(hexagon):
+    # a translate by 2^62 puts the patch on Python ints; an alien point fails
+    dual = dual_lattice(lattice_T(hexagon))
+    pts = [tuple(c + Rat(2**62, 3) for c in q) for q in patch(dual, 3.0).points]
+    shifted = make_patch(pts, 3.5)
+    assert shifted._coords[1].dtype == object
+    assert uniqueness_check(hexagon, shifted) is True
+    bad = make_patch(pts + [(pts[0][0] + Rat(1, 2), pts[0][1])], 3.5)
+    assert uniqueness_check(hexagon, bad) is False
+
+
+def test_stages_computed_once_per_polytope(hexagonal_prism, interval):
+    from spectile.tiling import is_prism
+
+    assert decide_spectral(hexagonal_prism) is decide_spectral(hexagonal_prism)
+    assert is_prism(hexagonal_prism) == is_prism(hexagonal_prism) is not None
+    assert "prism" in hexagonal_prism._cache and "spectral" in hexagonal_prism._cache
+    for _ in range(2):  # a failure is not cached
+        with pytest.raises(UnsupportedDimension):
+            decide_spectral(interval)
+    assert "spectral" not in interval._cache
 
 
 def test_uniqueness_prism_excluded(hexagonal_prism, square):
