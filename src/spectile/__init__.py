@@ -29,7 +29,6 @@ from .tiling import (
     is_prism,
     lattice_T,
     packing_verify,
-    tiling_report,
     venkov_mcmullen,
 )
 from .fourier import (
@@ -87,7 +86,6 @@ __all__ = [
     "covering_verify",
     "fedorov_classify",
     "is_prism",
-    "tiling_report",
     "ComplexValue",
     "frequency",
     "ft_indicator",

@@ -166,12 +166,6 @@ if BACKEND == "gmpy2":
     def _hp_sincos(x):
         return gmpy2.sin_cos(x)
 
-    def to_float(x) -> float:
-        return float(x)
-
-    def to_complex(z) -> complex:
-        return complex(z)
-
 else:
 
     @contextmanager
@@ -196,11 +190,13 @@ else:
     def _hp_sincos(x):
         return mpmath.sin(x), mpmath.cos(x)
 
-    def to_float(x) -> float:
-        return float(x)
 
-    def to_complex(z) -> complex:
-        return complex(z)
+def to_float(x) -> float:
+    return float(x)
+
+
+def to_complex(z) -> complex:
+    return complex(z)
 
 
 def cis_neg(q):

@@ -21,7 +21,7 @@ from .catalog import CATALOG_NAMES, make, resolve_input
 from .errors import NotATiler, ParseError, PreconditionFailed, PrismExcluded, SpectileError
 from .fourier import TOL_ZERO, ft_indicator
 from .oracle import SampleConfig, mc_volume, multiplicity_sample, simplex_ft
-from .report import DEFAULT_RADIUS, DEFAULT_SAMPLES, DEFAULT_SEED, analyze
+from .report import DEFAULT_RADIUS, DEFAULT_SAMPLES, DEFAULT_SEED, analyze, orthogonality_json
 from .spectrum import (
     condition_C2_check,
     decide_spectral,
@@ -163,9 +163,9 @@ def _cmd_spectrum(args) -> int:
         if verdict.spectrum
         else None,
     }
+    sp = patch(verdict.spectrum, args.radius) if verdict.spectrum is not None else None
     sys.stdout.write(json.dumps(head, indent=2, sort_keys=True) + "\n")
-    if verdict.spectrum is not None:
-        sp = patch(verdict.spectrum, args.radius)
+    if sp is not None:
         _write_output(_patch_csv(sp.points), args.output)
     return 0
 
@@ -181,14 +181,7 @@ def _cmd_verify(args) -> int:
         "patch": {"count": len(sp), "window_radius": sp.window_radius, "separation": sp.separation},
     }
     orth = verify_orthogonality(poly, sp, tol=args.tolerance)
-    out["orthogonality"] = {
-        "passed": orth.passed,
-        "max_residual": orth.max_residual,
-        "pairs_checked": orth.num_differences,
-        "tolerance": orth.tolerance,
-        "max_err_bound": orth.max_err_bound,
-        "fallbacks": orth.fallbacks,
-    }
+    out["orthogonality"] = orthogonality_json(orth)
     sym = symmetry_report(poly)
     if sym.facet_pairs:
         c2 = condition_C2_check(sp, [t.tau for t in sym.facet_pairs])
@@ -223,6 +216,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    if args.copies < 1:
+        raise PreconditionFailed(f"--copies must be at least 1, got {args.copies}")
     poly, _ = resolve_input(args.input)
     lattice = None
     if args.copies > 1:

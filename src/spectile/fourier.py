@@ -49,7 +49,7 @@ from ._backend import (
     to_float,
 )
 from .errors import DimensionMismatch, NotStandardPosition, ZeroFrequency
-from .geometry import Polytope
+from .geometry import Polytope, memo
 from .linalg import centroid, cross3, is_zero_vec, norm_sq, primitive, vdot, vneg, vsub
 
 __all__ = [
@@ -108,9 +108,8 @@ def frequency_from_floats(coords, max_denominator: int = 10**6) -> tuple:
 # are (k, index) matching Polytope.faces(k).
 
 
+@memo
 def _ft_geometry(p: Polytope):
-    if "ftgeom" in p._cache:
-        return p._cache["ftgeom"]
     entries = {}
     d = p.dim
     for i, v in enumerate(p.vertices):
@@ -154,9 +153,7 @@ def _ft_geometry(p: Polytope):
     for fi, f in enumerate(p.facets):
         key = (d - 1, fi)
         body_children.append((key, f.normal, norm_sq(f.normal)))
-    geom = {"entries": entries, "body_children": tuple(body_children)}
-    p._cache["ftgeom"] = geom
-    return geom
+    return {"entries": entries, "body_children": tuple(body_children)}
 
 
 def _phase_eps(bits: int) -> float:
@@ -329,9 +326,8 @@ def _batch_level(children, kind, faces=None):
     return lv
 
 
+@memo
 def _batch_geometry(p: Polytope):
-    if "ftbatch" in p._cache:
-        return p._cache["ftbatch"]
     geom = _ft_geometry(p)
     entries = geom["entries"]
     count = [sum(1 for k, _ in entries if k == level) for level in range(p.dim)]
@@ -347,7 +343,7 @@ def _batch_geometry(p: Polytope):
     levels.append(body)
     faces = levels[:-1]
     ints = [verts] + [lv["m"] for lv in levels] + [lv[n] for lv in faces for n in ("normal", "centroid")]
-    g = {
+    return {
         "verts": verts,
         "v_scale": v_scale,
         "levels": levels,
@@ -356,8 +352,6 @@ def _batch_geometry(p: Polytope):
         "scale": max([v_scale] + [lv["c_scale"] for lv in faces]),
         "normal_sq": max([1] + [x for lv in faces for x in lv["normal_sq"]]),
     }
-    p._cache["ftbatch"] = g
-    return g
 
 
 def _fits_int64(g, dim: int, x_max: int, d_max: int) -> bool:

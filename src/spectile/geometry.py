@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import wraps
 
 from ._backend import Rat, ZERO, rational, rat_str
 from .errors import (
@@ -98,6 +99,25 @@ class AffineMap:
         return AffineMap(matrix, tuple(ZERO for _ in range(n)))
 
 
+def memo(fn):
+    """Compute fn(p, *args) once per polytope.
+
+    The value is kept in p._cache under (fn name, *args), so every caller
+    that reaches a stage shares one result; a call that raises stores
+    nothing.
+    """
+    name = fn.__name__
+
+    @wraps(fn)
+    def once(p, *args):
+        key = (name, *args)
+        if key not in p._cache:
+            p._cache[key] = fn(p, *args)
+        return p._cache[key]
+
+    return once
+
+
 class Polytope:
     """Immutable convex polytope with its face lattice.
 
@@ -169,35 +189,22 @@ class Polytope:
     def facet_points(self, fi: int) -> tuple:
         return tuple(self.vertices[i] for i in self.facets[fi].indices)
 
+    @memo
     def facet_centroid(self, fi: int) -> Point:
-        key = ("fcent", fi)
-        if key not in self._cache:
-            self._cache[key] = centroid(self.facet_points(fi))
-        return self._cache[key]
+        return centroid(self.facet_points(fi))
 
+    @memo
     def opposite_facet(self, fi: int):
         """Index of the facet with the exactly opposite normal, or None."""
-        key = ("opp", fi)
-        if key not in self._cache:
-            target = vneg(self.facets[fi].normal)
-            found = None
-            for fj, f in enumerate(self.facets):
-                if f.normal == target:
-                    found = fj
-                    break
-            self._cache[key] = found
-        return self._cache[key]
+        target = vneg(self.facets[fi].normal)
+        return next((fj for fj, f in enumerate(self.facets) if f.normal == target), None)
 
     # -- metric quantities ---------------------------------------------------
 
     @property
+    @memo
     def volume(self):
         """Exact d-volume via fan triangulation from a vertex."""
-        if "volume" not in self._cache:
-            self._cache["volume"] = self._volume()
-        return self._cache["volume"]
-
-    def _volume(self):
         if self.dim == 1:
             return self.vertices[-1][0] - self.vertices[0][0]
         if self.dim == 2:
@@ -241,19 +248,15 @@ class Polytope:
         return norm_sq(acc) / 4
 
     @property
+    @memo
     def vertex_centroid(self) -> Point:
-        if "centroid" not in self._cache:
-            self._cache["centroid"] = centroid(self.vertices)
-        return self._cache["centroid"]
+        return centroid(self.vertices)
 
     @property
+    @memo
     def diameter_sq(self):
-        if "diam2" not in self._cache:
-            vs = self.vertices
-            self._cache["diam2"] = max(
-                norm_sq(vsub(vs[i], vs[j])) for i in range(len(vs)) for j in range(i + 1, len(vs))
-            )
-        return self._cache["diam2"]
+        vs = self.vertices
+        return max(norm_sq(vsub(vs[i], vs[j])) for i in range(len(vs)) for j in range(i + 1, len(vs)))
 
     def support(self, direction):
         return max(vdot(direction, v) for v in self.vertices)

@@ -60,11 +60,6 @@ def cross2(a: Vec, b: Vec):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def perp2(a: Vec) -> Vec:
-    """Rotate by +90 degrees."""
-    return (-a[1], a[0])
-
-
 def centroid(points) -> Vec:
     pts = list(points)
     n = Rat(len(pts))

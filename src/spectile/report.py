@@ -43,6 +43,18 @@ def _basis_json(lattice):
     return [_vec_json(row) for row in lattice.basis]
 
 
+def orthogonality_json(orth) -> dict:
+    """The orthogonality block of `analyze` and `verify` output."""
+    return {
+        "passed": orth.passed,
+        "max_residual": orth.max_residual,
+        "pairs_checked": orth.num_differences,
+        "tolerance": orth.tolerance,
+        "max_err_bound": orth.max_err_bound,
+        "fallbacks": orth.fallbacks,
+    }
+
+
 def analyze(
     p: Polytope,
     input_echo=None,
@@ -110,7 +122,7 @@ def analyze(
     }
     lattice = None
     if vm.tiles:
-        lattice = clock("lattice", lambda: lattice_T(p, vm))
+        lattice = clock("lattice", lambda: lattice_T(p))
         tiling_block["lattice"] = _basis_json(lattice)
         tiling_block["covolume"] = rat_str(lattice.covolume)
         tiling_block["packing_verified"] = clock("packing", lambda: packing_verify(p, lattice))
@@ -118,7 +130,7 @@ def analyze(
             "covering", lambda: covering_verify(p, lattice, samples=samples, seed=seed)
         )
         if p.dim == 3:
-            tiling_block["fedorov"] = fedorov_classify(p, vm).value
+            tiling_block["fedorov"] = fedorov_classify(p).value
     else:
         tiling_block["lattice"] = None
         tiling_block["covolume"] = None
@@ -147,14 +159,7 @@ def analyze(
             "separation": sp.separation,
         }
         orth = clock("orthogonality", lambda: verify_orthogonality(p, sp, tol=tolerance))
-        verification["orthogonality"] = {
-            "passed": orth.passed,
-            "max_residual": orth.max_residual,
-            "pairs_checked": orth.num_differences,
-            "tolerance": orth.tolerance,
-            "max_err_bound": orth.max_err_bound,
-            "fallbacks": orth.fallbacks,
-        }
+        verification["orthogonality"] = orthogonality_json(orth)
         try:
             dens = clock("density", lambda: verify_density(p, sp))
             verification["density"] = {

@@ -38,7 +38,7 @@ from .fourier import (
     _integer_rows,
     frequency_from_floats,
 )
-from .geometry import Polytope
+from .geometry import Polytope, memo
 from .linalg import inverse, norm_sq, vdot, vneg
 from .tiling import Lattice, TilingReport, is_prism, lattice_T, venkov_mcmullen
 
@@ -154,21 +154,15 @@ class SpectralVerdict:
     tiling: TilingReport
 
 
+@memo
 def decide_spectral(p: Polytope) -> SpectralVerdict:
     """Spectral iff the polytope tiles by translations (dimensions 2, 3);
-    for a tiler the dual of the tiling lattice is a spectrum.  The verdict
-    is computed once per polytope and kept in its cache."""
-    if "spectral" not in p._cache:
-        p._cache["spectral"] = _decide_spectral(p)
-    return p._cache["spectral"]
-
-
-def _decide_spectral(p: Polytope) -> SpectralVerdict:
+    for a tiler the dual of the tiling lattice is a spectrum."""
     if p.dim not in (2, 3):
         raise UnsupportedDimension("the decision procedure covers dimensions 2 and 3")
     rep = venkov_mcmullen(p)
     if rep.tiles:
-        spectrum = dual_lattice(lattice_T(p, rep))
+        spectrum = dual_lattice(lattice_T(p))
         return SpectralVerdict(True, "tiles-by-translation", spectrum, rep)
     if not rep.vm_centrally_symmetric:
         reason = "not-centrally-symmetric"
@@ -181,6 +175,8 @@ def _decide_spectral(p: Polytope) -> SpectralVerdict:
 
 def patch(lattice: Lattice, radius: float) -> SpectrumPatch:
     """All lattice points in the closed ball of the given radius."""
+    if isinstance(radius, float) and not math.isfinite(radius):
+        raise PreconditionFailed(f"patch radius must be finite, got {radius}")
     if radius <= 0:
         raise PreconditionFailed("patch radius must be positive")
     if isinstance(radius, float):

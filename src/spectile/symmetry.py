@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotSymmetric
-from .geometry import Polytope
+from .geometry import Polytope, memo
 from .linalg import centroid, vadd, vsub
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 
+@memo
 def center_of_symmetry(p: Polytope):
     """The center x with P - x = -(P - x), or None.
 
@@ -72,6 +73,7 @@ def _point_set_symmetric(points) -> bool:
     return all(vsub(doubled, v) in pset for v in pts)
 
 
+@memo
 def facet_symmetry_check(p: Polytope):
     """(all_symmetric, witness facet indices).
 
@@ -94,6 +96,7 @@ class TauPair:
     tau: tuple
 
 
+@memo
 def tau_vectors(p: Polytope) -> tuple:
     """One exact translation vector per opposite facet pair, F = F' + tau.
 

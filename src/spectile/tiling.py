@@ -18,7 +18,7 @@ from enum import Enum
 
 from ._backend import Rat, ZERO, sqrt_upper
 from .errors import NotALattice, NotATiler, PreconditionFailed
-from .geometry import Polytope, from_vertices
+from .geometry import Polytope, from_vertices, memo
 from .linalg import (
     angular_sort,
     cross3,
@@ -51,7 +51,6 @@ __all__ = [
     "covering_verify",
     "fedorov_classify",
     "is_prism",
-    "tiling_report",
     "FEDOROV_TABLE",
 ]
 
@@ -142,9 +141,6 @@ class Lattice:
                 out.append(x)
         out.sort()
         return tuple(out)
-
-    def fundamental_cell_corner_vectors(self) -> tuple:
-        return self.basis
 
 
 # --- belts ------------------------------------------------------------------
@@ -256,17 +252,9 @@ class TilingReport:
     tiles: bool
     belt_lengths: tuple | None = None
     failing_belt_length: int | None = None
-    lattice: "Lattice | None" = None
-    packing_verified: bool | None = None
-    covering_verified: bool | None = None
-    fedorov_class: "FedorovClass | None" = None
-    prism_witness: tuple | None = None
-
-    @property
-    def is_prism(self) -> bool:
-        return self.prism_witness is not None
 
 
+@memo
 def venkov_mcmullen(p: Polytope) -> TilingReport:
     """Evaluate the four tiling conditions; tiles iff all hold.
 
@@ -298,6 +286,7 @@ def venkov_mcmullen(p: Polytope) -> TilingReport:
     )
 
 
+@memo
 def tau_lattice_closure(p: Polytope) -> Lattice:
     """Lattice generated by all facet translation vectors.
 
@@ -326,49 +315,38 @@ def lattice_T(p: Polytope, report: TilingReport | None = None) -> Lattice:
 # --- packing / covering -------------------------------------------------------
 
 
-def _interiors_overlap(p: Polytope, tau) -> bool:
-    """Exact test for vol(P n (P + tau)) > 0."""
+def _interiors_overlap(p: Polytope, center, tau) -> bool:
+    """Exact test for vol(P n (P + tau)) > 0, for P centrally symmetric
+    about center."""
     # Width reject: if the shift along some facet normal reaches the width
     # of P in that direction, the interiors cannot meet.
     for f in p.facets:
         width = p.support(f.normal) + p.support(vneg(f.normal))
         if abs(vdot(f.normal, tau)) >= width:
             return False
-    # For a centrally symmetric P the intersection, when solid, contains
-    # the midpoint c + tau/2.
-    if center_of_symmetry(p) is not None:
-        mid = vadd(p.vertex_centroid, vscale(tau, Rat(1, 2)))
-        return p.contains(mid, strict=True)
-    # General case: the intersection is full-dimensional iff its candidate
-    # vertex set has affine rank d.
-    from itertools import combinations
-
-    from .linalg import affine_rank
-
-    hs = [(f.normal, f.offset) for f in p.facets]
-    hs += [(f.normal, f.offset + vdot(f.normal, tau)) for f in p.facets]
-    feasible = set()
-    for subset in combinations(range(len(hs)), p.dim):
-        m = tuple(hs[i][0] for i in subset)
-        b = tuple(hs[i][1] for i in subset)
-        x = solve(m, b)
-        if x is not None and all(vdot(n, x) <= off for n, off in hs):
-            feasible.add(x)
-    return len(feasible) > 0 and affine_rank(sorted(feasible)) == p.dim
+    # P n (P + tau) is symmetric about center + tau/2, so when it is solid
+    # it holds that midpoint in its interior.
+    return p.contains(vadd(center, vscale(tau, Rat(1, 2))), strict=True)
 
 
+@memo
 def packing_verify(p: Polytope, lattice: Lattice) -> bool:
     """Translates along the lattice are pairwise disjoint up to measure zero.
 
-    Only vectors shorter than the diameter can produce overlap, so the
-    check enumerates the finitely many lattice points in that ball.
+    P must be centrally symmetric (PreconditionFailed otherwise), as every
+    translational tiler is.  Only vectors shorter than the diameter can
+    produce overlap, so the check enumerates the finitely many lattice
+    points in that ball.
     """
     if lattice.dim != p.dim:
         raise PreconditionFailed("lattice dimension differs from polytope dimension")
+    center = center_of_symmetry(p)
+    if center is None:
+        raise PreconditionFailed("packing is verified for centrally symmetric polytopes only")
     for tau in lattice.points_in_ball(p.diameter_sq, strict=True):
         if all(c == 0 for c in tau):
             continue
-        if _interiors_overlap(p, tau):
+        if _interiors_overlap(p, center, tau):
             return False
     return True
 
@@ -405,22 +383,16 @@ def fedorov_classify(p: Polytope, report: TilingReport | None = None) -> Fedorov
     return FEDOROV_TABLE[key]
 
 
+@memo
 def is_prism(p: Polytope):
     """Witness facet pair {F, F'} with P = conv(F u F'), or None.
 
     Such a pair exists exactly when P is the Minkowski sum of a facet and a
     segment; the convex hull of two parallel translate facets always sits
-    inside P, so equality of volumes decides equality of the bodies.  The
-    witness is found once per polytope and kept in its cache.
+    inside P, so equality of volumes decides equality of the bodies.
     """
     if p.dim != 3:
         raise PreconditionFailed("prism detection is three-dimensional")
-    if "prism" not in p._cache:
-        p._cache["prism"] = _prism_witness(p)
-    return p._cache["prism"]
-
-
-def _prism_witness(p: Polytope):
     seen = set()
     for fi in range(len(p.facets)):
         if fi in seen:
@@ -440,34 +412,3 @@ def _prism_witness(p: Polytope):
         if hull.volume == p.volume:
             return (min(fi, fj), max(fi, fj))
     return None
-
-
-def tiling_report(p: Polytope) -> TilingReport:
-    """Full report: criterion flags, lattice, packing/covering, class, prism."""
-    rep = venkov_mcmullen(p)
-    lattice = None
-    packing = covering = None
-    fedorov = None
-    prism = None
-    if rep.tiles:
-        lattice = lattice_T(p, rep)
-        packing = packing_verify(p, lattice)
-        covering = covering_verify(p, lattice)
-        if p.dim == 3:
-            fedorov = fedorov_classify(p, rep)
-    if p.dim == 3:
-        prism = is_prism(p)
-    return TilingReport(
-        vm_polytope=rep.vm_polytope,
-        vm_centrally_symmetric=rep.vm_centrally_symmetric,
-        vm_facets_symmetric=rep.vm_facets_symmetric,
-        vm_belts_ok=rep.vm_belts_ok,
-        tiles=rep.tiles,
-        belt_lengths=rep.belt_lengths,
-        failing_belt_length=rep.failing_belt_length,
-        lattice=lattice,
-        packing_verified=packing,
-        covering_verified=covering,
-        fedorov_class=fedorov,
-        prism_witness=prism,
-    )

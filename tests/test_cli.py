@@ -169,6 +169,14 @@ def test_samples_below_one_exit_2(capsys):
         assert code == 2 and "sample count must be at least 1" in err
 
 
+def test_non_finite_radius_exit_2(capsys):
+    for command in ("analyze", "spectrum"):
+        for radius in ("inf", "nan"):
+            code, out, err = run_cli(capsys, command, "catalog:square", "--radius", radius)
+            assert code == 2 and out == "", (command, radius)
+            assert f"patch radius must be finite, got {radius}" in err
+
+
 def test_oracle_transform(capsys, tmp_path):
     freq_file = tmp_path / "freqs.csv"
     freq_file.write_text("1/3,1/3\n")
@@ -285,6 +293,13 @@ def test_export_obj_truncated_octahedron_tiling(capsys, tmp_path):
     to = make("truncated-octahedron")
     hist = multiplicity_sample(to, lattice_T(to).basis, SampleConfig(count=20000, seed=9))
     assert hist.counts == {1: 20000}
+
+
+def test_export_copies_below_one_exit_2(capsys):
+    for copies in ("-3", "0"):
+        code, out, err = run_cli(capsys, "export", "catalog:square", "--format", "svg", "--copies", copies)
+        assert code == 2 and out == ""
+        assert f"--copies must be at least 1, got {copies}" in err
 
 
 def test_export_dimension_mismatch(capsys):

@@ -8,6 +8,7 @@ from spectile.errors import (
     DimensionMismatch,
     Empty,
     NotFullDimensional,
+    PreconditionFailed,
     SingularMap,
     Unbounded,
     ZeroDimensionalFace,
@@ -206,6 +207,29 @@ def test_interval(interval):
     assert interval.dim == 1
     assert interval.volume == 1
     assert interval.f_vector() == (2,)
+
+
+def test_memo_keeps_values_not_failures(square):
+    from spectile import make
+    from spectile.geometry import memo
+
+    calls = []
+
+    @memo
+    def stage(p, k):
+        calls.append(k)
+        if k < 0:
+            raise PreconditionFailed("negative")
+        return [k]
+
+    assert stage(square, 1) is stage(square, 1)
+    assert stage(square, 2) == [2]
+    for _ in range(2):
+        with pytest.raises(PreconditionFailed):
+            stage(square, -1)
+    assert calls == [1, 2, -1, -1]
+    assert stage(make("square"), 1) is not stage(square, 1)  # one memo per polytope
+    assert calls == [1, 2, -1, -1, 1]
 
 
 def test_facet_cycles_are_planar_convex(truncated_octahedron):

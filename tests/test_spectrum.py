@@ -320,13 +320,34 @@ def test_uniqueness_exact_with_huge_coordinates(hexagon):
 def test_stages_computed_once_per_polytope(hexagonal_prism, interval):
     from spectile.tiling import is_prism
 
+    # identical objects: the second call returns the kept value
     assert decide_spectral(hexagonal_prism) is decide_spectral(hexagonal_prism)
-    assert is_prism(hexagonal_prism) == is_prism(hexagonal_prism) is not None
-    assert "prism" in hexagonal_prism._cache and "spectral" in hexagonal_prism._cache
-    for _ in range(2):  # a failure is not cached
+    assert is_prism(hexagonal_prism) is is_prism(hexagonal_prism) is not None
+    for _ in range(2):  # a failure is not kept (see test_memo_keeps_values_not_failures)
         with pytest.raises(UnsupportedDimension):
             decide_spectral(interval)
-    assert "spectral" not in interval._cache
+
+
+def test_analyze_runs_each_stage_once(monkeypatch):
+    from collections import Counter
+
+    from spectile import make, symmetry, tiling
+    from spectile.report import analyze
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(tiling, "belts", counted("belts", tiling.belts))
+    monkeypatch.setattr(symmetry, "_point_set_symmetric", counted("facet", symmetry._point_set_symmetric))
+    cube = make("cube")  # fresh: the shared fixtures may have stages kept already
+    analyze(cube, radius=2.0)
+    assert calls == {"belts": 1, "facet": len(cube.facets)}
 
 
 def test_uniqueness_prism_excluded(hexagonal_prism, square):

@@ -17,7 +17,6 @@ from spectile.tiling import (
     lattice_T,
     packing_verify,
     tau_lattice_closure,
-    tiling_report,
     venkov_mcmullen,
 )
 
@@ -135,8 +134,15 @@ def test_packing(cube, hexagon, truncated_octahedron):
     assert packing_verify(truncated_octahedron, lattice_T(truncated_octahedron))
 
 
-def test_covering(cube, hexagon):
+def test_packing_needs_central_symmetry(triangle):
+    z2 = Lattice.from_generators([(1, 0), (0, 1)])
+    with pytest.raises(PreconditionFailed, match="centrally symmetric"):
+        packing_verify(triangle, z2)
+
+
+def test_covering(cube, hexagon, hexagonal_prism):
     assert covering_verify(hexagon, lattice_T(hexagon))
+    assert covering_verify(hexagonal_prism, lattice_T(hexagonal_prism))
     two = Lattice.from_generators([(2, 0, 0), (0, 2, 0), (0, 0, 2)])
     assert not covering_verify(cube, two)
     assert covering_verify(cube, lattice_T(cube))
@@ -209,7 +215,7 @@ def test_fedorov_affine_invariance(rhombic_dodecahedron, truncated_octahedron):
             assert fedorov_classify(p.apply_affine(AffineMap.linear(m))) is want
 
 
-def test_is_prism(cube, hexagonal_prism, truncated_octahedron, rhombic_dodecahedron):
+def test_is_prism(cube, hexagonal_prism, truncated_octahedron, rhombic_dodecahedron, rhombic_icosahedron):
     w = is_prism(hexagonal_prism)
     assert w is not None
     fi, fj = w
@@ -217,6 +223,7 @@ def test_is_prism(cube, hexagonal_prism, truncated_octahedron, rhombic_dodecahed
     assert is_prism(cube) is not None
     assert is_prism(truncated_octahedron) is None
     assert is_prism(rhombic_dodecahedron) is None
+    assert is_prism(rhombic_icosahedron) is None
 
 
 def test_prism_base_rule(hexagon, triangle):
@@ -255,16 +262,6 @@ def test_vm_against_bruteforce_zonotopes():
             assert hist.min >= 1
             assert hist.max >= 2
             sampled_non_tilers += 1
-
-
-def test_tiling_report_bundle(hexagonal_prism, rhombic_icosahedron):
-    rep = tiling_report(hexagonal_prism)
-    assert rep.tiles and rep.packing_verified and rep.covering_verified
-    assert rep.fedorov_class is FedorovClass.HEXAGONAL_PRISM
-    assert rep.is_prism
-    rep = tiling_report(rhombic_icosahedron)
-    assert not rep.tiles and rep.lattice is None
-    assert not rep.is_prism
 
 
 def test_dual_lattice_roundtrip(hexagon):
