@@ -1,20 +1,24 @@
 """Exact convex polytopes in dimensions 1-3.
 
-Vertices are tuples of exact rationals.  Hulls are computed with exact
-arithmetic only (incremental gift wrapping in 3D, monotone chain in 2D)
-and coplanar points are merged into maximal faces, so the face lattice is
-the combinatorial object itself, not a triangulation.  Every constructed
-polytope is validated: supporting-plane equalities, two facets per
-subfacet, and the Euler relation in 3D.
+Vertices are tuples of exact rationals.  Hulls of vertex input are
+computed with exact arithmetic only (incremental gift wrapping in 3D,
+monotone chain in 2D) and coplanar points are merged into maximal faces,
+so the face lattice is the combinatorial object itself, not a
+triangulation.  Zonotopes are built from their generators instead: the
+face lattice is read off the generator directions, never off the 2^k
+corners.  Every constructed polytope is validated: supporting-plane
+equalities, two facets per subfacet, and the Euler relation in 3D.
 
 All values are immutable after construction; operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
+from itertools import combinations
 
 from ._backend import Rat, ZERO, rational, rat_str
 from .errors import (
@@ -27,6 +31,7 @@ from .errors import (
 )
 from .linalg import (
     affine_rank,
+    angular_sort,
     centroid,
     cross2,
     cross3,
@@ -36,6 +41,7 @@ from .linalg import (
     mat_vec,
     norm_sq,
     primitive,
+    rank,
     solve,
     vadd,
     vdot,
@@ -302,13 +308,21 @@ class Polytope:
         return f"<Polytope dim={self.dim} f-vector {counts}>"
 
     def _validate(self):
+        # exact integer form: vertices and offsets over one common
+        # denominator (facet normals are integer vectors already)
+        den = math.lcm(
+            *(int(c.denominator) for v in self.vertices for c in v),
+            *(int(f.offset.denominator) for f in self.facets),
+        )
+        scaled = [[int(c.numerator) * (den // int(c.denominator)) for c in v] for v in self.vertices]
         for f in self.facets:
+            off = int(f.offset.numerator) * (den // int(f.offset.denominator))
             on = 0
-            for i, v in enumerate(self.vertices):
-                s = vdot(f.normal, v)
-                if s > f.offset:
+            for i, v in enumerate(scaled):
+                s = sum(n * x for n, x in zip(f.normal, v))
+                if s > off:
                     raise AssertionError("vertex outside a facet halfspace")
-                if s == f.offset:
+                if s == off:
                     on += 1
                     if i not in f.indices:
                         raise AssertionError("support set exceeds facet vertex set")
@@ -518,6 +532,16 @@ def _build_3d(pts) -> Polytope:
         if owner not in edge_owners[e] or len(edge_owners[e]) != 2:
             raise AssertionError("edge adjacency bookkeeping failed")
 
+    return _assemble_3d(facet_by_normal)
+
+
+def _assemble_3d(facet_by_normal) -> Polytope:
+    """The polytope of {outward primitive normal: (offset, vertex cycle)}.
+
+    Vertices are indexed in sorted order, each cycle starts at its lowest
+    index and facets are sorted by their vertex sets, so the result does
+    not depend on how the facets were found.
+    """
     vertex_set = set()
     for off, cycle in facet_by_normal.values():
         vertex_set.update(cycle)
@@ -557,8 +581,6 @@ def from_halfspaces(halfspaces) -> Polytope:
 
     _check_bounded(hs, d)
 
-    from itertools import combinations
-
     candidates = set()
     for subset in combinations(range(len(hs)), d):
         m = tuple(hs[i][0] for i in subset)
@@ -580,10 +602,6 @@ def _check_bounded(hs, d):
     an extreme ray lying on d-1 of the boundary planes; those candidate
     rays are enumerable exactly.  Rank deficiency gives a free line.
     """
-    from itertools import combinations
-
-    from .linalg import rank
-
     normals = [n for n, _ in hs]
     if rank(normals) < d:
         raise Unbounded("normals do not span the space")
@@ -608,8 +626,43 @@ def _check_bounded(hs, d):
             raise Unbounded("recession cone contains a ray")
 
 
+def _zone_polygon(gens, flat) -> list:
+    """The boundary, in cyclic order, of the centred zonotope of coplanar
+    generators spanning their plane.
+
+    flat maps a generator to its coordinates in that plane.  Each generator
+    is turned into the half-plane [0, pi) there and the turned generators
+    are sorted by angle, s_1..s_k.  The boundary is then v_0, v_0 + s_1,
+    ..., v_0 + s_1 + ... + s_(k-1) followed by their negatives, with
+    v_0 = -(s_1 + ... + s_k)/2: O(k log k) exact work, never the 2^k
+    corners.  Parallel generators leave points inside an edge, which the
+    exact hull of the caller drops.
+    """
+    turned = []
+    for g in gens:
+        x, y = flat(g)
+        turned.append(g if y > 0 or (y == 0 and x > 0) else vneg(g))
+    v = vscale(reduce(vadd, turned), Rat(-1, 2))
+    half = []
+    for s in angular_sort(turned, {g: flat(g) for g in turned}):
+        half.append(v)
+        v = vadd(v, s)
+    return half + [vneg(q) for q in half]
+
+
 def zonotope(generators) -> Polytope:
-    """Minkowski sum of segments [-g/2, g/2], centered at the origin."""
+    """Minkowski sum of segments [-g/2, g/2], centered at the origin.
+
+    The face lattice is read off the generators (McMullen, "On zonotopes",
+    Trans. AMS 1971), not off the 2^k corners.  In 3D the facet normals
+    are the directions +-n, n = primitive(g_i x g_j), of the non-parallel
+    generator pairs.  The facet with outward normal n is the polygon of its
+    zone {g : <n, g> = 0}, translated by the sum of sign<n, g> g/2 over the
+    other generators, and its offset is the sum of |<n, g>|/2; the facet
+    of -n is its negative.  In 2D the polygon rule gives the body itself.
+    The work is O(k^3) exact operations, so the polytope checks of the
+    constructor dominate.
+    """
     gens = [tuple(rational(c) for c in g) for g in generators]
     if not gens:
         raise DimensionMismatch("no generators given")
@@ -620,12 +673,31 @@ def zonotope(generators) -> Polytope:
         raise DimensionMismatch("zero generator")
     if len(gens) > MAX_ZONOTOPE_GENERATORS:
         raise DimensionMismatch(f"more than {MAX_ZONOTOPE_GENERATORS} zonotope generators")
-    half = Rat(1, 2)
-    corners = [tuple(ZERO for _ in range(d))]
-    for g in gens:
-        shifted = []
-        for c in corners:
-            shifted.append(vadd(c, vscale(g, half)))
-            shifted.append(vsub(c, vscale(g, half)))
-        corners = shifted
-    return from_vertices(corners)
+    if d not in (1, 2, 3):
+        raise DimensionMismatch(f"dimension {d} outside supported range 1..3")
+    if rank(gens) < d:
+        raise NotFullDimensional(f"affine hull has dimension below {d}")
+    if d == 1:
+        h = sum((abs(g[0]) for g in gens), ZERO) / 2
+        return _build_1d([(-h,), (h,)])
+    if d == 2:
+        return _build_2d(_zone_polygon(gens, lambda g: g))
+
+    facet_by_normal = {}
+    for i, j in combinations(range(len(gens)), 2):
+        c = cross3(gens[i], gens[j])
+        if is_zero_vec(c):
+            continue
+        n = primitive(c, canonical_sign=True)
+        if n in facet_by_normal:
+            continue
+        heights = [vdot(n, g) for g in gens]
+        offset = sum((abs(h) for h in heights), ZERO) / 2
+        shift = reduce(vadd, (vscale(g, Rat(1 if h > 0 else -1, 2)) for g, h in zip(gens, heights) if h != 0))
+        axis = max(range(3), key=lambda a: abs(n[a]))
+        keep = [a for a in range(3) if a != axis]
+        zone = [g for g, h in zip(gens, heights) if h == 0]
+        pts = [vadd(shift, q) for q in _zone_polygon(zone, lambda g: (g[keep[0]], g[keep[1]]))]
+        facet_by_normal[n] = (offset, tuple(_planar_cycle(pts, n)))
+        facet_by_normal[vneg(n)] = (offset, tuple(_planar_cycle([vneg(q) for q in pts], vneg(n))))
+    return _assemble_3d(facet_by_normal)

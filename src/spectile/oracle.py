@@ -109,6 +109,16 @@ def multiplicity_sample(p: Polytope, generators, cfg: SampleConfig) -> Multiplic
     T-periodic, so sampling one fundamental cell tells the whole story.
     Translates are truncated to |tau| <= diam(P) + diam(cell), beyond
     which they cannot meet the cell.
+
+    Sample s lies in P + tau when <n_f, s> <= offset(tau, f) for every
+    facet f, and two exact shortcuts skip comparisons whose outcome the
+    extremes of <n_f, s> over the samples already decide.  A translate
+    with an offset below the smallest projection on some facet contains no
+    sample and is dropped; a facet whose offset is at or above the largest
+    projection holds at every sample and is not compared, so a translate
+    with no other facet contains every sample.  Every comparison that
+    remains is the one the dense test makes, on the same floats, so the
+    counts are those of testing every translate at every sample.
     """
     gens = [tuple(rational(c) for c in g) for g in generators]
     if not gens or rank(gens) < p.dim:
@@ -148,10 +158,20 @@ def multiplicity_sample(p: Polytope, generators, cfg: SampleConfig) -> Multiplic
     projected = samples @ a.T  # reused across translates
     used = len(translates)
     offsets = b[None, :] + translates @ a.T + 1e-12
-    chunk = max(1, int(2e7 // max(projected.size, 1)))
+    offsets = offsets[np.all(offsets >= projected.min(axis=0), axis=1)]
+    binding = offsets < projected.max(axis=0)
+    full = ~binding.any(axis=1)
+    counts += int(full.sum())
+    offsets, binding = offsets[~full], binding[~full]
+    chunk = max(1, int(2e6 // cfg.count))
     for i in range(0, len(offsets), chunk):
-        block = offsets[i : i + chunk]
-        counts += np.all(projected[None, :, :] <= block[:, None, :], axis=2).sum(axis=0)
+        block, bind = offsets[i : i + chunk], binding[i : i + chunk]
+        inside = np.ones((len(block), cfg.count), dtype=bool)
+        for f in range(len(b)):
+            rows = np.flatnonzero(bind[:, f])
+            if rows.size:
+                inside[rows] &= projected[:, f] <= block[rows, f, None]
+        counts += inside.sum(axis=0)
     hist: dict = {}
     binc = np.bincount(counts)
     for mult, n in enumerate(binc):

@@ -21,6 +21,7 @@ from .spectrum import (
     condition_C2_check,
     decide_spectral,
     patch,
+    require_finite_radius,
     uniqueness_check,
     verify_density,
     verify_orthogonality,
@@ -68,6 +69,7 @@ def analyze(
             f"analyze covers dimensions 2 and 3, got dimension {p.dim}; "
             "use `spectile fourier` or `spectile oracle` for it"
         )
+    require_finite_radius(radius)  # a non-tiler builds no patch to check it
     sample_cfg = SampleConfig(count=samples, seed=seed)  # rejects samples < 1
     timings = {}
 

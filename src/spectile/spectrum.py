@@ -136,9 +136,17 @@ def _separation(points) -> float:
     return best
 
 
+def require_finite_radius(radius, name: str = "patch radius"):
+    """PreconditionFailed for an infinite or NaN float radius."""
+    if isinstance(radius, float) and not math.isfinite(radius):
+        raise PreconditionFailed(f"{name} must be finite, got {radius}")
+
+
 def make_patch(points, window_radius: float) -> SpectrumPatch:
+    window_radius = float(window_radius)
+    require_finite_radius(window_radius, "window radius")
     pts = tuple(tuple(p) for p in points)
-    return SpectrumPatch(points=pts, window_radius=float(window_radius), separation=_separation(pts))
+    return SpectrumPatch(points=pts, window_radius=window_radius, separation=_separation(pts))
 
 
 def dual_lattice(lattice: Lattice) -> Lattice:
@@ -175,8 +183,7 @@ def decide_spectral(p: Polytope) -> SpectralVerdict:
 
 def patch(lattice: Lattice, radius: float) -> SpectrumPatch:
     """All lattice points in the closed ball of the given radius."""
-    if isinstance(radius, float) and not math.isfinite(radius):
-        raise PreconditionFailed(f"patch radius must be finite, got {radius}")
+    require_finite_radius(radius)
     if radius <= 0:
         raise PreconditionFailed("patch radius must be positive")
     if isinstance(radius, float):

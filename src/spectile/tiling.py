@@ -18,7 +18,7 @@ from enum import Enum
 
 from ._backend import Rat, ZERO, sqrt_upper
 from .errors import NotALattice, NotATiler, PreconditionFailed
-from .geometry import Polytope, from_vertices, memo
+from .geometry import Polytope, memo
 from .linalg import (
     angular_sort,
     cross3,
@@ -367,7 +367,7 @@ def covering_verify(p: Polytope, lattice: Lattice, samples: int = 20000, seed: i
     from .oracle import SampleConfig, multiplicity_sample
 
     hist = multiplicity_sample(p, lattice.basis, SampleConfig(count=samples, seed=seed))
-    return min(hist) >= 1
+    return hist.min >= 1
 
 
 def fedorov_classify(p: Polytope, report: TilingReport | None = None) -> FedorovClass:
@@ -388,8 +388,11 @@ def is_prism(p: Polytope):
     """Witness facet pair {F, F'} with P = conv(F u F'), or None.
 
     Such a pair exists exactly when P is the Minkowski sum of a facet and a
-    segment; the convex hull of two parallel translate facets always sits
-    inside P, so equality of volumes decides equality of the bodies.
+    segment.  The test counts vertices and builds no hull: conv(F u F')
+    always sits inside P, and it is all of P exactly when every vertex of P
+    lies on F or on F'.  Two opposite facets lie in distinct parallel
+    planes, so their vertex sets are disjoint and that condition reads
+    |F| + |F'| = number of vertices of P.
     """
     if p.dim != 3:
         raise PreconditionFailed("prism detection is three-dimensional")
@@ -408,7 +411,6 @@ def is_prism(p: Polytope):
         tau = vsub(p.facet_centroid(fi), p.facet_centroid(fj))
         if {vadd(v, tau) for v in pts_j} != set(pts_i):
             continue
-        hull = from_vertices(list(pts_i) + list(pts_j))
-        if hull.volume == p.volume:
+        if len(pts_i) + len(pts_j) == len(p.vertices):
             return (min(fi, fj), max(fi, fj))
     return None

@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import math
+import random
 
 import numpy as np
 
 from spectile.cli import main
 from spectile.report import strip_timings
+
+from conftest import random_generators
 
 
 def run_cli(capsys, *argv):
@@ -170,11 +173,46 @@ def test_samples_below_one_exit_2(capsys):
 
 
 def test_non_finite_radius_exit_2(capsys):
-    for command in ("analyze", "spectrum"):
+    # a tiler builds a patch; a non-tiler (the triangle) builds none, so the
+    # radius has to be checked before anything else
+    for command, shape in (("analyze", "catalog:square"), ("spectrum", "catalog:square"), ("analyze", "catalog:triangle")):
         for radius in ("inf", "nan"):
-            code, out, err = run_cli(capsys, command, "catalog:square", "--radius", radius)
-            assert code == 2 and out == "", (command, radius)
+            code, out, err = run_cli(capsys, command, shape, "--radius", radius)
+            assert code == 2 and out == "", (command, shape, radius)
             assert f"patch radius must be finite, got {radius}" in err
+
+
+def test_verify_non_finite_window_radius_exit_2(capsys, tmp_path):
+    patch_file = tmp_path / "patch.csv"
+    code, _, _ = run_cli(capsys, "spectrum", "catalog:cube", "--radius", "2", "--output", str(patch_file))
+    assert code == 0
+    for radius in ("inf", "nan"):
+        code, out, err = run_cli(capsys, "verify", "catalog:cube", "--patch", str(patch_file), "--radius", radius)
+        assert code == 2 and out == "", radius
+        assert f"window radius must be finite, got {radius}" in err
+
+
+def test_analyze_zonotope_at_generator_cap(capsys, tmp_path, monkeypatch):
+    """A 3D zonotope with MAX_ZONOTOPE_GENERATORS generators is analyzed
+    at the default parameters without a single gift-wrap hull (2^14
+    corners would take minutes).  Its tau translates cover space exactly
+    volume / covolume = 25,044 times."""
+    from spectile import geometry
+
+    gens = random_generators(random.Random(14), geometry.MAX_ZONOTOPE_GENERATORS, 3)
+    src = tmp_path / "zonotope.json"
+    src.write_text(json.dumps({"zonotope": {"generators": [[str(c) for c in g] for g in gens]}}))
+    hulls = []
+    real = geometry.from_vertices
+    monkeypatch.setattr(geometry, "from_vertices", lambda pts: hulls.append(1) or real(pts))
+    out_file = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "analyze", str(src), "--output", str(out_file))
+    assert code == 0 and hulls == []
+    rep = json.loads(out_file.read_text())
+    assert len(rep["polytope"]["vertices"]) == 174
+    assert rep["tiling"]["tiles"] is False and rep["tiling"]["is_prism"] is False
+    oracle = rep["verification"]["covering_oracle"]
+    assert oracle["min_multiplicity"] == oracle["max_multiplicity"] == 25044
 
 
 def test_oracle_transform(capsys, tmp_path):

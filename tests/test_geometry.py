@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectile import AffineMap, Rat, from_halfspaces, from_vertices, zonotope
 from spectile.errors import (
@@ -13,7 +15,7 @@ from spectile.errors import (
     Unbounded,
     ZeroDimensionalFace,
 )
-from spectile.linalg import det, gram_det, vsub
+from spectile.linalg import det, gram_det, vadd, vscale, vsub
 
 from conftest import random_generators
 
@@ -249,6 +251,56 @@ def test_zonotope_guard():
         zonotope([(0, 0)])
     with pytest.raises(DimensionMismatch):
         zonotope([(1, 0)] * 20)
+
+
+def _corner_hull(gens):
+    """The gift-wrap hull of all 2^k corners sum(+-g/2)."""
+    corners = [tuple(Rat(0) for _ in gens[0])]
+    for g in gens:
+        g = tuple(Rat(c) for c in g)
+        corners = [vadd(c, vscale(g, s)) for c in corners for s in (Rat(1, 2), Rat(-1, 2))]
+    return from_vertices(corners)
+
+
+small_rationals = st.builds(Rat, st.integers(-3, 3), st.sampled_from((1, 1, 2)))
+
+
+@st.composite
+def zonotope_generators(draw):
+    """2D or 3D generators with parallel copies, an optional coplanar zone
+    (a share of the generators moved into the plane z = 0) and optional
+    all-coplanar input; zero generators are dropped."""
+    dim = draw(st.sampled_from((2, 3)))
+    vec = st.tuples(*[small_rationals] * dim).filter(any)
+    gens = draw(st.lists(vec, min_size=1, max_size=5))
+    factors = st.sampled_from((Rat(-2), Rat(-1), Rat(1, 2), Rat(3, 2)))
+    for g in draw(st.lists(st.sampled_from(gens), max_size=2)):
+        gens.append(vscale(g, draw(factors)))
+    if dim == 3:
+        flat = draw(st.sampled_from(("none", "zone", "all")))
+        if flat != "none":
+            cut = len(gens) if flat == "all" else draw(st.integers(2, len(gens) + 1))
+            gens = [(g[0], g[1], Rat(0)) if i < cut else g for i, g in enumerate(gens)]
+            gens = [g for g in gens if any(g)] or [(Rat(1), Rat(0), Rat(0))]
+    return gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(zonotope_generators())
+@example([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])
+@example([(1, 1, 0), (2, -1, 0), (-1, 3, 0)])
+def test_zonotope_matches_corner_hull(gens):
+    """zonotope() reads the face lattice off the generators; it must equal
+    the hull of the 2^k corners, vertex and facet for facet."""
+    try:
+        expected = _corner_hull(gens)
+    except NotFullDimensional:
+        with pytest.raises(NotFullDimensional):
+            zonotope(gens)
+        return
+    z = zonotope(gens)
+    assert z.vertices == expected.vertices
+    assert z.facets == expected.facets
 
 
 def test_contains_and_support(cube):

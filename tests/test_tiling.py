@@ -2,10 +2,12 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spectile import AffineMap, Rat, from_vertices, zonotope
-from spectile.errors import NotATiler, PreconditionFailed
-from spectile.linalg import det
+from spectile import AffineMap, Rat, from_vertices, geometry, make, tiling, zonotope
+from spectile.errors import NotATiler, NotFullDimensional, PreconditionFailed
+from spectile.linalg import det, vadd, vsub
 from spectile.tiling import (
     FEDOROV_TABLE,
     FedorovClass,
@@ -224,6 +226,92 @@ def test_is_prism(cube, hexagonal_prism, truncated_octahedron, rhombic_dodecahed
     assert is_prism(truncated_octahedron) is None
     assert is_prism(rhombic_dodecahedron) is None
     assert is_prism(rhombic_icosahedron) is None
+
+
+def _hull_volume_witness(p):
+    """The former prism rule: the first translate pair of opposite facets
+    whose convex hull has the volume of P."""
+    seen = set()
+    for fi in range(len(p.facets)):
+        if fi in seen:
+            continue
+        fj = p.opposite_facet(fi)
+        if fj is None:
+            continue
+        seen.update((fi, fj))
+        pts_i, pts_j = p.facet_points(fi), p.facet_points(fj)
+        if len(pts_i) != len(pts_j):
+            continue
+        tau = vsub(p.facet_centroid(fi), p.facet_centroid(fj))
+        if {vadd(v, tau) for v in pts_j} != set(pts_i):
+            continue
+        if from_vertices(list(pts_i) + list(pts_j)).volume == p.volume:
+            return (min(fi, fj), max(fi, fj))
+    return None
+
+
+def _prism_without_hulls(p, mp):
+    """is_prism computed afresh (not from the memo) with every hull
+    construction counted; returns (witness, hulls built)."""
+    calls = []
+    real = geometry.from_vertices
+
+    def counted(points):
+        calls.append(1)
+        return real(points)
+
+    mp.setattr(geometry, "from_vertices", counted)
+    mp.setattr(tiling, "from_vertices", counted, raising=False)
+    witness = is_prism.__wrapped__(p)
+    mp.undo()
+    return witness, len(calls)
+
+
+CATALOG_SOLIDS = (
+    "cube",
+    "hexagonal-prism",
+    "rhombic-dodecahedron",
+    "elongated-dodecahedron",
+    "truncated-octahedron",
+    "rhombic-icosahedron",
+)
+
+
+@pytest.mark.parametrize("name", CATALOG_SOLIDS)
+def test_is_prism_vertex_rule_matches_hull_rule(name, monkeypatch):
+    p = make(name)
+    assert _prism_without_hulls(p, monkeypatch) == (_hull_volume_witness(p), 0)
+
+
+small_ints = st.integers(-3, 3)
+
+
+@st.composite
+def prism_candidates(draw):
+    """Generators of zonotopes, some with all but one in the plane z = 0
+    (so they are prisms), or the points of oblique prisms over random
+    polygons; the constructor to apply comes first."""
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.tuples(small_ints, small_ints, small_ints).filter(any), min_size=3, max_size=6))
+        if draw(st.booleans()):
+            gens = [(a, b, 0) for a, b, _ in gens[:-1] if a or b] + gens[-1:]
+        return zonotope, gens
+    base = draw(st.lists(st.tuples(small_ints, small_ints), min_size=3, max_size=7))
+    h = draw(st.integers(1, 3))
+    a, b = draw(small_ints), draw(small_ints)
+    return from_vertices, [(0, x, y) for x, y in base] + [(h, x + a, y + b) for x, y in base]
+
+
+@settings(max_examples=40, deadline=None)
+@given(prism_candidates())
+def test_is_prism_vertex_rule_on_drawn_solids(candidate):
+    build, data = candidate
+    try:
+        p = build(data)
+    except NotFullDimensional:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        assert _prism_without_hulls(p, mp) == (_hull_volume_witness(p), 0)
 
 
 def test_prism_base_rule(hexagon, triangle):
