@@ -173,9 +173,9 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     poly, _ = resolve_input(args.input)
     pts = _read_patch(args.patch, poly.dim)
-    radius = args.radius or max(
-        (sum(float(c) ** 2 for c in q)) ** 0.5 for q in pts
-    )
+    radius = args.radius
+    if radius is None:
+        radius = max((sum(float(c) ** 2 for c in q)) ** 0.5 for q in pts)
     sp = make_patch(pts, radius)
     out = {
         "patch": {"count": len(sp), "window_radius": sp.window_radius, "separation": sp.separation},

@@ -15,13 +15,16 @@ decided by a tolerance.  Phases are reduced modulo 1 exactly and only then
 evaluated trigonometrically; the geometry contributes no error at all, and
 each value carries an a-posteriori bound for the rounding.
 
-Two evaluators share that recursion.  Values (ft_indicator, ft_surface,
-ft_with_boundary, asymptotic_cone_check) are computed at
-SPECTILE_PRECISION_BITS working precision (default 128).  Decisions over
-many frequencies (spectrum.verify_orthogonality, decay_bound_check) go
-through a float64 batch kernel on integer-scaled frequencies, a floating-
-point filter: a frequency whose float64 bound is too coarse to decide is
-evaluated again at working precision.
+The recursion runs as a level walk over one memoized integer face
+geometry: vertices, then edges (3D), facets and the body, each level
+combining the values of the one below.  The walk has two arithmetics.
+Values (ft_indicator, ft_surface, ft_with_boundary, asymptotic_cone_check)
+come from _walk_hp at SPECTILE_PRECISION_BITS working precision (default
+128); the facet level is the surface transforms and the body the
+indicator.  Decisions over many frequencies (spectrum.verify_orthogonality,
+decay_bound_check) go through the float64 batch kernel on integer-scaled
+frequencies, a floating-point filter: a frequency whose float64 bound is
+too coarse to decide is walked again at working precision.
 """
 
 from __future__ import annotations
@@ -100,62 +103,6 @@ def frequency_from_floats(coords, max_denominator: int = 10**6) -> tuple:
     return tuple(rational_from_float(float(c), max_denominator) for c in coords)
 
 
-# --- face geometry cache ----------------------------------------------------
-#
-# For each face we precompute: centroid, squared measure, the data needed
-# for the exact projection of xi onto the face's direction space, and the
-# children with their (unnormalized) relative outward normals.  Face keys
-# are (k, index) matching Polytope.faces(k).
-
-
-@memo
-def _ft_geometry(p: Polytope):
-    entries = {}
-    d = p.dim
-    for i, v in enumerate(p.vertices):
-        entries[(0, i)] = {"kind": "vertex", "point": v}
-    if d >= 2:
-        edge_index = {e: i for i, e in enumerate(p.faces(1))}
-        for e, ei in edge_index.items():
-            a, b = (p.vertices[i] for i in e)
-            u = vsub(b, a)
-            entries[(1, ei)] = {
-                "kind": "edge",
-                "centroid": centroid((a, b)),
-                "measure_sq": norm_sq(u),
-                "u": u,
-                "children": (
-                    ((0, e[1]), u, norm_sq(u)),
-                    ((0, e[0]), vneg(u), norm_sq(u)),
-                ),
-            }
-    if d == 3:
-        edge_index = {e: i for i, e in enumerate(p.faces(1))}
-        for fi, f in enumerate(p.facets):
-            n = f.normal
-            cyc = f.indices
-            children = []
-            for k in range(len(cyc)):
-                ia, ib = cyc[k], cyc[(k + 1) % len(cyc)]
-                a, b = p.vertices[ia], p.vertices[ib]
-                m = cross3(vsub(b, a), n)
-                ei = edge_index[tuple(sorted((ia, ib)))]
-                children.append(((1, ei), m, norm_sq(m)))
-            entries[(2, fi)] = {
-                "kind": "facet",
-                "centroid": p.facet_centroid(fi),
-                "measure_sq": p.face_measure_squared((2, fi)),
-                "normal": n,
-                "normal_sq": norm_sq(n),
-                "children": tuple(children),
-            }
-    body_children = []
-    for fi, f in enumerate(p.facets):
-        key = (d - 1, fi)
-        body_children.append((key, f.normal, norm_sq(f.normal)))
-    return {"entries": entries, "body_children": tuple(body_children)}
-
-
 def _phase_eps(bits: int) -> float:
     """Bound on |computed cis(-2 pi t) - e^{-2 pi i t}| at `bits` of precision
     for an exactly reduced rational t; it is also a generous per-operation
@@ -177,110 +124,19 @@ def _phase_eps(bits: int) -> float:
     return 2.0 ** (5 - bits)
 
 
-def _hp_constants(p: Polytope, geom):
-    """Per-precision constants: pi, -2 pi i, and the square roots of every
-    face measure and child-normal norm.  Must be built under phase_context;
-    cached on the polytope keyed by the precision."""
-    bits = precision_bits()
-    cache = p._cache.setdefault("ft_hp", {})
-    if bits in cache:
-        return cache[bits]
-    pi = hp_pi()
-    data = {
-        "eps": _phase_eps(bits),
-        "pi_f": to_float(pi),
-        "m2pi_i": hp_complex(0, -2) * pi,
-        "sqrt_measure": {},
-        "child_wden": {},
-    }
-    for key, ent in geom["entries"].items():
-        if ent["kind"] == "vertex":
-            continue
-        data["sqrt_measure"][key] = hp_sqrt(ent["measure_sq"])
-        data["child_wden"][key] = tuple(hp_sqrt(m_sq) for _, _, m_sq in ent["children"])
-    data["body_wden"] = tuple(hp_sqrt(m_sq) for _, _, m_sq in geom["body_children"])
-    cache[bits] = data
-    return data
-
-
-def _combine_children(children, wdens, xi, xi_par_sq, geom, hp, memo):
-    eps = hp["eps"]
-    acc = hp_complex(0, 0)
-    err = 0.0
-    for (child_key, m, _), wden in zip(children, wdens):
-        coeff = vdot(xi, m)
-        if coeff == 0:
-            continue
-        child_val, child_err = _face_value(geom, hp, child_key, xi, memo)
-        w = hp_real(coeff) / wden
-        acc = acc + w * child_val
-        aw = abs(to_float(w))
-        err += aw * child_err + aw * (to_float(abs(child_val)) + 1) * 3 * eps
-    denom = 2 * hp["pi_f"] * to_float(hp_real(xi_par_sq))
-    val = acc / (hp["m2pi_i"] * hp_real(xi_par_sq))
-    return val, err / denom + (to_float(abs(val)) + 1) * 2 * eps
-
-
-def _face_value(geom, hp, key, xi, memo):
-    """sigma^ of a face (ambient phase included).  Call under phase_context."""
-    if key in memo:
-        return memo[key]
-    ent = geom["entries"][key]
-    kind = ent["kind"]
-    if kind == "vertex":
-        out = (cis_neg(vdot(xi, ent["point"])), hp["eps"])
-    else:
-        if kind == "edge":
-            c = vdot(xi, ent["u"])
-            xi_par_sq = c * c / ent["measure_sq"] if c else ZERO
-        else:
-            c = vdot(xi, ent["normal"])
-            xi_par_sq = norm_sq(xi) - c * c / ent["normal_sq"]
-        if xi_par_sq == 0:
-            measure = hp["sqrt_measure"][key]
-            val = measure * cis_neg(vdot(xi, ent["centroid"]))
-            # the phase costs eps, the rounded measure and product far less
-            out = (val, 2 * hp["eps"] * to_float(measure))
-        else:
-            out = _combine_children(
-                ent["children"], hp["child_wden"][key], xi, xi_par_sq, geom, hp, memo
-            )
-    memo[key] = out
-    return out
-
-
-def _indicator_hp(p: Polytope, xi, geom=None, memo=None):
-    """High-precision 1^_P(xi) for nonzero rational xi.  Call under
-    phase_context."""
-    geom = geom or _ft_geometry(p)
-    memo = {} if memo is None else memo
-    hp = _hp_constants(p, geom)
-    return _combine_children(
-        geom["body_children"], hp["body_wden"], xi, norm_sq(xi), geom, hp, memo
-    )
-
-
-# --- the float64 batch kernel ------------------------------------------------
+# --- the face geometry --------------------------------------------------------
 #
-# The same recursion for many frequencies at once, level by level (vertices,
-# edges, facets, body), in float64 with an a-posteriori bound per row.  Row
-# i is the frequency X[i] / D[i]: integer numerators over a positive integer
-# denominator.  Every phase and every branch quantity is an exact integer
-# matrix product: phases are reduced modulo their denominator in integers,
-# the facet quantity |xi|^2 |n|^2 - <xi, n>^2 is formed before any
-# rounding, and every projects-to-zero branch is an integer zero test, so
-# floats never see a cancelled difference of large numbers.  The integers
-# are int64 when a magnitude bound rules out overflow and Python ints
-# otherwise, with identical results.  Rows go _CHUNK at a time, so memory
-# stays O(_CHUNK x faces).  Callers recompute rows whose bound is too
-# coarse for their decision with _indicator_rows_hp.
+# One memoized integer geometry serves both evaluators.  It has the vertices
+# and one level per face dimension above them (edges in 3D, the facets, the
+# body), each face in Polytope.faces order.  A level lists the children of
+# every parent contiguously, each with its (unnormalized) relative outward
+# normal m = lam * primitive(m), and each face's normal (an edge's
+# direction), centroid and exact squared measure.  Points are integer rows
+# over one scale per level.  A frequency is a row X over a denominator D,
+# so every phase, weight numerator and projects-to-zero test below is an
+# exact integer product.
 
-_CHUNK = 256
 _UNIT = 2.0**-53  # float64 unit roundoff
-_INT64_MAX = 2**63 - 1
-# share of tol * volume above which a row's float64 bound is too coarse to
-# decide zero-set membership, and the row goes to working precision
-FALLBACK_FRACTION = 2.0**-10
 
 
 def _scaled_rows(vectors):
@@ -300,45 +156,61 @@ def _norms(mat):
     return np.sqrt(np.array([float(sum(c * c for c in row)) for row in mat]))
 
 
-def _batch_level(children, kind, faces=None):
-    """Integer data of one level: the children of every parent, contiguous
-    so that np.add.reduceat sums them, and for a face level the data of its
-    projects-to-zero test and flat value."""
+def _batch_level(kind, children, normals, centroids, measure_sq):
+    """One level: the children (index, m) of every parent, contiguous so that
+    np.add.reduceat sums them, and each face's normal, centroid and squared
+    measure."""
     flat = [c for group in children for c in group]
-    m = _primitive_rows([vec for _, vec, _ in flat])
+    m = _primitive_rows([vec for _, vec in flat])
     sizes = np.array([len(group) for group in children])
     lv = {
-        "child": np.array([key[1] for key, _, _ in flat]),
+        "child": np.array([i for i, _ in flat]),
         "m": m,
         "m_norm": _norms(m),
+        "m_sq": [norm_sq(vec) for _, vec in flat],
+        # the exact scale lam of m = lam * primitive(m)
+        "lam": [next(Rat(c) / r for c, r in zip(vec, row) if r) for (_, vec), row in zip(flat, m)],
         "starts": np.concatenate(([0], np.cumsum(sizes)[:-1])),
+        "bounds": [0] + np.cumsum(sizes).tolist(),
         # relative rounding of the weights, the products and the sum
         "rho": (sizes + 8) * _UNIT,
         "kind": kind,
+        "measure_sq": list(measure_sq),
+        "measure": np.sqrt(np.array([to_float(q) for q in measure_sq])),
     }
-    if faces is not None:
-        normal = _primitive_rows([f["u"] if kind == "edge" else f["normal"] for f in faces])
-        lv["normal"] = normal
-        lv["normal_sq"] = np.array([sum(c * c for c in row) for row in normal], dtype=object)
-        lv["normal_norm"] = _norms(normal)
-        lv["centroid"], lv["c_scale"] = _scaled_rows([f["centroid"] for f in faces])
-        lv["measure"] = np.sqrt(np.array([to_float(f["measure_sq"]) for f in faces]))
+    lv["centroid"], lv["c_scale"] = _scaled_rows(centroids)
+    if normals is not None:
+        lv["normal"] = _primitive_rows(normals)
+        lv["normal_sq"] = np.array([sum(c * c for c in row) for row in lv["normal"]], dtype=object)
+        lv["normal_norm"] = _norms(lv["normal"])
     return lv
 
 
 @memo
 def _batch_geometry(p: Polytope):
-    geom = _ft_geometry(p)
-    entries = geom["entries"]
-    count = [sum(1 for k, _ in entries if k == level) for level in range(p.dim)]
-    verts, v_scale = _scaled_rows([entries[(0, i)]["point"] for i in range(count[0])])
+    d, V, fs = p.dim, p.vertices, p.facets
+    verts, v_scale = _scaled_rows(V)
     levels = []
-    for k in range(1, p.dim):
-        faces = [entries[(k, i)] for i in range(count[k])]
-        levels.append(_batch_level([f["children"] for f in faces], "edge" if k == 1 else "facet", faces))
-    body = _batch_level([geom["body_children"]], "body")
-    # xi = 0 is the body's flat case: the volume, as in ft_indicator
-    body["centroid"], body["c_scale"] = np.zeros((1, p.dim), dtype=object), 1
+    if d >= 2:
+        edges = p.faces(1)
+        us = [vsub(V[j], V[i]) for i, j in edges]
+        children = [((j, u), (i, vneg(u))) for (i, j), u in zip(edges, us)]
+        mids = [centroid((V[i], V[j])) for i, j in edges]
+        levels.append(_batch_level("edge", children, us, mids, [norm_sq(u) for u in us]))
+    if d == 3:
+        edge_index = {e: k for k, e in enumerate(edges)}
+        children = []
+        for f in fs:
+            pairs = zip(f.indices, f.indices[1:] + f.indices[:1])
+            children.append(
+                [(edge_index[tuple(sorted(e))], cross3(vsub(V[e[1]], V[e[0]]), f.normal)) for e in pairs]
+            )
+        ids = range(len(fs))
+        centroids = [p.facet_centroid(fi) for fi in ids]
+        measures = [p.face_measure_squared((2, fi)) for fi in ids]
+        levels.append(_batch_level("facet", children, [f.normal for f in fs], centroids, measures))
+    # xi = 0 is the body's flat case, with the volume as its measure
+    body = _batch_level("body", [list(enumerate(f.normal for f in fs))], None, [(ZERO,) * d], [p.volume**2])
     body["measure"] = np.array([to_float(p.volume)])
     levels.append(body)
     faces = levels[:-1]
@@ -352,6 +224,137 @@ def _batch_geometry(p: Polytope):
         "scale": max([v_scale] + [lv["c_scale"] for lv in faces]),
         "normal_sq": max([1] + [x for lv in faces for x in lv["normal_sq"]]),
     }
+
+
+# --- the working-precision level walk ----------------------------------------
+
+
+@memo
+def _hp_roots(p: Polytope, bits: int):
+    """pi, -2 pi i, and per level the square roots of the face measures and
+    of the children's |m|^2, at `bits` of precision.  Build under
+    phase_context."""
+    pi = hp_pi()
+    return {
+        "eps": _phase_eps(bits),
+        "pi_f": to_float(pi),
+        "m2pi_i": hp_complex(0, -2) * pi,
+        "levels": [
+            ([hp_sqrt(q) for q in lv["measure_sq"]], [hp_sqrt(q) for q in lv["m_sq"]])
+            for lv in _batch_geometry(p)["levels"]
+        ],
+    }
+
+
+def _walk_hp(p: Polytope, x, den, want=((-1, 0),)):
+    """The boundary recursion at xi = x / den, for integers x and a positive
+    integer den, at working precision.  Returns one list per level (the
+    vertices, the edges in 3D, the facets, the body) of (value, error
+    bound) per face.  Only the faces in want, (level, index) pairs with the
+    body by default, and the faces they reach are evaluated; the others are
+    None.  Call under phase_context.
+
+    Every operand reaches hp_real, hp_sqrt or cis_neg as an exactly reduced
+    rational: a phase as its residue modulo den * scale, |xi_par|^2 as its
+    integer numerator over den^2 |n|^2, and a weight <xi, m> / |m| as
+    lam <x, primitive(m)> / den over sqrt(|m|^2).  A child of weight zero is
+    skipped.  The error bound of a combination is the children's bounds
+    through the weights plus 3 eps per term and 2 eps for the division.
+    """
+    g = _batch_geometry(p)
+    hp = _hp_roots(p, precision_bits())
+    eps = hp["eps"]
+    x = np.array([int(c) for c in x], dtype=object)
+    den = int(den)
+    x_sq = int(x @ x)
+    # per level: the weight numerators <x, primitive(m)>, and the numerators
+    # of |xi_par|^2 over den^2 |n|^2, zero exactly on the flat branch
+    ints = []
+    for lv in g["levels"]:
+        if lv["kind"] == "body":  # |xi|^2
+            nums, par_dens = [x_sq], [den * den]
+        else:
+            c = (lv["normal"] @ x).tolist()
+            n_sq = lv["normal_sq"].tolist()
+            par_dens = [den * den * q for q in n_sq]
+            if lv["kind"] == "edge":  # <xi, u>^2 / |u|^2
+                nums = [ci * ci for ci in c]
+            else:  # a facet: |xi|^2 - <xi, n>^2 / |n|^2
+                nums = [x_sq * q - ci * ci for ci, q in zip(c, n_sq)]
+        ints.append(((lv["m"] @ x).tolist(), lv["child"].tolist(), nums, par_dens))
+    # the faces to evaluate, from the top down
+    need = [set() for _ in range(len(ints) + 1)]
+    for k, f in want:
+        need[k].add(f)
+    for k, lv in reversed(list(enumerate(g["levels"]))):
+        coeffs, child, nums, _ = ints[k]
+        for f in need[k + 1]:
+            if nums[f]:
+                need[k].update(child[j] for j in range(lv["bounds"][f], lv["bounds"][f + 1]) if coeffs[j])
+    mod = den * g["v_scale"]
+    phases = (g["verts"] @ x).tolist()
+    below = [(cis_neg(Rat(r % mod, mod)), eps) if i in need[0] else None for i, r in enumerate(phases)]
+    levels = [below]
+    for lv, (measures, wdens), (coeffs, child, nums, par_dens), faces in zip(
+        g["levels"], hp["levels"], ints, need[1:]
+    ):
+        out = [None] * len(nums)
+        for f in faces:
+            if nums[f] == 0:
+                cmod = den * lv["c_scale"]
+                phase = int(lv["centroid"][f] @ x) % cmod
+                # the phase costs eps, the rounded measure and product far less
+                out[f] = (measures[f] * cis_neg(Rat(phase, cmod)), 2 * eps * to_float(measures[f]))
+                continue
+            acc, err = hp_complex(0, 0), 0.0
+            for j in range(lv["bounds"][f], lv["bounds"][f + 1]):
+                if coeffs[j] == 0:
+                    continue
+                lam = lv["lam"][j]
+                w = hp_real(Rat(lam.numerator * coeffs[j], lam.denominator * den)) / wdens[j]
+                z, e = below[child[j]]
+                acc = acc + w * z
+                aw = abs(to_float(w))
+                err += aw * e + aw * (to_float(abs(z)) + 1) * 3 * eps
+            s = hp_real(Rat(nums[f], par_dens[f]))
+            val = acc / (hp["m2pi_i"] * s)
+            out[f] = (val, err / (2 * hp["pi_f"] * to_float(s)) + (to_float(abs(val)) + 1) * 2 * eps)
+        levels.append(out)
+        below = out
+    return levels
+
+
+def _integer_rows(xis):
+    """Rational rows as integer numerators over one denominator per row."""
+    dens = [math.lcm(*(int(c.denominator) for c in xi)) for xi in xis]
+    nums = [[int(c.numerator) * (den // int(c.denominator)) for c in xi] for xi, den in zip(xis, dens)]
+    return nums, dens
+
+
+def _walk_at(p: Polytope, xi, want=((-1, 0),)):
+    """_walk_hp at one rational frequency.  Call under phase_context."""
+    (x,), (den,) = _integer_rows([xi])
+    return _walk_hp(p, x, den, want)
+
+
+# --- the float64 batch kernel ------------------------------------------------
+#
+# The same walk for many frequencies at once, in float64 with an
+# a-posteriori bound per row.  Row i is the frequency X[i] / D[i].  Phases
+# are reduced modulo their denominator in integers, the facet quantity
+# |xi|^2 |n|^2 - <xi, n>^2 is formed before any rounding, and every
+# projects-to-zero branch is an integer zero test, so floats never see a
+# cancelled difference of large numbers.  The integers are int64 when a
+# magnitude bound rules out overflow and Python ints otherwise, with
+# identical results.  Rows go _CHUNK at a time, so memory stays
+# O(_CHUNK x faces).  Callers recompute rows whose bound is too coarse for
+# their decision with _indicator_rows_hp.
+
+_CHUNK = 256
+_INT64_MAX = 2**63 - 1
+# share of tol * volume above which a row's float64 bound is too coarse to
+# decide zero-set membership, and the row goes to working precision
+FALLBACK_FRACTION = 2.0**-10
 
 
 def _fits_int64(g, dim: int, x_max: int, d_max: int) -> bool:
@@ -376,9 +379,8 @@ def _cis(num, mod):
 
 
 def _batch_combine(lv, x, den, den_f, x_sq, z, e):
-    """_combine_children (and the flat branch of _face_value) for every row
-    and every parent of one level, given the children's values z and error
-    bounds e."""
+    """One level of _walk_hp for every row and every parent, given the
+    children's values z and error bounds e."""
     w = (x @ lv["m"].astype(x.dtype).T).astype(float) / (den_f[:, None] * lv["m_norm"])
     zc, ec = z[:, lv["child"]], e[:, lv["child"]]
     aw = np.abs(w)
@@ -414,7 +416,7 @@ def _batch_combine(lv, x, den, den_f, x_sq, z, e):
         phase = (x[rows] * lv["centroid"].astype(x.dtype)[faces]).sum(axis=1)
         measure = lv["measure"][faces]
         val[rows, faces] = measure * _cis(phase, den[rows] * lv["c_scale"])
-        # as in _face_value: the measure's rounding is far below eps
+        # as in _walk_hp: the measure's rounding is far below eps
         err[rows, faces] = 2 * _phase_eps(53) * measure
     return val, err
 
@@ -443,22 +445,12 @@ def _indicator_batch(p: Polytope, X, D):
     return val, err
 
 
-def _integer_rows(xis):
-    """Rational rows as integer numerators over one denominator per row."""
-    dens = [math.lcm(*(int(c.denominator) for c in xi)) for xi in xis]
-    nums = [[int(c.numerator) * (den // int(c.denominator)) for c in xi] for xi, den in zip(xis, dens)]
-    return nums, dens
-
-
 def _indicator_rows_hp(p: Polytope, X, D, rows, val, err):
-    """Overwrite the given rows of a batch result by _indicator_hp values
-    at working precision."""
-    geom = _ft_geometry(p)
+    """Overwrite the given rows of a batch result by their _walk_hp values."""
     with phase_context():
         for i in rows:
-            z, e = _indicator_hp(p, tuple(Rat(int(c), int(D[i])) for c in X[i]), geom)
+            z, err[i] = _walk_hp(p, X[i], D[i])[-1][0]
             val[i] = complex(to_float(z.real), to_float(z.imag))
-            err[i] = e
 
 
 def _check_frequency(p: Polytope, xi) -> tuple:
@@ -468,30 +460,25 @@ def _check_frequency(p: Polytope, xi) -> tuple:
     return xi
 
 
+def _complex_value(face) -> ComplexValue:
+    z, err = face
+    return ComplexValue(to_float(z.real), to_float(z.imag), err)
+
+
 def ft_indicator(p: Polytope, xi) -> ComplexValue:
     """Exact-recursion transform of the indicator; volume at xi = 0."""
     xi = _check_frequency(p, xi)
     if is_zero_vec(xi):
         return ComplexValue(to_float(p.volume), 0.0, 0.0)
     with phase_context():
-        val, err = _indicator_hp(p, xi)
-        return ComplexValue(to_float(val.real), to_float(val.imag), err)
+        return _complex_value(_walk_at(p, xi)[-1][0])
 
 
 def ft_surface(p: Polytope, facet: int, xi) -> ComplexValue:
     """Transform of the surface measure of one facet."""
     xi = _check_frequency(p, xi)
-    geom = _ft_geometry(p)
-    key = (p.dim - 1, facet)
-    if key not in geom["entries"] and p.dim == 1:
-        v = p.vertices[p.facets[facet].indices[0]]
-        with phase_context():
-            z = cis_neg(vdot(xi, v))
-            return ComplexValue(to_float(z.real), to_float(z.imag), _phase_eps(precision_bits()))
     with phase_context():
-        hp = _hp_constants(p, geom)
-        val, err = _face_value(geom, hp, key, xi, {})
-        return ComplexValue(to_float(val.real), to_float(val.imag), err)
+        return _complex_value(_walk_at(p, xi, [(-2, facet)])[-2][facet])
 
 
 def ft_with_boundary(p: Polytope, xi):
@@ -499,25 +486,15 @@ def ft_with_boundary(p: Polytope, xi):
 
     The facet values satisfy the divergence identity
     -2 pi i xi * 1^_P(xi) = sum_F unit(n_F) sigma^_F(xi) componentwise;
-    sharing the face memo makes the bundle barely more expensive than the
-    indicator alone.
+    they are the facet level of the same walk that gives the indicator,
+    so the bundle costs no more than the indicator alone.
     """
     xi = _check_frequency(p, xi)
     if is_zero_vec(xi):
         raise ZeroFrequency("boundary identity is stated for nonzero frequencies")
-    geom = _ft_geometry(p)
     with phase_context():
-        memo: dict = {}
-        val, err = _indicator_hp(p, xi, geom, memo)
-        hp = _hp_constants(p, geom)
-        sigmas = []
-        for fi in range(len(p.facets)):
-            sv, se = _face_value(geom, hp, (p.dim - 1, fi), xi, memo)
-            sigmas.append(ComplexValue(to_float(sv.real), to_float(sv.imag), se))
-        return (
-            ComplexValue(to_float(val.real), to_float(val.imag), err),
-            tuple(sigmas),
-        )
+        *_, facets, body = _walk_at(p, xi, [(-1, 0)] + [(-2, fi) for fi in range(len(p.facets))])
+        return _complex_value(body[0]), tuple(_complex_value(f) for f in facets)
 
 
 def ft_zero(p: Polytope, xi, tol: float = TOL_ZERO) -> bool:
@@ -682,11 +659,11 @@ def asymptotic_cone_check(p: Polytope, sigma: Polytope, alpha: float, xi1_values
                     etas.append(tuple(f * scale_full * c for c in dvec))
             for eta in etas:
                 xi = (xi1,) + eta
-                body, _ = _indicator_hp(p, xi)
+                body, _ = _walk_at(p, xi)[-1][0]
                 if is_zero_vec(eta):
                     base_val = hp_complex(hp_real(sigma.volume), 0)
                 else:
-                    base_val, _ = _indicator_hp(sigma, eta)
+                    base_val, _ = _walk_at(sigma, eta)[-1][0]
                 r = hp_pi() * hp_real(xi1) * body - sin_pi(xi1) * base_val
                 r_abs = to_float(abs(r))
                 samples.append(ConeSample(xi=xi, r_abs=r_abs, r_scaled=r_abs * abs(to_float(hp_real(xi1)))))

@@ -31,6 +31,7 @@ from .errors import PreconditionFailed, RankDeficient
 from .fourier import ComplexValue, _check_frequency, _phase_eps
 from .geometry import Polytope
 from .linalg import det, hnf_rational, norm_sq, rank, vdot, vsub
+from .tiling import coefficient_box
 
 __all__ = ["SampleConfig", "MCVolume", "MultiplicityHistogram", "mc_volume", "multiplicity_sample", "simplex_ft"]
 
@@ -136,9 +137,7 @@ def multiplicity_sample(p: Polytope, generators, cfg: SampleConfig) -> Multiplic
     # radius cutoff only has to be generous, not exact
     inv_t = np.linalg.inv(bmat).T
     bounds = [int(np.linalg.norm(row) * radius) + 1 for row in inv_t]
-    grids = np.meshgrid(*[np.arange(-m, m + 1) for m in bounds], indexing="ij")
-    coeffs = np.stack([g.ravel() for g in grids], axis=-1)
-    translates = coeffs @ bmat
+    translates = coefficient_box(bounds, "translate enumeration") @ bmat
     translates = translates[np.linalg.norm(translates, axis=1) <= radius + 1e-9]
 
     a, b = _facet_arrays(p)

@@ -33,9 +33,9 @@ from .fourier import (
     FALLBACK_FRACTION,
     TOL_ZERO,
     _indicator_batch,
-    _indicator_hp,
     _indicator_rows_hp,
     _integer_rows,
+    _walk_at,
     frequency_from_floats,
 )
 from .geometry import Polytope, memo
@@ -145,6 +145,8 @@ def require_finite_radius(radius, name: str = "patch radius"):
 def make_patch(points, window_radius: float) -> SpectrumPatch:
     window_radius = float(window_radius)
     require_finite_radius(window_radius, "window radius")
+    if window_radius < 0:
+        raise PreconditionFailed(f"window radius must be non-negative, got {window_radius}")
     pts = tuple(tuple(p) for p in points)
     return SpectrumPatch(points=pts, window_radius=window_radius, separation=_separation(pts))
 
@@ -552,7 +554,7 @@ def chi_estimate(p: Polytope, extra_directions=(), seed: int = 0) -> float:
 
     def centered_re(xi):
         with phase_context():
-            val, _ = _indicator_hp(p, xi)
+            val, _ = _walk_at(p, xi)[-1][0]
             shift = cis_neg(-vdot(xi, center))  # e^{+2 pi i <xi, c>}
             return to_float((shift * val).real), to_float(abs(val))
 

@@ -13,8 +13,11 @@ fail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from ._backend import Rat, ZERO, sqrt_upper
 from .errors import NotALattice, NotATiler, PreconditionFailed
@@ -56,6 +59,21 @@ __all__ = [
 
 
 # --- lattices ---------------------------------------------------------------
+
+# the most integer coefficient vectors one enumeration may form, shared by
+# Lattice.points_in_ball and oracle.multiplicity_sample
+MAX_BOX_CANDIDATES = 2 * 10**7
+
+
+def coefficient_box(bounds, what: str):
+    """All integer vectors k with |k_i| <= bounds[i], as the rows of one
+    array; PreconditionFailed, before anything is allocated, when there
+    would be more than MAX_BOX_CANDIDATES of them."""
+    total = math.prod(2 * b + 1 for b in bounds)
+    if total > MAX_BOX_CANDIDATES:
+        raise PreconditionFailed(f"{what} too large ({total} candidates)")
+    grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -109,8 +127,6 @@ class Lattice:
         rational norm test, so the result does not depend on float
         rounding.
         """
-        import numpy as np
-
         d = self.dim
         inv_t = transpose(inverse(self.basis))
         r_upper = sqrt_upper(Rat(radius_sq))
@@ -118,13 +134,7 @@ class Lattice:
         for row in inv_t:
             b = sqrt_upper(norm_sq(row)) * r_upper
             bounds.append(int(b.numerator // b.denominator) + 1)
-        total = 1
-        for b in bounds:
-            total *= 2 * b + 1
-        if total > 2 * 10**7:
-            raise PreconditionFailed(f"lattice ball enumeration too large ({total} candidates)")
-        grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
-        coeffs = np.stack([g.ravel() for g in grids], axis=-1)
+        coeffs = coefficient_box(bounds, "lattice ball enumeration")
         bmat = np.array([[float(c) for c in row] for row in self.basis])
         pts = coeffs @ bmat
         r_f = float(r_upper)

@@ -3,9 +3,13 @@ import io
 import json
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import spectile
 from spectile.cli import main
 from spectile.report import strip_timings
 
@@ -355,3 +359,45 @@ def test_report_json_roundtrip(capsys):
     assert json.loads(json.dumps(rep, sort_keys=True)) == rep
     for key in ("schema_version", "tool", "input", "parameters", "polytope", "symmetry", "tiling", "spectral", "verification", "timings"):
         assert key in rep
+
+
+def test_verify_window_radius_negative_exit_2_and_zero_kept(capsys, tmp_path):
+    patch_file = tmp_path / "patch.csv"
+    code, _, _ = run_cli(capsys, "spectrum", "catalog:cube", "--radius", "2", "--output", str(patch_file))
+    assert code == 0
+    code, out, err = run_cli(capsys, "verify", "catalog:cube", "--patch", str(patch_file), "--radius", "-1")
+    assert code == 2 and out == ""
+    assert "window radius must be non-negative, got -1.0" in err
+    # 0 is a radius, not a missing one: it must not become the largest norm
+    code, out, _ = run_cli(capsys, "verify", "catalog:cube", "--patch", str(patch_file), "--radius", "0")
+    assert code == 0
+    assert json.loads(out)["patch"]["window_radius"] == 0.0
+
+
+def test_oracle_multiplicity_box_over_cap_exit_2(capsys, tmp_path, monkeypatch):
+    """The unreduced HNF basis of this zonotope's tau vectors asks for a
+    2235 x 2235 x 2241 translate box; the oracle refuses it before any
+    array of that size exists."""
+    src = tmp_path / "zonotope.json"
+    gens = [["1/2", "-1", "0"], ["3", "1", "2"], ["3", "3/2", "-2"], ["-1", "2", "-3"]]
+    src.write_text(json.dumps({"zonotope": {"generators": gens}}))
+    sizes = []
+    real = np.meshgrid
+    monkeypatch.setattr(np, "meshgrid", lambda *axes, **kw: sizes.append(math.prod(map(len, axes))) or real(*axes, **kw))
+    code, out, err = run_cli(capsys, "oracle", str(src), "--op", "multiplicity")
+    assert code == 2 and out == ""
+    assert f"translate enumeration too large ({2235 * 2235 * 2241} candidates)" in err
+    assert all(n <= 2 * 10**7 for n in sizes)
+
+
+def test_python_dash_m_spectile():
+    # an uninstalled source checkout runs as `PYTHONPATH=src python -m spectile`
+    src_root = Path(spectile.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "spectile", "catalog", "list"],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_root)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert "cube" in json.loads(out.stdout)

@@ -2,11 +2,14 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from spectile import AffineMap, Rat, zonotope
 from spectile.errors import NotStandardPosition, ZeroFrequency
 from spectile.fourier import (
+    _indicator_rows_hp,
+    _integer_rows,
     asymptotic_cone_check,
     decay_bound_check,
     ft_indicator,
@@ -19,7 +22,7 @@ from spectile.fourier import (
 from spectile.linalg import det, norm_sq, transpose, vdot
 from spectile.oracle import simplex_ft
 
-from conftest import random_frequency, random_generators
+from conftest import random_frequency, random_generators, random_zonotope
 
 
 def sinc(t: float) -> float:
@@ -123,6 +126,26 @@ def test_boundary_identity(truncated_octahedron, hexagon):
                     right[j] += float(f.normal[j]) / scale * s.as_complex()
             for j in range(p.dim):
                 assert abs(left[j] - right[j]) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["interval", "hexagon", "cube", "zonotope"])
+def test_values_are_levels_of_one_walk(name, request):
+    # the indicator, the surface transforms and the batch kernel's working-
+    # precision rows are read off the same walk, so they agree bit for bit
+    rng = random.Random(17)
+    p = random_zonotope(rng, 5) if name == "zonotope" else request.getfixturevalue(name)
+    xis = [random_frequency(rng, p.dim) for _ in range(6)] + [(Rat(1),) + (Rat(0),) * (p.dim - 1)]
+    X, D = _integer_rows(xis)
+    val, err = np.zeros(len(xis), dtype=complex), np.zeros(len(xis))
+    _indicator_rows_hp(p, X, D, range(len(xis)), val, err)
+    for xi, v, e in zip(xis, val, err):
+        value = ft_indicator(p, xi)
+        body, sigmas = ft_with_boundary(p, xi)
+        assert body == value
+        assert v == value.as_complex() and e == value.err_bound
+        assert len(sigmas) == len(p.facets)
+        for fi, sigma in enumerate(sigmas):
+            assert ft_surface(p, fi, xi) == sigma
 
 
 def test_decay_bound(cube, interval, truncated_octahedron):

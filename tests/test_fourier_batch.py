@@ -21,12 +21,12 @@ from spectile.fourier import (
     _cis,
     _fits_int64,
     _indicator_batch,
-    _indicator_hp,
     _indicator_rows_hp,
     _integer_rows,
     _phase_eps,
+    _walk_at,
 )
-from spectile.linalg import cross3
+from spectile.linalg import cross3, vsub
 from spectile.oracle import simplex_ft
 from spectile.spectrum import decide_spectral, make_patch, patch, verify_orthogonality
 
@@ -37,7 +37,7 @@ rationals = st.builds(Rat, st.integers(-40, 40), st.integers(1, 12))
 
 def _hp(p, xi):
     with phase_context():
-        z, e = _indicator_hp(p, xi)
+        z, e = _walk_at(p, xi)[-1][0]
         return to_complex(z), e
 
 
@@ -79,8 +79,8 @@ def test_near_degenerate_frequencies_take_the_fallback(k):
     # xi perpendicular to an edge plus 10^-k along it: the edge projects to
     # a tiny nonzero <xi, u>, whose cancellation the bound must show
     p = make("hexagonal-prism")
-    entry = next(e for key, e in fourier._ft_geometry(p)["entries"].items() if key[0] == 1)
-    u = entry["u"]
+    i, j = p.faces(1)[0]
+    u = vsub(p.vertices[j], p.vertices[i])
     base = cross3(u, (Rat(1, 3), Rat(2, 7), Rat(5, 11)))
     xi = tuple(b + Rat(1, 10**k) * c for b, c in zip(base, u))
     X, D = _integer_rows([xi, base])
