@@ -13,24 +13,15 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
-from ._backend import Rat, rat_str, to_float
+from ._backend import Rat
 from .catalog import CATALOG_NAMES, make, resolve_input
-from .errors import NotATiler, ParseError, PreconditionFailed, PrismExcluded, SpectileError
+from .errors import NotATiler, ParseError, PreconditionFailed, SpectileError
 from .fourier import TOL_ZERO, ft_indicator
 from .oracle import SampleConfig, mc_volume, multiplicity_sample, simplex_ft
-from .report import DEFAULT_RADIUS, DEFAULT_SAMPLES, DEFAULT_SEED, analyze, orthogonality_json
-from .spectrum import (
-    condition_C2_check,
-    decide_spectral,
-    make_patch,
-    patch,
-    uniqueness_check,
-    verify_density,
-    verify_orthogonality,
-)
+from .report import DEFAULT_RADIUS, DEFAULT_SAMPLES, DEFAULT_SEED, analyze, patch_checks_json
+from .spectrum import decide_spectral, make_patch, patch, require_finite
 from .symmetry import symmetry_report
 from .tiling import fedorov_classify, lattice_T, venkov_mcmullen
 from .export import export_obj, export_svg
@@ -51,54 +42,49 @@ def _emit_json(data, output: str | None):
 def _parse_cell(cell: str, where: str):
     cell = cell.strip()
     try:
-        return Rat(Fraction(cell))
+        return Rat(cell)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{where}: cannot parse {cell!r} as a rational or decimal")
 
 
-def _read_frequencies(path: str, dim: int):
+def _read_rows(path: str, dim: int, what: str, json_ok: bool = False) -> list:
+    """The rational rows of a CSV file, or of a JSON list of lists when
+    json_ok and the path ends in .json, each checked to have dimension dim.
+    CSV rows that are blank, and a header (an alphabetic cell on the first
+    row), are skipped."""
     try:
         text = open(path).read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    freqs = []
-    if path.endswith(".json"):
+    rows = []
+    if json_ok and path.endswith(".json"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc.msg} at line {exc.lineno}")
         for i, row in enumerate(data):
-            freqs.append(tuple(_parse_cell(str(c), f"{path}[{i}]") for c in row))
+            rows.append(tuple(_parse_cell(str(c), f"{path}[{i}]") for c in row))
     else:
         for i, row in enumerate(csv.reader(io.StringIO(text))):
             if not row or all(not c.strip() for c in row):
                 continue
             if i == 0 and any(c.strip().isalpha() for c in row):
                 continue  # header
-            freqs.append(tuple(_parse_cell(c, f"{path}:{i + 1}") for c in row))
-    for f in freqs:
-        if len(f) != dim:
-            raise ParseError(f"frequency {f} has dimension {len(f)}, polytope is {dim}-dimensional")
-    return freqs
+            rows.append(tuple(_parse_cell(c, f"{path}:{i + 1}") for c in row))
+    for q in rows:
+        if len(q) != dim:
+            raise ParseError(f"{what} {q} has dimension {len(q)}, polytope is {dim}-dimensional")
+    return rows
+
+
+def _read_frequencies(path: str, dim: int):
+    return _read_rows(path, dim, "frequency", json_ok=True)
 
 
 def _read_patch(path: str, dim: int):
-    try:
-        text = open(path).read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    pts = []
-    for i, row in enumerate(csv.reader(io.StringIO(text))):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if i == 0 and any(c.strip().isalpha() for c in row):
-            continue
-        pts.append(tuple(_parse_cell(c, f"{path}:{i + 1}") for c in row))
+    pts = _read_rows(path, dim, "patch point")
     if not pts:
         raise ParseError(f"{path}: no patch points")
-    for q in pts:
-        if len(q) != dim:
-            raise ParseError(f"patch point {q} has dimension {len(q)}, polytope is {dim}-dimensional")
     return pts
 
 
@@ -106,7 +92,7 @@ def _patch_csv(points) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     for q in points:
-        writer.writerow([rat_str(c) if not isinstance(c, float) else repr(c) for c in q])
+        writer.writerow([str(c) if not isinstance(c, float) else repr(c) for c in q])
     return buf.getvalue()
 
 
@@ -128,6 +114,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_fourier(args) -> int:
+    require_finite(args.tolerance, "tolerance", non_negative=True)
     poly, _ = resolve_input(args.input)
     freqs = _read_frequencies(args.frequencies, poly.dim)
     buf = io.StringIO()
@@ -136,13 +123,13 @@ def _cmd_fourier(args) -> int:
     for xi in freqs:
         val = ft_indicator(poly, xi)
         zero = (
-            bool(val.magnitude <= args.tolerance * to_float(poly.volume))
+            bool(val.magnitude <= args.tolerance * float(poly.volume))
             if any(c != 0 for c in xi)
             else False
         )
         writer.writerow(
             [
-                " ".join(rat_str(c) for c in xi),
+                " ".join(str(c) for c in xi),
                 repr(val.re),
                 repr(val.im),
                 repr(val.magnitude),
@@ -159,7 +146,7 @@ def _cmd_spectrum(args) -> int:
     head = {
         "is_spectral": verdict.is_spectral,
         "reason": verdict.reason,
-        "basis": [[rat_str(c) for c in row] for row in verdict.spectrum.basis]
+        "basis": [[str(c) for c in row] for row in verdict.spectrum.basis]
         if verdict.spectrum
         else None,
     }
@@ -179,27 +166,8 @@ def _cmd_verify(args) -> int:
     sp = make_patch(pts, radius)
     out = {
         "patch": {"count": len(sp), "window_radius": sp.window_radius, "separation": sp.separation},
+        **patch_checks_json(poly, sp, symmetry_report(poly), args.tolerance),
     }
-    orth = verify_orthogonality(poly, sp, tol=args.tolerance)
-    out["orthogonality"] = orthogonality_json(orth)
-    sym = symmetry_report(poly)
-    if sym.facet_pairs:
-        c2 = condition_C2_check(sp, [t.tau for t in sym.facet_pairs])
-        out["c2_integrality"] = {
-            "passed": c2.passed,
-            "max_distance_to_integer": c2.max_distance_to_integer,
-        }
-    try:
-        dens = verify_density(poly, sp)
-        out["density"] = {"passed": dens.passed, "density": dens.density, "target": dens.target}
-    except SpectileError as exc:
-        out["density"] = {"skipped": str(exc)}
-    try:
-        out["uniqueness"] = {"status": "pass" if uniqueness_check(poly, sp) else "fail"}
-    except PrismExcluded as exc:
-        out["uniqueness"] = {"status": "prism-excluded", "detail": str(exc)}
-    except SpectileError as exc:
-        out["uniqueness"] = {"status": "skipped", "detail": str(exc)}
     _emit_json(out, args.output)
     return 0
 
@@ -240,7 +208,7 @@ def _cmd_oracle(args) -> int:
                 "method": "bruteforce",
                 "estimate": mv.estimate,
                 "stderr": mv.stderr,
-                "exact": rat_str(poly.volume),
+                "exact": str(poly.volume),
                 "samples": mv.count,
                 "seed": mv.seed,
             },
@@ -272,7 +240,7 @@ def _cmd_oracle(args) -> int:
         for xi in freqs:
             val = simplex_ft(poly, xi)
             writer.writerow(
-                [" ".join(rat_str(c) for c in xi), repr(val.re), repr(val.im), repr(val.magnitude)]
+                [" ".join(str(c) for c in xi), repr(val.re), repr(val.im), repr(val.magnitude)]
             )
         _write_output(buf.getvalue(), args.output)
     return 0

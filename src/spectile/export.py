@@ -4,9 +4,7 @@ parity of the sum of lattice coordinates)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from ._backend import Rat, to_float
+from ._backend import rational_from_float
 from .errors import FormatDimensionMismatch
 from .geometry import Polytope
 from .linalg import vadd
@@ -25,7 +23,7 @@ def nearest_lattice_translates(lattice: Lattice, copies: int) -> list:
     pts: list = []
     # grow the ball until enough points, then take the closest
     for _ in range(32):
-        r2 = Rat(Fraction(radius * radius).limit_denominator(10**6))
+        r2 = rational_from_float(radius * radius)
         pts = list(lattice.points_in_ball(r2))
         if len(pts) >= copies:
             break
@@ -34,7 +32,7 @@ def nearest_lattice_translates(lattice: Lattice, copies: int) -> list:
     out = []
     for v in pts[:copies]:
         coords = lattice.coords(v)
-        parity = int(sum(int(c) for c in coords)) % 2
+        parity = sum(int(c) for c in coords) % 2
         out.append((v, parity))
     return out
 
@@ -55,7 +53,7 @@ def export_svg(p: Polytope, lattice: Lattice | None = None, copies: int = 1, sca
     xs, ys = [], []
     for shift, parity in shifts:
         ring = [vadd(v, shift) for v in cyc]
-        pts = [(to_float(a), to_float(b)) for a, b in ring]
+        pts = [(float(a), float(b)) for a, b in ring]
         xs += [q[0] for q in pts]
         ys += [q[1] for q in pts]
         polys.append((pts, parity))
@@ -90,7 +88,7 @@ def export_obj(p: Polytope, lattice: Lattice | None = None, copies: int = 1) -> 
         lines.append(f"usemtl parity_{parity}")
         for v in p.vertices:
             w = vadd(v, shift)
-            lines.append("v " + " ".join(_fmt(to_float(c)) for c in w))
+            lines.append("v " + " ".join(_fmt(float(c)) for c in w))
         for f in p.facets:
             lines.append("f " + " ".join(str(base + i + 1) for i in f.indices))
         base += len(p.vertices)

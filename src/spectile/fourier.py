@@ -49,11 +49,10 @@ from ._backend import (
     sin_pi,
     sqrt_lower,
     sqrt_upper,
-    to_float,
 )
 from .errors import DimensionMismatch, NotStandardPosition, ZeroFrequency
 from .geometry import Polytope, memo
-from .linalg import centroid, cross3, is_zero_vec, norm_sq, primitive, vdot, vneg, vsub
+from .linalg import centroid, clear_denominators, cross3, is_zero_vec, norm_sq, primitive, vdot, vneg, vsub
 
 __all__ = [
     "ComplexValue",
@@ -117,8 +116,8 @@ def _phase_eps(bits: int) -> float:
       in [-1, 1], which adds sqrt(2) * 4u < 6u: 22u in all.
     * working precision (cis_neg): t is reduced to [0, 1), so the angle
       lies in [0, 2 pi].  The conversion of t, the rounded pi and the
-      product cost at most 4u relative, 8u * pi < 26u, and MPFR or mpmath
-      sin and cos are within 1 ulp, sqrt(2) u more: 27u in all.
+      product cost at most 4u relative, 8u * pi < 26u, and mpmath's sin
+      and cos are within 1 ulp, sqrt(2) u more: 27u in all.
     Both stay below 2^5 u.
     """
     return 2.0 ** (5 - bits)
@@ -137,13 +136,6 @@ def _phase_eps(bits: int) -> float:
 # exact integer product.
 
 _UNIT = 2.0**-53  # float64 unit roundoff
-
-
-def _scaled_rows(vectors):
-    """Rational vectors as rows of an integer matrix over one common scale."""
-    scale = math.lcm(*(int(c.denominator) for v in vectors for c in v))
-    rows = [[int(c.numerator) * (scale // int(c.denominator)) for c in v] for v in vectors]
-    return np.array(rows, dtype=object), scale
 
 
 def _primitive_rows(vectors):
@@ -176,9 +168,10 @@ def _batch_level(kind, children, normals, centroids, measure_sq):
         "rho": (sizes + 8) * _UNIT,
         "kind": kind,
         "measure_sq": list(measure_sq),
-        "measure": np.sqrt(np.array([to_float(q) for q in measure_sq])),
+        "measure": np.sqrt(np.array([float(q) for q in measure_sq])),
     }
-    lv["centroid"], lv["c_scale"] = _scaled_rows(centroids)
+    lv["c_scale"], rows = clear_denominators(centroids)
+    lv["centroid"] = np.array(rows, dtype=object)
     if normals is not None:
         lv["normal"] = _primitive_rows(normals)
         lv["normal_sq"] = np.array([sum(c * c for c in row) for row in lv["normal"]], dtype=object)
@@ -189,7 +182,8 @@ def _batch_level(kind, children, normals, centroids, measure_sq):
 @memo
 def _batch_geometry(p: Polytope):
     d, V, fs = p.dim, p.vertices, p.facets
-    verts, v_scale = _scaled_rows(V)
+    v_scale, rows = clear_denominators(V)
+    verts = np.array(rows, dtype=object)
     levels = []
     if d >= 2:
         edges = p.faces(1)
@@ -211,7 +205,7 @@ def _batch_geometry(p: Polytope):
         levels.append(_batch_level("facet", children, [f.normal for f in fs], centroids, measures))
     # xi = 0 is the body's flat case, with the volume as its measure
     body = _batch_level("body", [list(enumerate(f.normal for f in fs))], None, [(ZERO,) * d], [p.volume**2])
-    body["measure"] = np.array([to_float(p.volume)])
+    body["measure"] = np.array([float(p.volume)])
     levels.append(body)
     faces = levels[:-1]
     ints = [verts] + [lv["m"] for lv in levels] + [lv[n] for lv in faces for n in ("normal", "centroid")]
@@ -237,7 +231,7 @@ def _hp_roots(p: Polytope, bits: int):
     pi = hp_pi()
     return {
         "eps": _phase_eps(bits),
-        "pi_f": to_float(pi),
+        "pi_f": float(pi),
         "m2pi_i": hp_complex(0, -2) * pi,
         "levels": [
             ([hp_sqrt(q) for q in lv["measure_sq"]], [hp_sqrt(q) for q in lv["m_sq"]])
@@ -304,7 +298,7 @@ def _walk_hp(p: Polytope, x, den, want=((-1, 0),)):
                 cmod = den * lv["c_scale"]
                 phase = int(lv["centroid"][f] @ x) % cmod
                 # the phase costs eps, the rounded measure and product far less
-                out[f] = (measures[f] * cis_neg(Rat(phase, cmod)), 2 * eps * to_float(measures[f]))
+                out[f] = (measures[f] * cis_neg(Rat(phase, cmod)), 2 * eps * float(measures[f]))
                 continue
             acc, err = hp_complex(0, 0), 0.0
             for j in range(lv["bounds"][f], lv["bounds"][f + 1]):
@@ -314,11 +308,11 @@ def _walk_hp(p: Polytope, x, den, want=((-1, 0),)):
                 w = hp_real(Rat(lam.numerator * coeffs[j], lam.denominator * den)) / wdens[j]
                 z, e = below[child[j]]
                 acc = acc + w * z
-                aw = abs(to_float(w))
-                err += aw * e + aw * (to_float(abs(z)) + 1) * 3 * eps
+                aw = abs(float(w))
+                err += aw * e + aw * (float(abs(z)) + 1) * 3 * eps
             s = hp_real(Rat(nums[f], par_dens[f]))
             val = acc / (hp["m2pi_i"] * s)
-            out[f] = (val, err / (2 * hp["pi_f"] * to_float(s)) + (to_float(abs(val)) + 1) * 2 * eps)
+            out[f] = (val, err / (2 * hp["pi_f"] * float(s)) + (float(abs(val)) + 1) * 2 * eps)
         levels.append(out)
         below = out
     return levels
@@ -326,8 +320,11 @@ def _walk_hp(p: Polytope, x, den, want=((-1, 0),)):
 
 def _integer_rows(xis):
     """Rational rows as integer numerators over one denominator per row."""
-    dens = [math.lcm(*(int(c.denominator) for c in xi)) for xi in xis]
-    nums = [[int(c.numerator) * (den // int(c.denominator)) for c in xi] for xi, den in zip(xis, dens)]
+    nums, dens = [], []
+    for xi in xis:
+        den, (x,) = clear_denominators([xi])
+        nums.append(x)
+        dens.append(den)
     return nums, dens
 
 
@@ -450,7 +447,7 @@ def _indicator_rows_hp(p: Polytope, X, D, rows, val, err):
     with phase_context():
         for i in rows:
             z, err[i] = _walk_hp(p, X[i], D[i])[-1][0]
-            val[i] = complex(to_float(z.real), to_float(z.imag))
+            val[i] = complex(float(z.real), float(z.imag))
 
 
 def _check_frequency(p: Polytope, xi) -> tuple:
@@ -462,14 +459,14 @@ def _check_frequency(p: Polytope, xi) -> tuple:
 
 def _complex_value(face) -> ComplexValue:
     z, err = face
-    return ComplexValue(to_float(z.real), to_float(z.imag), err)
+    return ComplexValue(float(z.real), float(z.imag), err)
 
 
 def ft_indicator(p: Polytope, xi) -> ComplexValue:
     """Exact-recursion transform of the indicator; volume at xi = 0."""
     xi = _check_frequency(p, xi)
     if is_zero_vec(xi):
-        return ComplexValue(to_float(p.volume), 0.0, 0.0)
+        return ComplexValue(float(p.volume), 0.0, 0.0)
     with phase_context():
         return _complex_value(_walk_at(p, xi)[-1][0])
 
@@ -502,7 +499,7 @@ def ft_zero(p: Polytope, xi, tol: float = TOL_ZERO) -> bool:
     xi = _check_frequency(p, xi)
     if is_zero_vec(xi):
         raise ZeroFrequency("the origin is never in the zero set")
-    return ft_indicator(p, xi).magnitude <= tol * to_float(p.volume)
+    return ft_indicator(p, xi).magnitude <= tol * float(p.volume)
 
 
 # --- decay bounds -----------------------------------------------------------
@@ -546,7 +543,7 @@ def decay_bound_check(p: Polytope, samples) -> DecayReport:
             raise ZeroFrequency("decay bound applies to nonzero frequencies")
         xis.append(xi)
     area_ub = surface_area_upper(p)
-    bound = np.array([to_float(area_ub / (2 * _PI_LB * sqrt_lower(norm_sq(xi)))) for xi in xis])
+    bound = np.array([float(area_ub / (2 * _PI_LB * sqrt_lower(norm_sq(xi)))) for xi in xis])
     X, D = _integer_rows(xis)
     val, err = _indicator_batch(p, X, D)
     mag = np.abs(val)
@@ -585,7 +582,7 @@ def surface_decay_bound(p: Polytope, facet: int, xi) -> float:
     else:
         perim = Rat(2)  # relative boundary of a segment: two points
     denom_lb = 2 * _PI_LB * sqrt_lower(norm_sq(xi)) * sqrt_lower(Rat(sin_sq))
-    return to_float(perim / denom_lb)
+    return float(perim / denom_lb)
 
 
 # --- the cone asymptotics -----------------------------------------------------
@@ -665,8 +662,8 @@ def asymptotic_cone_check(p: Polytope, sigma: Polytope, alpha: float, xi1_values
                 else:
                     base_val, _ = _walk_at(sigma, eta)[-1][0]
                 r = hp_pi() * hp_real(xi1) * body - sin_pi(xi1) * base_val
-                r_abs = to_float(abs(r))
-                samples.append(ConeSample(xi=xi, r_abs=r_abs, r_scaled=r_abs * abs(to_float(hp_real(xi1)))))
+                r_abs = float(abs(r))
+                samples.append(ConeSample(xi=xi, r_abs=r_abs, r_scaled=r_abs * abs(float(hp_real(xi1)))))
     max_abs = max(s.r_abs for s in samples)
     max_scaled = max(s.r_scaled for s in samples)
     return ConeReport(alpha=float(alpha), samples=tuple(samples), max_r_abs=max_abs, max_r_scaled=max_scaled)

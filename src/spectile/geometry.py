@@ -14,13 +14,12 @@ All values are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce, wraps
 from itertools import combinations
 
-from ._backend import Rat, ZERO, rational, rat_str
+from ._backend import Rat, ZERO, rational
 from .errors import (
     DimensionMismatch,
     Empty,
@@ -33,6 +32,7 @@ from .linalg import (
     affine_rank,
     angular_sort,
     centroid,
+    clear_denominators,
     cross2,
     cross3,
     det,
@@ -290,7 +290,7 @@ class Polytope:
     def as_json_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "vertices": [[rat_str(c) for c in v] for v in self.vertices],
+            "vertices": [[str(c) for c in v] for v in self.vertices],
         }
 
     def __eq__(self, other):
@@ -310,13 +310,9 @@ class Polytope:
     def _validate(self):
         # exact integer form: vertices and offsets over one common
         # denominator (facet normals are integer vectors already)
-        den = math.lcm(
-            *(int(c.denominator) for v in self.vertices for c in v),
-            *(int(f.offset.denominator) for f in self.facets),
-        )
-        scaled = [[int(c.numerator) * (den // int(c.denominator)) for c in v] for v in self.vertices]
-        for f in self.facets:
-            off = int(f.offset.numerator) * (den // int(f.offset.denominator))
+        _, rows = clear_denominators([*self.vertices, *((f.offset,) for f in self.facets)])
+        scaled = rows[: len(self.vertices)]
+        for f, (off,) in zip(self.facets, rows[len(self.vertices) :]):
             on = 0
             for i, v in enumerate(scaled):
                 s = sum(n * x for n, x in zip(f.normal, v))

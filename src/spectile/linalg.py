@@ -69,6 +69,13 @@ def centroid(points) -> Vec:
     return tuple(c / n for c in acc)
 
 
+def clear_denominators(rows) -> tuple:
+    """(den, ints): rational rows as integer rows over the lcm of all their
+    denominators, so that rows[i][j] == ints[i][j] / den."""
+    den = math.lcm(*(c.denominator for r in rows for c in r))
+    return den, [[c.numerator * (den // c.denominator) for c in r] for r in rows]
+
+
 def primitive(v: Vec, canonical_sign: bool = False) -> tuple:
     """Scale a nonzero rational vector to a primitive integer vector.
 
@@ -78,13 +85,8 @@ def primitive(v: Vec, canonical_sign: bool = False) -> tuple:
     """
     if is_zero_vec(v):
         raise ValueError("zero vector has no direction")
-    den_lcm = 1
-    for c in v:
-        den_lcm = den_lcm * int(c.denominator) // math.gcd(den_lcm, int(c.denominator))
-    ints = [int(c.numerator) * (den_lcm // int(c.denominator)) for c in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
+    _, (ints,) = clear_denominators([v])
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     if canonical_sign:
         for x in ints:
@@ -243,14 +245,8 @@ def hnf_rational(generators) -> tuple:
     gens = [g for g in generators if not is_zero_vec(g)]
     if not gens:
         return ()
-    den_lcm = 1
-    for g in gens:
-        for c in g:
-            d = int(c.denominator)
-            den_lcm = den_lcm * d // math.gcd(den_lcm, d)
-    int_rows = [[int(c.numerator) * (den_lcm // int(c.denominator)) for c in g] for g in gens]
-    basis = hnf(int_rows)
-    return tuple(tuple(Rat(x, den_lcm) for x in row) for row in basis)
+    den, int_rows = clear_denominators(gens)
+    return tuple(tuple(Rat(x, den) for x in row) for row in hnf(int_rows))
 
 
 def gram_det(vectors) -> "Rat":

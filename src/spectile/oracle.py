@@ -25,7 +25,6 @@ from ._backend import (
     precision_bits,
     rational,
     sqrt_upper,
-    to_float,
 )
 from .errors import PreconditionFailed, RankDeficient
 from .fourier import ComplexValue, _check_frequency, _phase_eps
@@ -45,6 +44,8 @@ class SampleConfig:
     def __post_init__(self):
         if self.count < 1:
             raise PreconditionFailed(f"sample count must be at least 1, got {self.count}")
+        if self.seed < 0:
+            raise PreconditionFailed(f"seed must be non-negative, got {self.seed}")
 
     def resolve_box(self, p: Polytope):
         if self.bounding_box is not None:
@@ -129,8 +130,8 @@ def multiplicity_sample(p: Polytope, generators, cfg: SampleConfig) -> Multiplic
     bmat = np.array([[float(c) for c in row] for row in basis])
     samples = rng.random((cfg.count, p.dim)) @ bmat
 
-    diam_p = float(to_float(sqrt_upper(p.diameter_sq)))
-    diam_cell = float(to_float(sum((sqrt_upper(norm_sq(row)) for row in basis), ZERO)))
+    diam_p = float(sqrt_upper(p.diameter_sq))
+    diam_cell = float(sum((sqrt_upper(norm_sq(row)) for row in basis), ZERO))
     radius = diam_p + diam_cell
 
     # float translate enumeration is enough for a sampling oracle; the
@@ -237,7 +238,7 @@ def simplex_ft(p: Polytope, xi) -> ComplexValue:
     """
     xi = _check_frequency(p, xi)
     if all(c == 0 for c in xi):
-        return ComplexValue(to_float(p.volume), 0.0, 0.0)
+        return ComplexValue(float(p.volume), 0.0, 0.0)
     with phase_context():
         acc = hp_complex(0, 0)
         total_weight = ZERO
@@ -250,5 +251,5 @@ def simplex_ft(p: Polytope, xi) -> ComplexValue:
             total_weight += weight
             phases = [vdot(xi, v) for v in simplex]
             acc = acc + hp_real(weight) * _divided_difference_exp(phases)
-        err = to_float(total_weight) * len(xi) * 20 * _phase_eps(precision_bits())
-        return ComplexValue(to_float(acc.real), to_float(acc.imag), err)
+        err = float(total_weight) * len(xi) * 20 * _phase_eps(precision_bits())
+        return ComplexValue(float(acc.real), float(acc.imag), err)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 
 from . import __version__
-from ._backend import BACKEND, precision_bits, rat_str
+from ._backend import BACKEND, precision_bits
 from .errors import PrismExcluded, SpectileError, UnsupportedDimension
 from .fourier import TOL_ZERO
 from .geometry import Polytope
@@ -21,12 +21,12 @@ from .spectrum import (
     condition_C2_check,
     decide_spectral,
     patch,
-    require_finite_radius,
+    require_finite,
     uniqueness_check,
     verify_density,
     verify_orthogonality,
 )
-from .symmetry import symmetry_report
+from .symmetry import SymmetryReport, symmetry_report
 from .tiling import fedorov_classify, is_prism, lattice_T, packing_verify, covering_verify, venkov_mcmullen
 
 SCHEMA_VERSION = 1
@@ -37,23 +37,56 @@ DEFAULT_SAMPLES = 10**4
 
 
 def _vec_json(v):
-    return [rat_str(c) for c in v]
+    return [str(c) for c in v]
 
 
 def _basis_json(lattice):
     return [_vec_json(row) for row in lattice.basis]
 
 
-def orthogonality_json(orth) -> dict:
-    """The orthogonality block of `analyze` and `verify` output."""
-    return {
-        "passed": orth.passed,
-        "max_residual": orth.max_residual,
-        "pairs_checked": orth.num_differences,
-        "tolerance": orth.tolerance,
-        "max_err_bound": orth.max_err_bound,
-        "fallbacks": orth.fallbacks,
+def patch_checks_json(
+    p: Polytope, sp, sym: SymmetryReport, tolerance: float, clock=lambda label, fn: fn()
+) -> dict:
+    """The orthogonality, density, C2 and uniqueness blocks of `analyze` and
+    `verify` output for the patch sp of p; clock(label, fn) runs each check
+    (analyze times them)."""
+    orth = clock("orthogonality", lambda: verify_orthogonality(p, sp, tol=tolerance))
+    out = {
+        "orthogonality": {
+            "passed": orth.passed,
+            "max_residual": orth.max_residual,
+            "pairs_checked": orth.num_differences,
+            "tolerance": orth.tolerance,
+            "max_err_bound": orth.max_err_bound,
+            "fallbacks": orth.fallbacks,
+        }
     }
+    try:
+        dens = clock("density", lambda: verify_density(p, sp))
+        out["density"] = {
+            "passed": dens.passed,
+            "count": dens.count,
+            "density": dens.density,
+            "target": dens.target,
+            "rel_tolerance": dens.rel_tolerance,
+        }
+    except SpectileError as exc:
+        out["density"] = {"skipped": str(exc)}
+    if sym.facet_pairs:
+        c2 = clock("c2", lambda: condition_C2_check(sp, [t.tau for t in sym.facet_pairs]))
+        out["c2_integrality"] = {
+            "passed": c2.passed,
+            "max_distance_to_integer": c2.max_distance_to_integer,
+            "tolerance": c2.tolerance,
+        }
+    try:
+        uniq = clock("uniqueness", lambda: uniqueness_check(p, sp))
+        out["uniqueness"] = {"status": "pass" if uniq else "fail"}
+    except PrismExcluded as exc:
+        out["uniqueness"] = {"status": "prism-excluded", "detail": str(exc)}
+    except SpectileError as exc:
+        out["uniqueness"] = {"status": "skipped", "detail": str(exc)}
+    return out
 
 
 def analyze(
@@ -69,7 +102,9 @@ def analyze(
             f"analyze covers dimensions 2 and 3, got dimension {p.dim}; "
             "use `spectile fourier` or `spectile oracle` for it"
         )
-    require_finite_radius(radius)  # a non-tiler builds no patch to check it
+    # a non-tiler builds no patch and checks no orthogonality to reject these
+    require_finite(radius)
+    require_finite(tolerance, "tolerance", non_negative=True)
     sample_cfg = SampleConfig(count=samples, seed=seed)  # rejects samples < 1
     timings = {}
 
@@ -93,7 +128,7 @@ def analyze(
         "polytope": {
             "dim": p.dim,
             "f_vector": list(p.f_vector()),
-            "volume": rat_str(p.volume),
+            "volume": str(p.volume),
             "vertices": [_vec_json(v) for v in p.vertices],
         },
     }
@@ -126,7 +161,7 @@ def analyze(
     if vm.tiles:
         lattice = clock("lattice", lambda: lattice_T(p))
         tiling_block["lattice"] = _basis_json(lattice)
-        tiling_block["covolume"] = rat_str(lattice.covolume)
+        tiling_block["covolume"] = str(lattice.covolume)
         tiling_block["packing_verified"] = clock("packing", lambda: packing_verify(p, lattice))
         tiling_block["covering_verified"] = clock(
             "covering", lambda: covering_verify(p, lattice, samples=samples, seed=seed)
@@ -160,31 +195,7 @@ def analyze(
             "count": len(sp),
             "separation": sp.separation,
         }
-        orth = clock("orthogonality", lambda: verify_orthogonality(p, sp, tol=tolerance))
-        verification["orthogonality"] = orthogonality_json(orth)
-        try:
-            dens = clock("density", lambda: verify_density(p, sp))
-            verification["density"] = {
-                "passed": dens.passed,
-                "count": dens.count,
-                "density": dens.density,
-                "target": dens.target,
-                "rel_tolerance": dens.rel_tolerance,
-            }
-        except SpectileError as exc:
-            verification["density"] = {"skipped": str(exc)}
-        taus = [t.tau for t in sym.facet_pairs]
-        c2 = clock("c2", lambda: condition_C2_check(sp, taus))
-        verification["c2_integrality"] = {
-            "passed": c2.passed,
-            "max_distance_to_integer": c2.max_distance_to_integer,
-            "tolerance": c2.tolerance,
-        }
-        try:
-            uniq = clock("uniqueness", lambda: uniqueness_check(p, sp))
-            verification["uniqueness"] = {"status": "pass" if uniq else "fail"}
-        except PrismExcluded as exc:
-            verification["uniqueness"] = {"status": "prism-excluded", "detail": str(exc)}
+        verification.update(patch_checks_json(p, sp, sym, tolerance, clock))
     elif vm.vm_centrally_symmetric and vm.vm_facets_symmetric:
         # belts failed but the covering theorem still applies; sample it
         taus = [t.tau for t in sym.facet_pairs]

@@ -15,12 +15,13 @@ the reports.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._backend import Rat, cis_neg, phase_context, rational, to_float
+from ._backend import Rat, cis_neg, phase_context
 from .errors import (
     PreconditionFailed,
     PrismExcluded,
@@ -39,7 +40,7 @@ from .fourier import (
     frequency_from_floats,
 )
 from .geometry import Polytope, memo
-from .linalg import inverse, norm_sq, vdot, vneg
+from .linalg import clear_denominators, inverse, norm_sq, primitive, vdot, vneg
 from .tiling import Lattice, TilingReport, is_prism, lattice_T, venkov_mcmullen
 
 __all__ = [
@@ -64,13 +65,6 @@ __all__ = [
 
 # pair differences are formed and checked this many rows at a time
 _BLOCK = 1 << 15
-
-
-def _cleared(rows):
-    """(den, ints): rational rows as Python-int rows over their common
-    denominator."""
-    den = math.lcm(*(int(c.denominator) for r in rows for c in r))
-    return den, [[int(c.numerator) * (den // int(c.denominator)) for c in r] for r in rows]
 
 
 def _abs_max(a) -> int:
@@ -106,7 +100,7 @@ class SpectrumPatch:
         """
         d = len(self.points[0]) if self.points else 0
         if self.is_exact:
-            den, ints = _cleared(self.points)
+            den, ints = clear_denominators(self.points)
             big = max((abs(c) for q in ints for c in q), default=0)
             a = np.array(ints, dtype=np.int64 if 2 * big <= _INT64_MAX else object)
         else:
@@ -136,17 +130,18 @@ def _separation(points) -> float:
     return best
 
 
-def require_finite_radius(radius, name: str = "patch radius"):
-    """PreconditionFailed for an infinite or NaN float radius."""
-    if isinstance(radius, float) and not math.isfinite(radius):
-        raise PreconditionFailed(f"{name} must be finite, got {radius}")
+def require_finite(x, name: str = "patch radius", non_negative: bool = False):
+    """PreconditionFailed for an infinite or NaN float x (a radius or a
+    tolerance), and with non_negative for x < 0."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise PreconditionFailed(f"{name} must be finite, got {x}")
+    if non_negative and x < 0:
+        raise PreconditionFailed(f"{name} must be non-negative, got {x}")
 
 
 def make_patch(points, window_radius: float) -> SpectrumPatch:
     window_radius = float(window_radius)
-    require_finite_radius(window_radius, "window radius")
-    if window_radius < 0:
-        raise PreconditionFailed(f"window radius must be non-negative, got {window_radius}")
+    require_finite(window_radius, "window radius", non_negative=True)
     pts = tuple(tuple(p) for p in points)
     return SpectrumPatch(points=pts, window_radius=window_radius, separation=_separation(pts))
 
@@ -185,15 +180,10 @@ def decide_spectral(p: Polytope) -> SpectralVerdict:
 
 def patch(lattice: Lattice, radius: float) -> SpectrumPatch:
     """All lattice points in the closed ball of the given radius."""
-    require_finite_radius(radius)
+    require_finite(radius)
     if radius <= 0:
         raise PreconditionFailed("patch radius must be positive")
-    if isinstance(radius, float):
-        from fractions import Fraction
-
-        r = Rat(Fraction(radius))
-    else:
-        r = rational(radius)
+    r = Rat(radius)  # exact, a float included
     pts = lattice.points_in_ball(r * r)
     return make_patch(pts, float(radius))
 
@@ -327,6 +317,7 @@ def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -
     is evaluated again at working precision.  Float patches are snapped coordinate-wise to
     rationals with denominators up to 10^9.
     """
+    require_finite(tol, "tolerance", non_negative=True)
     if len(s) == 0:
         raise PreconditionFailed("empty patch")
     exact = s.is_exact
@@ -335,7 +326,7 @@ def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -
         X, D = U, [den] * len(U)
     else:
         X, D = _integer_rows([frequency_from_floats(d, 10**9) for d in U.tolist()])
-    limit = tol * to_float(p.volume)
+    limit = tol * float(p.volume)
     val, err = _indicator_batch(p, X, D)
     fallbacks = np.flatnonzero(err > FALLBACK_FRACTION * limit)
     _indicator_rows_hp(p, X, D, fallbacks, val, err)
@@ -383,7 +374,7 @@ def verify_density(p: Polytope, s: SpectrumPatch, rel_tol: float = 0.05) -> Dens
         ball = 4.0 / 3.0 * math.pi * r**3
     else:
         ball = 2.0 * r
-    target = to_float(p.volume)
+    target = float(p.volume)
     if ball * target < 100.0:
         raise WindowTooSmall("window holds fewer than ~100 expected points")
     density = len(s) / ball
@@ -424,7 +415,7 @@ def condition_C2_check(s: SpectrumPatch, taus, tol: float = 1e-9) -> C2Report:
     worst = 0.0
     if len(U) and taus:
         if s.is_exact and not any(isinstance(c, float) for t in taus for c in t):
-            tden, T = _cleared(taus)
+            tden, T = clear_denominators(taus)
             m = den * tden
             num = 0
             for lo in range(0, len(U), _BLOCK):
@@ -473,7 +464,7 @@ def uniqueness_check(p: Polytope, s: SpectrumPatch, tol: float = 1e-9) -> bool:
     den, a = s._coords
     delta = a - a[0]
     if s.is_exact:
-        cden, c = _cleared(inverse(dual.basis))
+        cden, c = clear_denominators(inverse(dual.basis))
         return not _matmul_mod(delta, c, den * cden).any()
     bt = np.array([[float(c) for c in row] for row in dual.basis]).T
     k = delta @ np.linalg.inv(bt).T
@@ -525,8 +516,6 @@ def chi_estimate(p: Polytope, extra_directions=(), seed: int = 0) -> float:
     radius found.  This is an upper bound for the true minimal zero radius
     with no optimality guarantee.
     """
-    import random
-
     d = p.dim
     dirs = {tuple(f.normal) for f in p.facets}
     for j in range(d):
@@ -541,8 +530,6 @@ def chi_estimate(p: Polytope, extra_directions=(), seed: int = 0) -> float:
             )
             for v in short:
                 if any(c != 0 for c in v):
-                    from .linalg import primitive
-
                     dirs.add(primitive(v, canonical_sign=True))
     except UnsupportedDimension:
         pass
@@ -550,17 +537,17 @@ def chi_estimate(p: Polytope, extra_directions=(), seed: int = 0) -> float:
     for _ in range(6):
         dirs.add(tuple(rnd.randint(-5, 5) or 1 for _ in range(d)))
     center = p.vertex_centroid
-    vol = to_float(p.volume)
+    vol = float(p.volume)
 
     def centered_re(xi):
         with phase_context():
             val, _ = _walk_at(p, xi)[-1][0]
             shift = cis_neg(-vdot(xi, center))  # e^{+2 pi i <xi, c>}
-            return to_float((shift * val).real), to_float(abs(val))
+            return float((shift * val).real), float(abs(val))
 
     best = math.inf
     min_width = min(
-        to_float(p.support(f.normal) + p.support(vneg(f.normal))) / math.sqrt(to_float(norm_sq(f.normal)))
+        float(p.support(f.normal) + p.support(vneg(f.normal))) / math.sqrt(float(norm_sq(f.normal)))
         for f in p.facets
     )
     for u in sorted(dirs):
@@ -569,17 +556,15 @@ def chi_estimate(p: Polytope, extra_directions=(), seed: int = 0) -> float:
         steps = 96
         prev_t, (prev_g, _) = None, (None, None)
         t = Rat(0)
-        from fractions import Fraction
-
-        step = Rat(Fraction(t_hi / steps).limit_denominator(10**4))
+        step = Rat(t_hi / steps).limit_denominator(10**4)
         for k in range(1, steps + 1):
             t = step * k
-            if to_float(t) * ulen >= best:
+            if float(t) * ulen >= best:
                 break
             xi = tuple(t * c for c in u)
             g, mag = centered_re(xi)
             if mag <= 1e-12 * vol:
-                best = min(best, to_float(t) * ulen)
+                best = min(best, float(t) * ulen)
                 break
             if prev_g is not None and (prev_g < 0 < g or g < 0 < prev_g):
                 lo, hi = prev_t, t
@@ -594,7 +579,7 @@ def chi_estimate(p: Polytope, extra_directions=(), seed: int = 0) -> float:
                         lo, glo = mid, gm
                     else:
                         hi = mid
-                best = min(best, to_float((lo + hi) / 2) * ulen)
+                best = min(best, float((lo + hi) / 2) * ulen)
                 break
             prev_t, prev_g = t, g
     return best

@@ -133,7 +133,7 @@ class Lattice:
         bounds = []
         for row in inv_t:
             b = sqrt_upper(norm_sq(row)) * r_upper
-            bounds.append(int(b.numerator // b.denominator) + 1)
+            bounds.append(b.numerator // b.denominator + 1)
         coeffs = coefficient_box(bounds, "lattice ball enumeration")
         bmat = np.array([[float(c) for c in row] for row in self.basis])
         pts = coeffs @ bmat

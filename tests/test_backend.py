@@ -8,18 +8,15 @@ import pytest
 import spectile
 from spectile import Rat
 from spectile._backend import (
-    BACKEND,
     cis_neg,
     frac_part,
     phase_context,
     precision_bits,
     rational,
     rational_from_float,
-    rat_str,
     sin_pi,
     sqrt_lower,
     sqrt_upper,
-    to_complex,
 )
 
 
@@ -39,7 +36,7 @@ def test_rational_from_float_snaps():
 
 def test_rat_str_roundtrip():
     for q in (Rat(3, 4), Rat(-7, 2), Rat(5), Rat(0)):
-        assert rational(rat_str(q)) == q
+        assert rational(str(q)) == q
 
 
 def test_frac_part():
@@ -63,7 +60,7 @@ def test_cis_reduces_large_arguments():
     # 10^40 + 1/8 reduced exactly: the naive float path would lose the 1/8
     q = Rat(10) ** 40 + Rat(1, 8)
     with phase_context():
-        z = to_complex(cis_neg(q))
+        z = complex(cis_neg(q))
     expect = complex(math.cos(-2 * math.pi / 8), math.sin(-2 * math.pi / 8))
     assert abs(z - expect) < 1e-15
 
@@ -83,40 +80,26 @@ def test_precision_env(monkeypatch):
 
 
 def test_stdlib_backend_importable():
-    # the pure-Python fallback must select and compute the same things
+    # a clean interpreter imports the one backend and computes with it
     code = (
-        "from spectile._backend import BACKEND, Rat, cis_neg, phase_context, to_complex\n"
+        "from spectile._backend import BACKEND, Rat, cis_neg, phase_context\n"
         "assert BACKEND == 'stdlib', BACKEND\n"
         "assert Rat(1, 3) + Rat(1, 6) == Rat(1, 2)\n"
         "with phase_context():\n"
-        "    z = to_complex(cis_neg(Rat(1, 4)))\n"
+        "    z = complex(cis_neg(Rat(1, 4)))\n"
         "assert abs(z - (-1j)) < 1e-15, z\n"
         "print('ok')\n"
     )
-    # the child sees only what it needs: the forced backend, and the
-    # directory holding the spectile package this process imported, so an
-    # uninstalled source checkout works and no other settings leak in
+    # the child sees only what it needs: the directory holding the spectile
+    # package this process imported, so an uninstalled source checkout
+    # works and no other settings leak in
     src_root = Path(spectile.__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"SPECTILE_BACKEND": "stdlib", "PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_root)},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_root)},
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
 
-
-def test_active_backend_is_fast_path_when_available():
-    import os
-
-    forced = os.environ.get("SPECTILE_BACKEND", "auto")
-    if forced != "auto":
-        assert BACKEND == forced
-        return
-    try:
-        import gmpy2  # noqa: F401
-
-        assert BACKEND == "gmpy2"
-    except ImportError:
-        assert BACKEND == "stdlib"

@@ -176,6 +176,45 @@ def test_samples_below_one_exit_2(capsys):
         assert code == 2 and "sample count must be at least 1" in err
 
 
+def test_negative_seed_exit_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "catalog:rhombic-icosahedron", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "seed must be non-negative, got -1" in err
+    code, out, err = run_cli(capsys, "oracle", "catalog:hexagon", "--op", "volume", "--seed", "-1", "--samples", "10")
+    assert code == 2 and out == ""
+    assert "seed must be non-negative, got -1" in err
+
+
+def test_bad_tolerance_exit_2(capsys, tmp_path):
+    # inf would certify any patch, nan and negative values none
+    patch_file = tmp_path / "patch.csv"
+    code, _, _ = run_cli(capsys, "spectrum", "catalog:hexagon", "--radius", "3", "--output", str(patch_file))
+    assert code == 0
+    for tol, message in (("inf", "must be finite, got inf"), ("nan", "must be finite, got nan"), ("-1", "must be non-negative, got -1.0")):
+        for argv in (("analyze", "catalog:hexagon"), ("verify", "catalog:hexagon", "--patch", str(patch_file))):
+            code, out, err = run_cli(capsys, *argv, "--tolerance", tol)
+            assert code == 2 and out == "", (argv, tol)
+            assert f"tolerance {message}" in err
+
+
+def test_verify_reports_the_analyze_check_fields(capsys, tmp_path):
+    patch_file = tmp_path / "patch.csv"
+    code, _, _ = run_cli(capsys, "spectrum", "catalog:hexagon", "--radius", "8", "--output", str(patch_file))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", "catalog:hexagon", "--patch", str(patch_file), "--radius", "8")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["c2_integrality"]["tolerance"] == 1e-9
+    assert rep["density"]["count"] == rep["patch"]["count"]
+    assert rep["density"]["rel_tolerance"] == 0.05
+    # the blocks are the ones analyze writes for the same patch
+    code, out, _ = run_cli(capsys, "analyze", "catalog:hexagon", "--radius", "8")
+    assert code == 0
+    ana = json.loads(out)["verification"]
+    for key in ("orthogonality", "density", "c2_integrality", "uniqueness"):
+        assert rep[key] == ana[key], key
+
+
 def test_non_finite_radius_exit_2(capsys):
     # a tiler builds a patch; a non-tiler (the triangle) builds none, so the
     # radius has to be checked before anything else

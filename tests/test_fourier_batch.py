@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from spectile import Rat, make, zonotope
 from spectile import fourier
-from spectile._backend import cis_neg, phase_context, to_complex
+from spectile._backend import cis_neg, phase_context
 from spectile.fourier import (
     FALLBACK_FRACTION,
     TOL_ZERO,
@@ -38,7 +38,7 @@ rationals = st.builds(Rat, st.integers(-40, 40), st.integers(1, 12))
 def _hp(p, xi):
     with phase_context():
         z, e = _walk_at(p, xi)[-1][0]
-        return to_complex(z), e
+        return complex(z), e
 
 
 @settings(max_examples=25, deadline=None)
@@ -70,7 +70,7 @@ def test_phase_allowance_at_both_precisions():
             ref = complex(mpmath.expjpi(-2 * mpmath.mpf(n) / m))
         assert abs(got - ref) <= _phase_eps(53)
         with phase_context(53):
-            hp53 = to_complex(cis_neg(Rat(n, m)))
+            hp53 = complex(cis_neg(Rat(n, m)))
         assert abs(hp53 - ref) <= _phase_eps(53)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from spectile import Rat
 from spectile.linalg import (
     affine_rank,
     angular_sort,
+    clear_denominators,
     cross3,
     det,
     gram_det,
@@ -42,6 +44,21 @@ def test_rank_affine_rank():
     assert rank([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
     assert affine_rank([(0, 0), (1, 0), (0, 1)]) == 2
     assert affine_rank([(0, 0, 0), (1, 1, 1), (2, 2, 2)]) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.builds(Rat, st.integers(-50, 50), st.integers(1, 40)), min_size=3, max_size=3),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_clear_denominators_is_the_lcm(rows):
+    den, ints = clear_denominators(rows)
+    assert den == math.lcm(*(c.denominator for r in rows for c in r))
+    assert all(type(x) is int for r in ints for x in r)
+    assert [[Rat(x, den) for x in r] for r in ints] == rows
 
 
 def test_primitive():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectile import Rat, from_vertices, oracle, zonotope
-from spectile._backend import sqrt_upper, to_float
+from spectile._backend import sqrt_upper
 from spectile.errors import RankDeficient
 from spectile.fourier import ft_indicator
 from spectile.linalg import hnf_rational, norm_sq
@@ -69,9 +69,7 @@ def _dense_histogram(p, generators, cfg, max_box=None):
     basis = hnf_rational([tuple(Rat(c) for c in g) for g in generators])
     bmat = np.array([[float(c) for c in row] for row in basis])
     samples = np.random.default_rng(cfg.seed).random((cfg.count, p.dim)) @ bmat
-    radius = float(to_float(sqrt_upper(p.diameter_sq))) + float(
-        to_float(sum((sqrt_upper(norm_sq(row)) for row in basis), Rat(0)))
-    )
+    radius = float(sqrt_upper(p.diameter_sq)) + float(sum((sqrt_upper(norm_sq(row)) for row in basis), Rat(0)))
     bounds = [int(np.linalg.norm(row) * radius) + 1 for row in np.linalg.inv(bmat).T]
     if max_box is not None and math.prod(2 * m + 1 for m in bounds) > max_box:
         return None
