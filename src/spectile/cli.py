@@ -62,7 +62,11 @@ def _read_rows(path: str, dim: int, what: str, json_ok: bool = False) -> list:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc.msg} at line {exc.lineno}")
+        if not isinstance(data, list):
+            raise ParseError(f"{path}: expected a JSON list of rows, got {type(data).__name__}")
         for i, row in enumerate(data):
+            if not isinstance(row, list):
+                raise ParseError(f"{path}[{i}]: expected a list of coordinates, got {type(row).__name__}")
             rows.append(tuple(_parse_cell(str(c), f"{path}[{i}]") for c in row))
     else:
         for i, row in enumerate(csv.reader(io.StringIO(text))):

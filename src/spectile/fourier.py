@@ -52,7 +52,7 @@ from ._backend import (
 )
 from .errors import DimensionMismatch, NotStandardPosition, ZeroFrequency
 from .geometry import Polytope, memo
-from .linalg import centroid, clear_denominators, cross3, is_zero_vec, norm_sq, primitive, vdot, vneg, vsub
+from .linalg import INT64_MAX, centroid, clear_denominators, cross3, is_zero_vec, norm_sq, primitive, vdot, vneg, vsub
 
 __all__ = [
     "ComplexValue",
@@ -348,7 +348,6 @@ def _walk_at(p: Polytope, xi, want=((-1, 0),)):
 # their decision with _indicator_rows_hp.
 
 _CHUNK = 256
-_INT64_MAX = 2**63 - 1
 # share of tol * volume above which a row's float64 bound is too coarse to
 # decide zero-set membership, and the row goes to working precision
 FALLBACK_FRACTION = 2.0**-10
@@ -359,7 +358,7 @@ def _fits_int64(g, dim: int, x_max: int, d_max: int) -> bool:
     <X, row> (at most x_max times the row's 1-norm), twice a phase modulus
     D * scale, and |X|^2 |n|^2, which bounds <X, n>^2 as well."""
     largest = max(x_max * g["l1"], 2 * d_max * g["scale"], dim * x_max * x_max * g["normal_sq"])
-    return largest <= _INT64_MAX
+    return largest <= INT64_MAX
 
 
 def _cis(num, mod):

@@ -14,6 +14,10 @@ from ._backend import Rat, ZERO, rational
 Vec = tuple
 Mat = tuple
 
+# the largest int64; integer arrays stay int64 only while their values
+# provably fit under it, and hold Python ints otherwise
+INT64_MAX = 2**63 - 1
+
 
 def vec(*coords) -> Vec:
     return tuple(rational(c) for c in coords)

@@ -14,6 +14,7 @@ the reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -30,7 +31,6 @@ from .errors import (
     WindowTooSmall,
 )
 from .fourier import (
-    _INT64_MAX,
     FALLBACK_FRACTION,
     TOL_ZERO,
     _indicator_batch,
@@ -40,8 +40,8 @@ from .fourier import (
     frequency_from_floats,
 )
 from .geometry import Polytope, memo
-from .linalg import clear_denominators, inverse, norm_sq, primitive, vdot, vneg
-from .tiling import Lattice, TilingReport, is_prism, lattice_T, venkov_mcmullen
+from .linalg import INT64_MAX, clear_denominators, inverse, norm_sq, primitive, vdot, vneg
+from .tiling import Lattice, TilingReport, is_prism, lattice_T, rat_rows, venkov_mcmullen
 
 __all__ = [
     "SpectrumPatch",
@@ -76,9 +76,12 @@ class SpectrumPatch:
     """Finite window of a candidate spectrum.
 
     Points are exact rationals when lattice-derived; user patches may carry
-    floats.  separation is the minimal pairwise distance on the patch.
-    is_exact and the array form of the points (_coords) are computed once
-    per instance, on first use.
+    floats.  separation is the smallest nonzero distance between two
+    points (see _separation).  Derived forms are computed once per
+    instance, on first use, and shared by every check: is_exact, the array
+    form of the points (_coords) and their distinct differences
+    (_differences).  patch() seeds is_exact and _coords from the
+    enumeration's integer rows.
     """
 
     points: tuple
@@ -93,41 +96,144 @@ class SpectrumPatch:
     def _coords(self):
         """(den, A): the points are the rows of A / den.
 
-        An exact patch is cleared by its common denominator into integers:
-        int64 when twice the largest magnitude fits, so that every
-        difference does, and Python ints otherwise.  A float patch gives
-        den 1 and float64 rows, with -0.0 stored as 0.0.  A is read-only.
+        An exact patch is cleared by its common denominator, the lcm of the
+        points' denominators, into integers (see _integer_coords).  A float
+        patch gives den 1 and float64 rows, with -0.0 stored as 0.0.  A is
+        read-only.
         """
         d = len(self.points[0]) if self.points else 0
         if self.is_exact:
             den, ints = clear_denominators(self.points)
-            big = max((abs(c) for q in ints for c in q), default=0)
-            a = np.array(ints, dtype=np.int64 if 2 * big <= _INT64_MAX else object)
-        else:
-            den, a = 1, np.array([[float(c) for c in q] for q in self.points], dtype=float) + 0.0
+            return _integer_coords(den, np.array(ints, dtype=object).reshape(len(self.points), d))
+        a = np.array([[float(c) for c in q] for q in self.points], dtype=float) + 0.0
         a = a.reshape(len(self.points), d)
         a.flags.writeable = False  # shared by every check of the patch
-        return den, a
+        return 1, a
+
+    @cached_property
+    def _differences(self):
+        """(den, U): the distinct differences q_j - q_i (i < j), not
+        +-collapsed, as the rows of U / den in lexicographic order; see
+        _difference_rows.  U is read-only."""
+        den, a = self._coords
+        u = _distinct_differences(a)
+        u.flags.writeable = False
+        return den, u
 
     def __len__(self):
         return len(self.points)
 
 
-def _separation(points) -> float:
-    if len(points) < 2:
-        return math.inf
-    arr = np.array([[float(c) for c in p] for p in points])
+def _integer_coords(den: int, a):
+    """(den, A) for the integer rows a / den of an exact patch: A is int64
+    when twice its largest magnitude fits, so that every difference does,
+    and holds Python ints otherwise.  A is read-only."""
+    a = a.astype(np.int64 if 2 * _abs_max(a) <= INT64_MAX else object)
+    a.flags.writeable = False  # shared by every check of the patch
+    return den, a
+
+
+def _float_rows(points):
+    """The points as float64 rows, float(c) for each coordinate c."""
+    return np.array([[float(c) for c in q] for q in points], dtype=float)
+
+
+def _closest(a, i, j, stop) -> float:
+    """The smallest nonzero squared distance sum((a[i] - a[k])**2) over the
+    pairs i, k with j <= k < stop, inf when there is none; i, j and stop
+    are index arrays, walked one step of k at a time."""
     best = math.inf
-    chunk = 512
-    for i in range(0, len(arr), chunk):
-        block = arr[i : i + chunk]
-        d2 = np.sum((block[:, None, :] - arr[None, i:, :]) ** 2, axis=2)
-        tri = np.triu_indices(block.shape[0], k=1, m=d2.shape[1])
-        offd = d2[tri]
-        offd = offd[offd > 0]
-        if offd.size:
-            best = min(best, float(np.sqrt(offd.min())))
-    return best
+    while True:
+        live = j < stop
+        i, j, stop = i[live], j[live], stop[live]
+        if not len(i):
+            return best
+        d2 = np.sum((a[i] - a[j]) ** 2, axis=-1)
+        d2 = d2[d2 > 0]
+        if d2.size:
+            best = min(best, float(d2.min()))
+        j = j + 1
+
+
+# cells per axis of the _separation grid: the rounding in the cell indices
+# of two rows then adds up to at most 2^19 * 2^-51 = 2.4e-10 of a cell,
+# well inside the 1e-9 margin, and three indices code into one int64
+_GRID = 2**19
+
+
+def _grid(a, h2: float):
+    """(code, forward): one int64 code per row of a, for its cell in the
+    grid of side sqrt(h2) (1 + 1e-9), widened where needed to keep _GRID
+    cells per axis, and the code steps to the (3^d - 1)/2 forward
+    neighbour cells.  Without such a grid (more than three coordinates, or
+    an infinite side) every row gets one code and there are no steps."""
+    n, d = a.shape
+    low = a.min(axis=0)
+    side = max(math.sqrt(h2) * (1 + 1e-9), float((a.max(axis=0) - low).max()) / (_GRID - 3))
+    if d > 3 or not math.isfinite(side):
+        return np.zeros(n, dtype=np.int64), []
+    places = _GRID ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    code = (np.floor((a - low) / side).astype(np.int64) + 1) @ places
+    steps = itertools.product((-1, 0, 1), repeat=d)
+    return code, [int(np.dot(o, places)) for o in steps if o > (0,) * d]
+
+
+def _separation(a) -> float:
+    """The smallest nonzero distance between two rows of the float64 array
+    a, inf when there is none.
+
+    The result equals, bit for bit, the minimum of
+    sqrt(np.sum((a_i - a_j)**2, axis=-1)) over all pairs with a nonzero
+    value, but only pairs that can be closest are evaluated, each with
+    that same arithmetic.  A row with a non-finite coordinate is at
+    distance inf or nan from every row and is dropped first.
+
+    The nearest neighbour of the row closest to the centroid gives an
+    upper bound h (for a lattice ball it is the shortest vector).  The
+    rows go into grid cells of side h (1 + 1e-9), widened where needed to
+    keep _GRID cells per axis, coded as one int64 each, and are sorted by
+    code; while two rows of one cell lie closer than h / 2, their distance
+    becomes h and the grid is made again.  A pair at distance at most h
+    differs by at most h in every coordinate, so its two cells differ by
+    at most one in every index: each row is paired with the later rows of
+    its own cell and with every row of the (3^d - 1)/2 forward neighbour
+    cells, whose rows searchsorted finds; the loop runs over the cell
+    occupancy.  Rows of more than three coordinates, and point sets with
+    no finite h or an overflowing range, share one cell, so that every
+    pair is evaluated; so does, in effect, a cluster much smaller than
+    2^-19 of the set's extent, which fills a single cell.
+
+    scipy.spatial.cKDTree would find the pairs too, but importing it adds
+    about 37 MB of resident memory and 0.57 s to every run.
+    """
+    if len(a) < 2:
+        return math.inf
+    a = a[np.isfinite(a).all(axis=1)]
+    n, d = a.shape
+    if n < 2 or d == 0:
+        return math.inf
+    centre = np.argmin(np.sum((a - a.mean(axis=0)) ** 2, axis=-1))
+    near = np.sum((a - a[centre]) ** 2, axis=-1)
+    h2 = float(near[near > 0].min(initial=math.inf))
+    while True:
+        code, forward = _grid(a, h2)
+        order = np.argsort(code)
+        a, code = a[order], code[order]
+        # rows sharing a cell at less than half of h: a tighter bound, and
+        # smaller cells for a clustered set
+        same = code[1:] == code[:-1]
+        d2 = np.sum((a[1:][same] - a[:-1][same]) ** 2, axis=-1)
+        d2 = float(d2[d2 > 0].min(initial=math.inf))
+        if not 4 * d2 < h2:
+            break
+        h2 = d2
+    rows = np.arange(n)
+    best = _closest(a, rows, rows + 1, np.searchsorted(code, code, "right"))
+    for offset in forward:
+        target = code + offset
+        lo, hi = np.searchsorted(code, target, "left"), np.searchsorted(code, target, "right")
+        best = min(best, _closest(a, rows, lo, hi))
+    return math.sqrt(best)
 
 
 def require_finite(x, name: str = "patch radius", non_negative: bool = False):
@@ -143,7 +249,7 @@ def make_patch(points, window_radius: float) -> SpectrumPatch:
     window_radius = float(window_radius)
     require_finite(window_radius, "window radius", non_negative=True)
     pts = tuple(tuple(p) for p in points)
-    return SpectrumPatch(points=pts, window_radius=window_radius, separation=_separation(pts))
+    return SpectrumPatch(points=pts, window_radius=window_radius, separation=_separation(_float_rows(pts)))
 
 
 def dual_lattice(lattice: Lattice) -> Lattice:
@@ -179,13 +285,24 @@ def decide_spectral(p: Polytope) -> SpectralVerdict:
 
 
 def patch(lattice: Lattice, radius: float) -> SpectrumPatch:
-    """All lattice points in the closed ball of the given radius."""
+    """All lattice points in the closed ball of the given radius.
+
+    The integer rows X / den of the enumeration (Lattice.ball_rows) give
+    the points and, divided by the gcd of den and all their entries, the
+    patch's _coords: den is then the lcm of the points' denominators, as
+    _coords computes it, and the points are not cleared a second time.
+    """
     require_finite(radius)
     if radius <= 0:
         raise PreconditionFailed("patch radius must be positive")
     r = Rat(radius)  # exact, a float included
-    pts = lattice.points_in_ball(r * r)
-    return make_patch(pts, float(radius))
+    den, x = lattice.ball_rows(r * r)  # the origin at least
+    pts = rat_rows(den, x)
+    g = math.gcd(den, *(int(v) for v in np.unique(x)))
+    coords = _integer_coords(den // g, x // g)
+    s = SpectrumPatch(points=pts, window_radius=float(radius), separation=_separation(_float_rows(pts)))
+    s.__dict__.update(is_exact=True, _coords=coords)  # the cached_property slots
+    return s
 
 
 def _unique(a):
@@ -235,37 +352,27 @@ def _radix(a):
     for span in reversed(spans):
         places.insert(0, size)
         size *= 2 * span + 1
-    return (spans, places) if size <= _INT64_MAX else None
+    return (spans, places) if size <= INT64_MAX else None
 
 
-def _difference_rows(s: SpectrumPatch, collapse_sign: bool):
-    """(den, U): the distinct differences q_j - q_i (i < j) of the patch
-    points are the rows of U / den, in lexicographic order.
+def _distinct_differences(a):
+    """The distinct differences a[j] - a[i] (i < j) of the rows of a, as
+    the rows of one array in lexicographic order.
 
-    U has the dtype of the patch's array (see SpectrumPatch._coords).  The
-    pairs are formed one block at a time, offset by offset, and each block
-    is deduplicated before it joins the distinct set, so memory stays
-    bounded by the distinct set plus a few blocks; on a lattice patch the
+    The array has the dtype of a (see SpectrumPatch._coords).  The pairs are
+    formed one block at a time, offset by offset, and each block is
+    deduplicated before it joins the distinct set, so memory stays bounded
+    by the distinct set plus a few blocks; on a lattice patch the
     differences at one offset repeat heavily.  Integer rows are coded as
     single int64 numbers where _radix allows, so that a block sorts as a
-    1-D array; other rows are sorted with np.lexsort.  With collapse_sign,
-    d and -d count once, kept with the first nonzero coordinate positive.
+    1-D array; other rows are sorted with np.lexsort.
     """
-    den, a = s._coords
     radix = _radix(a)
     if radix is not None:
         spans, places = radix
         a = (a - a.min(axis=0)) @ np.array(places, dtype=np.int64)
     distinct, fresh, size = a[:0], [], 0
     for diff in _pair_blocks(a):
-        if collapse_sign and radix is not None:
-            diff = np.abs(diff)  # a code's sign is its row's first nonzero sign
-        elif collapse_sign:
-            first = (diff != 0).argmax(axis=1)
-            neg = diff[np.arange(len(diff)), first] < 0
-            diff[neg] = -diff[neg]
-            if diff.dtype == float:
-                diff += 0.0  # -(0.0) is -0.0, which must count and print as 0.0
         fresh.append(_unique(diff))
         size += len(fresh[-1])
         if size >= max(len(distinct), _BLOCK):
@@ -273,20 +380,56 @@ def _difference_rows(s: SpectrumPatch, collapse_sign: bool):
             fresh, size = [], 0
     distinct = _unique(np.concatenate([distinct, *fresh]))
     if radix is None:
-        return den, distinct
+        return distinct
     rest = distinct + sum(span * place for span, place in zip(spans, places))
     cols = []
     for span, place in zip(spans, places):
         digit, rest = np.divmod(rest, place)
         cols.append(digit - span)
-    return den, np.stack(cols, axis=1).reshape(-1, len(spans))
+    return np.stack(cols, axis=1).reshape(-1, len(spans))
+
+
+def _lex_increasing(a) -> bool:
+    """Whether the rows of a strictly increase lexicographically."""
+    if len(a) < 2:
+        return True
+    ne = a[1:] != a[:-1]
+    if not ne.any(axis=1).all():
+        return False
+    first = ne.argmax(axis=1)
+    rows = np.arange(len(first))
+    return bool((a[1:][rows, first] > a[:-1][rows, first]).all())
+
+
+def _difference_rows(s: SpectrumPatch, collapse_sign: bool):
+    """(den, U): the distinct differences q_j - q_i (i < j) of the patch
+    points are the rows of U / den, in lexicographic order.
+
+    The plain set is computed once per patch (SpectrumPatch._differences).
+    With collapse_sign, d and -d count once, kept with the first nonzero
+    coordinate positive.  When the points strictly increase
+    lexicographically, as every patch() output does, each q_j - q_i is
+    already positive and no -d is in the set, so the collapsed set is the
+    plain one; otherwise it is the plain set with every row sign-normalized
+    and deduplicated.
+    """
+    den, u = s._differences
+    if not collapse_sign or _lex_increasing(s._coords[1]):
+        return den, u
+    u = u.copy()
+    first = (u != 0).argmax(axis=1)
+    neg = u[np.arange(len(u)), first] < 0
+    u[neg] = -u[neg]
+    if u.dtype == float:
+        u += 0.0  # -(0.0) is -0.0, which must count and print as 0.0
+    return den, _unique(u)
 
 
 def _matmul_mod(u, t, m: int):
     """(u @ t) % m for integer arrays u and t, in int64 when no product,
     sum or modulus can overflow, and in Python ints otherwise."""
     t = np.array(t, dtype=object)
-    if u.dtype == object or max(u.shape[1] * _abs_max(u) * _abs_max(t), m) > _INT64_MAX:
+    if u.dtype == object or max(u.shape[1] * _abs_max(u) * _abs_max(t), m) > INT64_MAX:
         return (u.astype(object) @ t) % m
     return (u @ t.astype(np.int64)) % m
 

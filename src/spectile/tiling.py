@@ -23,7 +23,9 @@ from ._backend import Rat, ZERO, sqrt_upper
 from .errors import NotALattice, NotATiler, PreconditionFailed
 from .geometry import Polytope, memo
 from .linalg import (
+    INT64_MAX,
     angular_sort,
+    clear_denominators,
     cross3,
     det,
     hnf_rational,
@@ -119,38 +121,58 @@ class Lattice:
         k = self.coords(point)
         return k is not None and all(c.denominator == 1 for c in k)
 
-    def points_in_ball(self, radius_sq, strict: bool = False) -> tuple:
-        """All lattice points x with |x|^2 <= radius_sq (< when strict).
+    def ball_rows(self, radius_sq, strict: bool = False):
+        """(den, X): the lattice points x with |x|^2 <= radius_sq (< when
+        strict) are the rows of the integer array X / den, in
+        lexicographic order.
 
-        A float prefilter with a generous margin trims the coefficient
-        box; every surviving candidate is then confirmed by the exact
-        rational norm test, so the result does not depend on float
-        rounding.
+        The test is exact on the integer Gram form (Fincke-Pohst, without
+        the pruning).  With the basis cleared to integer rows Bi / den
+        (linalg.clear_denominators), a point is x = k Bi / den for an
+        integer coefficient vector k, and |x|^2 <= R^2 reads
+        k G k^T <= R^2 den^2 with G = Bi Bi^T.  The left side is an integer,
+        so each k of the coefficient box (coefficient_box, bounded by the
+        dual row norms) is kept when k G k^T <= floor(R^2 den^2), or
+        < ceil(R^2 den^2) when strict; no float prefilter is involved.
+        Integer rows over one positive den sort as the points do, so
+        np.lexsort orders X = k Bi.  The arithmetic is int64 when
+        (sum b_i)^2 d max|Bi|^2, which bounds every k G k^T, every entry
+        of X and every partial sum formed, fits, and on Python ints
+        otherwise: slower on an adversarial basis, never wrong.
         """
         d = self.dim
         inv_t = transpose(inverse(self.basis))
-        r_upper = sqrt_upper(Rat(radius_sq))
+        r_sq = Rat(radius_sq)
+        r_upper = sqrt_upper(r_sq)
         bounds = []
         for row in inv_t:
             b = sqrt_upper(norm_sq(row)) * r_upper
             bounds.append(b.numerator // b.denominator + 1)
         coeffs = coefficient_box(bounds, "lattice ball enumeration")
-        bmat = np.array([[float(c) for c in row] for row in self.basis])
-        pts = coeffs @ bmat
-        r_f = float(r_upper)
-        margin = 1e-7 * (1.0 + r_f + float(np.abs(pts).max(initial=0.0)))
-        near = np.sum(pts * pts, axis=1) <= (r_f + margin) ** 2
-        out = []
-        for coeff in coeffs[near]:
-            x = tuple(
-                sum((int(k) * self.basis[i][j] for i, k in enumerate(coeff)), ZERO)
-                for j in range(d)
-            )
-            n2 = norm_sq(x)
-            if (n2 < radius_sq) if strict else (n2 <= radius_sq):
-                out.append(x)
-        out.sort()
-        return tuple(out)
+        den, bi = clear_denominators(self.basis)
+        big = max(abs(c) for row in bi for c in row)
+        dtype = np.int64 if sum(bounds) ** 2 * d * big * big <= INT64_MAX else object
+        basis = np.array(bi, dtype=dtype)
+        k = coeffs.astype(dtype)
+        norms = ((k @ (basis @ basis.T)) * k).sum(axis=1)
+        limit = r_sq * den * den
+        keep = norms < math.ceil(limit) if strict else norms <= math.floor(limit)
+        x = k[keep] @ basis
+        return den, x[np.lexsort(x.T[::-1])]
+
+    def points_in_ball(self, radius_sq, strict: bool = False) -> tuple:
+        """All lattice points x with |x|^2 <= radius_sq (< when strict), as
+        tuples of Rat in lexicographic order: the rows of ball_rows."""
+        return rat_rows(*self.ball_rows(radius_sq, strict))
+
+
+def rat_rows(den: int, x) -> tuple:
+    """The rows of the integer array x / den as tuples of Rat; each
+    distinct entry becomes one Rat, shared by every row that holds it."""
+    values, where = np.unique(x, return_inverse=True)
+    rats = np.empty(len(values), dtype=object)
+    rats[:] = [Rat(int(v), den) for v in values]
+    return tuple(map(tuple, rats[where.reshape(x.shape)].tolist()))
 
 
 # --- belts ------------------------------------------------------------------

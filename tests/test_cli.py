@@ -100,6 +100,17 @@ def test_fourier_json_frequencies(capsys, tmp_path):
     assert len(rows) == 3
 
 
+def test_fourier_json_frequencies_not_rows_exit_2(capsys, tmp_path):
+    # a row that is not a list, and top-level data that is not a list, are
+    # parse errors naming the file (and the row), not tracebacks
+    freq_file = tmp_path / "freqs.json"
+    for data, where in (([1, 2], "[0]"), ({"a": 1}, ": "), (5, ": ")):
+        freq_file.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "fourier", "catalog:hexagon", "--frequencies", str(freq_file))
+        assert code == 2 and out == ""
+        assert f"{freq_file}{where}" in err
+
+
 def test_spectrum_patch_csv(capsys, tmp_path):
     out_file = tmp_path / "patch.csv"
     code, out, _ = run_cli(capsys, "spectrum", "catalog:hexagon", "--radius", "3", "--output", str(out_file))
@@ -440,3 +451,22 @@ def test_python_dash_m_spectile():
     )
     assert out.returncode == 0, out.stderr
     assert "cube" in json.loads(out.stdout)
+
+
+def test_imports_leave_scipy_out():
+    # scipy is no dependency; importing it would add about 37 MB of resident
+    # memory and half a second of start-up to every run
+    src_root = Path(spectile.__file__).resolve().parents[1]
+    names = sorted(p.stem for p in Path(spectile.__file__).parent.glob("*.py") if p.stem != "__main__")
+    code = "import importlib, sys\n"
+    code += "".join(f"importlib.import_module('spectile.{n}')\n" for n in names if n != "__init__")
+    code += "import spectile\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_root)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    assert len(names) > 10  # every module was imported

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectile import AffineMap, Rat
+from spectile import AffineMap, Rat, make, spectrum
 from spectile.catalog import prism
 from spectile.errors import (
     PreconditionFailed,
@@ -17,11 +17,13 @@ from spectile.errors import (
     WindowTooSmall,
 )
 from spectile._backend import frac_part
-from spectile.linalg import det
+from spectile.linalg import clear_denominators, det
 from spectile.spectrum import (
     PrismSpectrumSpec,
     SpectrumPatch,
     _difference_rows,
+    _float_rows,
+    _separation,
     chi_estimate,
     condition_C2_check,
     decide_spectral,
@@ -201,6 +203,41 @@ def test_difference_set_and_c2_match_brute_force_float(pts, collapse_sign, tau_r
         rep = condition_C2_check(sp, taus)
         assert rep.max_distance_to_integer == _brute_c2(pts, taus)
         assert rep.num_differences == len(_brute_differences(pts, False))
+
+
+@settings(max_examples=30, deadline=None)
+@given(exact_patches(), st.randoms(use_true_random=False))
+def test_collapsed_set_derived_from_plain_set(patch_and_dim, rnd):
+    pts, _ = patch_and_dim
+    ordered = sorted(set(pts))
+    shuffled = list(ordered)
+    rnd.shuffle(shuffled)
+    for q in (ordered, shuffled):
+        sp = SpectrumPatch(points=tuple(q), window_radius=1.0, separation=0.0)
+        assert _rat_rows(sp, True) == _brute_differences(q, True)
+        assert _rat_rows(sp, False) == _brute_differences(q, False)
+    # strictly increasing points: the collapsed set is the plain set itself
+    sp = SpectrumPatch(points=tuple(ordered), window_radius=1.0, separation=0.0)
+    assert _difference_rows(sp, True)[1] is sp._differences[1]
+
+
+def test_analyze_walks_the_pairs_once(monkeypatch):
+    # orthogonality and C2 share one difference set per patch
+    from spectile.report import analyze
+
+    walks = []
+    pair_blocks = spectrum._pair_blocks
+
+    def counted(a):
+        walks.append(len(a))
+        return pair_blocks(a)
+
+    monkeypatch.setattr(spectrum, "_pair_blocks", counted)
+    for name in ("hexagon", "truncated-octahedron"):
+        walks.clear()
+        rep = analyze(make(name), radius=2.0)
+        assert rep["verification"]["c2_integrality"]["passed"]
+        assert walks == [rep["verification"]["patch"]["count"]]
 
 
 def test_c2_empty_and_single_point_patches():
@@ -454,3 +491,83 @@ def test_patch_rejects_bad_radius():
     z2 = Lattice.from_generators([(1, 0), (0, 1)])
     with pytest.raises(PreconditionFailed):
         patch(z2, 0.0)
+
+
+def _separation_reference(points) -> float:
+    """The O(n^2) loop _separation replaced: every pair, 512 rows at a time."""
+    if len(points) < 2:
+        return math.inf
+    arr = np.array([[float(c) for c in p] for p in points])
+    best = math.inf
+    chunk = 512
+    for i in range(0, len(arr), chunk):
+        block = arr[i : i + chunk]
+        d2 = np.sum((block[:, None, :] - arr[None, i:, :]) ** 2, axis=2)
+        tri = np.triu_indices(block.shape[0], k=1, m=d2.shape[1])
+        offd = d2[tri]
+        offd = offd[offd > 0]
+        if offd.size:
+            best = min(best, float(np.sqrt(offd.min())))
+    return best
+
+
+@st.composite
+def separation_inputs(draw):
+    """Exact or float points in 1 to 3 dimensions, with duplicates and, next
+    to the spread points, tight clusters."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    exact = draw(st.booleans())
+    pts = draw(st.lists(st.tuples(*[fractions if exact else floats] * d), max_size=40))
+    if pts and draw(st.booleans()):
+        k = draw(st.sampled_from([3, 7, 12]))
+        scale = Fraction(1, 10**k) if exact else 10.0**-k
+        steps = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=40))
+        pts += [tuple(c + s * scale for c, s in zip(pts[0], step)) for step in steps]
+    if pts and draw(st.booleans()):
+        pts += draw(st.lists(st.sampled_from(pts), max_size=6))
+    return draw(st.permutations(pts))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(max_examples=150, deadline=None)
+@example([])
+@example([(Rat(1, 3), Rat(2))])
+@example([(0.5, -0.0, 1.0)] * 5)
+@example([(0.0,), (1e-170,), (-1e-170,)])  # squares that underflow to 0 or a subnormal
+@example([(0.0, 0.0), (1e200, 0.0), (1e200, 1e185)])  # squares that overflow
+@example([(1e308, 0.0), (-1e308, 0.0), (0.0, 1.0)])  # a range that overflows
+@example([(math.nan, 0.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, 0.0), (0.0, 0.5)])
+@given(separation_inputs())
+def test_separation_matches_the_pair_loop(pts):
+    expected = _separation_reference(pts)
+    got = _separation(_float_rows(pts))
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+    assert make_patch(pts, 1.0).separation == expected
+
+
+def test_separation_of_lattice_patches(hexagon, truncated_octahedron):
+    shift = np.array([math.sqrt(2), math.sqrt(3)]) / 7
+    for p, radius in ((hexagon, 5.0), (truncated_octahedron, 3.0)):
+        sp = patch(dual_lattice(lattice_T(p)), radius)
+        assert sp.separation == _separation_reference(sp.points)
+        floats = [tuple(float(c) + s for c, s in zip(q, shift)) for q in sp.points]
+        assert make_patch(floats, radius).separation == _separation_reference(floats)
+        shift = np.array([math.sqrt(2), math.sqrt(3), math.sqrt(5)]) / 7
+    # a cluster 1e-6 across next to spread points
+    rng = np.random.default_rng(5)
+    cluster = np.vstack([rng.random((300, 3)) * 1e-6, rng.random((500, 3))])
+    assert _separation(cluster) == _separation_reference(cluster.tolist())
+
+
+def test_patch_coords_are_the_cleared_points():
+    huge = Lattice.from_generators([(1 + Rat(1, 2**31 - 1), 0, 0), (0, 1 + Rat(1, 2**31), 0), (0, 0, 1)])
+    lattices = [dual_lattice(lattice_T(make(name))) for name in ("hexagon", "cube", "rhombic-dodecahedron")]
+    for lattice, radius in [(lat, r) for lat in lattices for r in (0.5, 2.0)] + [(huge, 2.5)]:
+        sp = patch(lattice, radius)
+        den, a = sp._coords
+        fresh = SpectrumPatch(points=sp.points, window_radius=radius, separation=sp.separation)
+        assert sp.is_exact and fresh.is_exact
+        assert fresh._coords[0] == den == clear_denominators(sp.points)[0]
+        assert a.dtype == fresh._coords[1].dtype and not a.flags.writeable
+        assert np.array_equal(a, fresh._coords[1])
+    assert a.dtype == object  # twice the largest cleared entry overflows int64

@@ -1,13 +1,15 @@
+import itertools
+import math
 import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectile import AffineMap, Rat, from_vertices, geometry, make, tiling, zonotope
 from spectile.errors import NotATiler, NotFullDimensional, PreconditionFailed
-from spectile.linalg import det, vadd, vsub
+from spectile.linalg import det, inverse, norm_sq, transpose, vadd, vsub
 from spectile.tiling import (
     FEDOROV_TABLE,
     FedorovClass,
@@ -126,6 +128,66 @@ def test_points_in_ball():
     assert len(z2.points_in_ball(Rat(9, 4))) == 9
     z3 = Lattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert len(z3.points_in_ball(Rat(1))) == 7
+
+
+def _ball_brute_force(lattice, radius_sq, strict=False):
+    """The lattice points in the ball by Fraction arithmetic over a box of
+    coefficients |k_i| <= R |b*_i| + 1, b*_i the dual rows, sorted."""
+    dual = transpose(inverse(lattice.basis))
+    box = [int(math.sqrt(float(radius_sq) * float(norm_sq(row)))) + 1 for row in dual]
+    out = []
+    for k in itertools.product(*[range(-b, b + 1) for b in box]):
+        x = tuple(sum((c * row[j] for c, row in zip(k, lattice.basis)), Rat(0)) for j in range(lattice.dim))
+        if (norm_sq(x) < radius_sq) if strict else (norm_sq(x) <= radius_sq):
+            out.append(x)
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("name", ["hexagon", "cube", "hexagonal-prism", "truncated-octahedron"])
+def test_points_in_ball_match_fraction_brute_force_on_catalog_duals(name):
+    dual = lattice_T(make(name)).dual()
+    for radius_sq in (Rat(1), Rat(9, 4), Rat(4)):
+        for strict in (False, True):
+            got = dual.points_in_ball(radius_sq, strict)
+            assert got == _ball_brute_force(dual, radius_sq, strict)
+            assert all(isinstance(c, Rat) for x in got for c in x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.builds(Rat, st.integers(-6, 6), st.integers(1, 5))] * d), min_size=d, max_size=d
+        )
+    ),
+    st.builds(Rat, st.integers(0, 8), st.integers(1, 3)),
+    st.booleans(),
+)
+def test_points_in_ball_match_fraction_brute_force_random_bases(gens, radius_sq, strict):
+    assume(det(gens) != 0)
+    lattice = Lattice.from_generators(gens)
+    assert lattice.points_in_ball(radius_sq, strict) == _ball_brute_force(lattice, radius_sq, strict)
+
+
+def test_points_in_ball_on_the_sphere_strict_and_not():
+    z3 = Lattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert len(z3.points_in_ball(1)) == 7
+    assert z3.points_in_ball(1, strict=True) == ((0, 0, 0),)
+    # a rational radius exactly on lattice points of norm 1/4 + 1/9
+    skew = Lattice.from_generators([(Rat(1, 2), 0), (0, Rat(1, 3))])
+    for strict in (False, True):
+        assert skew.points_in_ball(Rat(13, 36), strict) == _ball_brute_force(skew, Rat(13, 36), strict)
+
+
+def test_points_in_ball_python_int_path():
+    # denominators near 2^31 put the Gram bound (sum b_i)^2 d max|Bi|^2 far
+    # past int64: the enumeration runs on Python ints and agrees
+    p, q = 2**31 - 1, 2**31
+    lattice = Lattice.from_generators([(1 + Rat(1, p), 0, 0), (0, 1 + Rat(1, q), 0), (0, 0, 1)])
+    den, x = lattice.ball_rows(Rat(5))
+    assert den == p * q and x.dtype == object
+    assert lattice.points_in_ball(Rat(5)) == _ball_brute_force(lattice, Rat(5))
+    assert lattice.points_in_ball(Rat(5), strict=True) == _ball_brute_force(lattice, Rat(5), strict=True)
 
 
 def test_packing(cube, hexagon, truncated_octahedron):
