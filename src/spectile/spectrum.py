@@ -41,7 +41,7 @@ from .fourier import (
 )
 from .geometry import Polytope, memo
 from .linalg import INT64_MAX, clear_denominators, inverse, norm_sq, primitive, vdot, vneg
-from .tiling import Lattice, TilingReport, is_prism, lattice_T, rat_rows, venkov_mcmullen
+from .tiling import Lattice, TilingReport, is_prism, lattice_T, venkov_mcmullen
 
 __all__ = [
     "SpectrumPatch",
@@ -80,8 +80,7 @@ class SpectrumPatch:
     points (see _separation).  Derived forms are computed once per
     instance, on first use, and shared by every check: is_exact, the array
     form of the points (_coords) and their distinct differences
-    (_differences).  patch() seeds is_exact and _coords from the
-    enumeration's integer rows.
+    (_differences).
     """
 
     points: tuple
@@ -96,19 +95,21 @@ class SpectrumPatch:
     def _coords(self):
         """(den, A): the points are the rows of A / den.
 
-        An exact patch is cleared by its common denominator, the lcm of the
-        points' denominators, into integers (see _integer_coords).  A float
-        patch gives den 1 and float64 rows, with -0.0 stored as 0.0.  A is
-        read-only.
+        An exact patch is cleared by its common denominator into integers:
+        int64 when twice the largest magnitude fits, so that every
+        difference does, and Python ints otherwise.  A float patch gives
+        den 1 and float64 rows, with -0.0 stored as 0.0.  A is read-only.
         """
         d = len(self.points[0]) if self.points else 0
         if self.is_exact:
             den, ints = clear_denominators(self.points)
-            return _integer_coords(den, np.array(ints, dtype=object).reshape(len(self.points), d))
-        a = np.array([[float(c) for c in q] for q in self.points], dtype=float) + 0.0
+            big = max((abs(c) for q in ints for c in q), default=0)
+            a = np.array(ints, dtype=np.int64 if 2 * big <= INT64_MAX else object)
+        else:
+            den, a = 1, np.array([[float(c) for c in q] for q in self.points], dtype=float) + 0.0
         a = a.reshape(len(self.points), d)
         a.flags.writeable = False  # shared by every check of the patch
-        return 1, a
+        return den, a
 
     @cached_property
     def _differences(self):
@@ -122,15 +123,6 @@ class SpectrumPatch:
 
     def __len__(self):
         return len(self.points)
-
-
-def _integer_coords(den: int, a):
-    """(den, A) for the integer rows a / den of an exact patch: A is int64
-    when twice its largest magnitude fits, so that every difference does,
-    and holds Python ints otherwise.  A is read-only."""
-    a = a.astype(np.int64 if 2 * _abs_max(a) <= INT64_MAX else object)
-    a.flags.writeable = False  # shared by every check of the patch
-    return den, a
 
 
 def _float_rows(points):
@@ -188,20 +180,21 @@ def _separation(a) -> float:
     that same arithmetic.  A row with a non-finite coordinate is at
     distance inf or nan from every row and is dropped first.
 
-    The nearest neighbour of the row closest to the centroid gives an
-    upper bound h (for a lattice ball it is the shortest vector).  The
-    rows go into grid cells of side h (1 + 1e-9), widened where needed to
+    The nearest neighbour of the row closest to the centroid gives h2, the
+    computed squared distance of a real pair, so the result is at most
+    sqrt(h2) (for a lattice ball it is the shortest vector).  The rows go
+    into grid cells of side sqrt(h2) (1 + 1e-9), widened where needed to
     keep _GRID cells per axis, coded as one int64 each, and are sorted by
-    code; while two rows of one cell lie closer than h / 2, their distance
-    becomes h and the grid is made again.  A pair at distance at most h
-    differs by at most h in every coordinate, so its two cells differ by
-    at most one in every index: each row is paired with the later rows of
-    its own cell and with every row of the (3^d - 1)/2 forward neighbour
-    cells, whose rows searchsorted finds; the loop runs over the cell
-    occupancy.  Rows of more than three coordinates, and point sets with
-    no finite h or an overflowing range, share one cell, so that every
-    pair is evaluated; so does, in effect, a cluster much smaller than
-    2^-19 of the set's extent, which fills a single cell.
+    code.  Rounding is monotone, so a pair whose computed squared distance
+    is below h2 has every computed squared coordinate difference below
+    h2, subnormals included; its two cells then differ by at most one in
+    every index.  Each row is paired with the later rows of its own cell
+    and with every row of the (3^d - 1)/2 forward neighbour cells, whose
+    rows searchsorted finds; the loop runs over the cell occupancy.  Rows
+    of more than three coordinates, and point sets with no finite h2 or an
+    overflowing range, share one cell, so that every pair is evaluated; so
+    does, in effect, a cluster much smaller than the grid's cells, which
+    is correct but walks the cluster's pairs.
 
     scipy.spatial.cKDTree would find the pairs too, but importing it adds
     about 37 MB of resident memory and 0.57 s to every run.
@@ -215,20 +208,11 @@ def _separation(a) -> float:
     centre = np.argmin(np.sum((a - a.mean(axis=0)) ** 2, axis=-1))
     near = np.sum((a - a[centre]) ** 2, axis=-1)
     h2 = float(near[near > 0].min(initial=math.inf))
-    while True:
-        code, forward = _grid(a, h2)
-        order = np.argsort(code)
-        a, code = a[order], code[order]
-        # rows sharing a cell at less than half of h: a tighter bound, and
-        # smaller cells for a clustered set
-        same = code[1:] == code[:-1]
-        d2 = np.sum((a[1:][same] - a[:-1][same]) ** 2, axis=-1)
-        d2 = float(d2[d2 > 0].min(initial=math.inf))
-        if not 4 * d2 < h2:
-            break
-        h2 = d2
+    code, forward = _grid(a, h2)
+    order = np.argsort(code)
+    a, code = a[order], code[order]
     rows = np.arange(n)
-    best = _closest(a, rows, rows + 1, np.searchsorted(code, code, "right"))
+    best = min(h2, _closest(a, rows, rows + 1, np.searchsorted(code, code, "right")))
     for offset in forward:
         target = code + offset
         lo, hi = np.searchsorted(code, target, "left"), np.searchsorted(code, target, "right")
@@ -285,24 +269,12 @@ def decide_spectral(p: Polytope) -> SpectralVerdict:
 
 
 def patch(lattice: Lattice, radius: float) -> SpectrumPatch:
-    """All lattice points in the closed ball of the given radius.
-
-    The integer rows X / den of the enumeration (Lattice.ball_rows) give
-    the points and, divided by the gcd of den and all their entries, the
-    patch's _coords: den is then the lcm of the points' denominators, as
-    _coords computes it, and the points are not cleared a second time.
-    """
+    """All lattice points in the closed ball of the given radius."""
     require_finite(radius)
     if radius <= 0:
         raise PreconditionFailed("patch radius must be positive")
     r = Rat(radius)  # exact, a float included
-    den, x = lattice.ball_rows(r * r)  # the origin at least
-    pts = rat_rows(den, x)
-    g = math.gcd(den, *(int(v) for v in np.unique(x)))
-    coords = _integer_coords(den // g, x // g)
-    s = SpectrumPatch(points=pts, window_radius=float(radius), separation=_separation(_float_rows(pts)))
-    s.__dict__.update(is_exact=True, _coords=coords)  # the cached_property slots
-    return s
+    return make_patch(lattice.points_in_ball(r * r), float(radius))
 
 
 def _unique(a):
@@ -389,32 +361,17 @@ def _distinct_differences(a):
     return np.stack(cols, axis=1).reshape(-1, len(spans))
 
 
-def _lex_increasing(a) -> bool:
-    """Whether the rows of a strictly increase lexicographically."""
-    if len(a) < 2:
-        return True
-    ne = a[1:] != a[:-1]
-    if not ne.any(axis=1).all():
-        return False
-    first = ne.argmax(axis=1)
-    rows = np.arange(len(first))
-    return bool((a[1:][rows, first] > a[:-1][rows, first]).all())
-
-
 def _difference_rows(s: SpectrumPatch, collapse_sign: bool):
     """(den, U): the distinct differences q_j - q_i (i < j) of the patch
     points are the rows of U / den, in lexicographic order.
 
     The plain set is computed once per patch (SpectrumPatch._differences).
     With collapse_sign, d and -d count once, kept with the first nonzero
-    coordinate positive.  When the points strictly increase
-    lexicographically, as every patch() output does, each q_j - q_i is
-    already positive and no -d is in the set, so the collapsed set is the
-    plain one; otherwise it is the plain set with every row sign-normalized
-    and deduplicated.
+    coordinate positive: the plain set with every row sign-normalized and
+    deduplicated.
     """
     den, u = s._differences
-    if not collapse_sign or _lex_increasing(s._coords[1]):
+    if not collapse_sign or not len(u):
         return den, u
     u = u.copy()
     first = (u != 0).argmax(axis=1)

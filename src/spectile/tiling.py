@@ -121,10 +121,9 @@ class Lattice:
         k = self.coords(point)
         return k is not None and all(c.denominator == 1 for c in k)
 
-    def ball_rows(self, radius_sq, strict: bool = False):
-        """(den, X): the lattice points x with |x|^2 <= radius_sq (< when
-        strict) are the rows of the integer array X / den, in
-        lexicographic order.
+    def points_in_ball(self, radius_sq, strict: bool = False) -> tuple:
+        """All lattice points x with |x|^2 <= radius_sq (< when strict), as
+        tuples of Rat in lexicographic order.
 
         The test is exact on the integer Gram form (Fincke-Pohst, without
         the pruning).  With the basis cleared to integer rows Bi / den
@@ -138,7 +137,9 @@ class Lattice:
         np.lexsort orders X = k Bi.  The arithmetic is int64 when
         (sum b_i)^2 d max|Bi|^2, which bounds every k G k^T, every entry
         of X and every partial sum formed, fits, and on Python ints
-        otherwise: slower on an adversarial basis, never wrong.
+        otherwise: slower on an adversarial basis, never wrong.  Each
+        distinct entry of X becomes one Rat, shared by every point that
+        holds it.
         """
         d = self.dim
         inv_t = transpose(inverse(self.basis))
@@ -158,21 +159,11 @@ class Lattice:
         limit = r_sq * den * den
         keep = norms < math.ceil(limit) if strict else norms <= math.floor(limit)
         x = k[keep] @ basis
-        return den, x[np.lexsort(x.T[::-1])]
-
-    def points_in_ball(self, radius_sq, strict: bool = False) -> tuple:
-        """All lattice points x with |x|^2 <= radius_sq (< when strict), as
-        tuples of Rat in lexicographic order: the rows of ball_rows."""
-        return rat_rows(*self.ball_rows(radius_sq, strict))
-
-
-def rat_rows(den: int, x) -> tuple:
-    """The rows of the integer array x / den as tuples of Rat; each
-    distinct entry becomes one Rat, shared by every row that holds it."""
-    values, where = np.unique(x, return_inverse=True)
-    rats = np.empty(len(values), dtype=object)
-    rats[:] = [Rat(int(v), den) for v in values]
-    return tuple(map(tuple, rats[where.reshape(x.shape)].tolist()))
+        x = x[np.lexsort(x.T[::-1])]
+        values, where = np.unique(x, return_inverse=True)
+        rats = np.empty(len(values), dtype=object)
+        rats[:] = [Rat(int(v), den) for v in values]
+        return tuple(map(tuple, rats[where.reshape(x.shape)].tolist()))
 
 
 # --- belts ------------------------------------------------------------------

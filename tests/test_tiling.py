@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spectile import AffineMap, Rat, from_vertices, geometry, make, tiling, zonotope
 from spectile.errors import NotATiler, NotFullDimensional, PreconditionFailed
-from spectile.linalg import det, inverse, norm_sq, transpose, vadd, vsub
+from spectile.linalg import INT64_MAX, clear_denominators, det, inverse, norm_sq, transpose, vadd, vsub
 from spectile.tiling import (
     FEDOROV_TABLE,
     FedorovClass,
@@ -184,8 +184,8 @@ def test_points_in_ball_python_int_path():
     # past int64: the enumeration runs on Python ints and agrees
     p, q = 2**31 - 1, 2**31
     lattice = Lattice.from_generators([(1 + Rat(1, p), 0, 0), (0, 1 + Rat(1, q), 0), (0, 0, 1)])
-    den, x = lattice.ball_rows(Rat(5))
-    assert den == p * q and x.dtype == object
+    den, bi = clear_denominators(lattice.basis)
+    assert den == p * q and 3 * max(abs(c) for row in bi for c in row) ** 2 > INT64_MAX
     assert lattice.points_in_ball(Rat(5)) == _ball_brute_force(lattice, Rat(5))
     assert lattice.points_in_ball(Rat(5), strict=True) == _ball_brute_force(lattice, Rat(5), strict=True)
 
