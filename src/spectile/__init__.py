@@ -8,9 +8,11 @@ density, integrality and uniqueness on finite patches.
 """
 
 __version__ = "0.1.0"
+# the arithmetic named in every report's tool block: stdlib Fraction
+BACKEND = "stdlib"
 
-from ._backend import BACKEND, Rat, precision_bits, rational
 from .errors import SpectileError
+from .linalg import Rat, rational
 from .geometry import AffineMap, Polytope, from_halfspaces, from_vertices, zonotope
 from .symmetry import (
     center_of_symmetry,
@@ -40,6 +42,7 @@ from .fourier import (
     ft_surface,
     ft_with_boundary,
     ft_zero,
+    precision_bits,
 )
 from .spectrum import (
     PrismSpectrumSpec,

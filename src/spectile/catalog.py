@@ -27,9 +27,9 @@ from __future__ import annotations
 import json
 from itertools import permutations, product
 
-from ._backend import Rat, rational
 from .errors import ParseError
 from .geometry import AffineMap, Polytope, from_halfspaces, from_vertices, zonotope
+from .linalg import Rat, rational
 
 __all__ = [
     "CATALOG_NAMES",

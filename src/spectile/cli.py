@@ -3,7 +3,9 @@
 Subcommands: analyze, fourier, spectrum, verify, classify, export, oracle,
 catalog.  Exit codes: 0 the run completed (verdicts live in the JSON
 output, not in exit codes), 2 input error, 3 internal invariant violation.
-Phase precision is controlled by SPECTILE_PRECISION_BITS (default 128).
+Transform values are computed at 128 bits (fourier.precision_bits()); the
+orthogonality checks of analyze and verify raise the precision of a
+difference while its error bound is too coarse to decide.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import json
 import sys
 
 from . import __version__
-from ._backend import Rat
 from .catalog import CATALOG_NAMES, make, resolve_input
 from .errors import NotATiler, ParseError, PreconditionFailed, SpectileError
 from .fourier import TOL_ZERO, ft_indicator
+from .linalg import Rat
 from .oracle import SampleConfig, mc_volume, multiplicity_sample, simplex_ft
 from .report import DEFAULT_RADIUS, DEFAULT_SAMPLES, DEFAULT_SEED, analyze, patch_checks_json
 from .spectrum import decide_spectral, make_patch, patch, require_finite

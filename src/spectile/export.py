@@ -4,10 +4,9 @@ parity of the sum of lattice coordinates)."""
 
 from __future__ import annotations
 
-from ._backend import rational_from_float
 from .errors import FormatDimensionMismatch
 from .geometry import Polytope
-from .linalg import vadd
+from .linalg import rational_from_float, vadd
 from .tiling import Lattice
 
 __all__ = ["export_svg", "export_obj", "nearest_lattice_translates"]

@@ -19,12 +19,14 @@ The recursion runs as a level walk over one memoized integer face
 geometry: vertices, then edges (3D), facets and the body, each level
 combining the values of the one below.  The walk has two arithmetics.
 Values (ft_indicator, ft_surface, ft_with_boundary, asymptotic_cone_check)
-come from _walk_hp at SPECTILE_PRECISION_BITS working precision (default
-128); the facet level is the surface transforms and the body the
-indicator.  Decisions over many frequencies (spectrum.verify_orthogonality,
-decay_bound_check) go through the float64 batch kernel on integer-scaled
-frequencies, a floating-point filter: a frequency whose float64 bound is
-too coarse to decide is walked again at working precision.
+come from _walk_hp in mpmath at a working precision of 128 bits
+(precision_bits()); the facet level is the surface transforms and the
+body the indicator.  Decisions over many frequencies
+(spectrum.verify_orthogonality, decay_bound_check) go through the float64
+batch kernel on integer-scaled frequencies, a floating-point filter: a
+frequency whose float64 bound is too coarse to decide is walked again at
+working precision, and again at 256, 512 and 1024 bits while its bound
+stays too coarse.
 """
 
 from __future__ import annotations
@@ -32,29 +34,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
-from ._backend import (
-    Rat,
-    ZERO,
-    cis_neg,
-    hp_complex,
-    hp_pi,
-    hp_real,
-    hp_sqrt,
-    phase_context,
-    precision_bits,
-    rational,
-    rational_from_float,
-    sin_pi,
-    sqrt_lower,
-    sqrt_upper,
-)
 from .errors import DimensionMismatch, NotStandardPosition, ZeroFrequency
 from .geometry import Polytope, memo
-from .linalg import INT64_MAX, centroid, clear_denominators, cross3, is_zero_vec, norm_sq, primitive, vdot, vneg, vsub
+from .linalg import (
+    INT64_MAX,
+    Rat,
+    ZERO,
+    centroid,
+    clear_denominators,
+    cross3,
+    is_zero_vec,
+    norm_sq,
+    primitive,
+    rational,
+    rational_from_float,
+    sqrt_lower,
+    sqrt_upper,
+    vdot,
+    vneg,
+    vsub,
+)
 
 __all__ = [
+    "precision_bits",
     "ComplexValue",
     "frequency",
     "frequency_from_floats",
@@ -73,6 +78,16 @@ __all__ = [
 # minimum precision, while nonzero values at lattice-adjacent points stay
 # above 1e-3 of the volume on the catalog (regression-tested).
 TOL_ZERO = 1e-10
+
+# the working precision of every value, in bits
+_BITS = 128
+# the precisions a decision climbs through, up to a fixed cap
+_LADDER = (_BITS, 2 * _BITS, 4 * _BITS, 8 * _BITS)
+
+
+def precision_bits() -> int:
+    """The working precision of transform values, in bits."""
+    return _BITS
 
 
 @dataclass(frozen=True)
@@ -102,6 +117,27 @@ def frequency_from_floats(coords, max_denominator: int = 10**6) -> tuple:
     return tuple(rational_from_float(float(c), max_denominator) for c in coords)
 
 
+def _ratio(num: int, den: int):
+    """num / den for integers, den > 0, at the current working precision.
+    The fraction is reduced first, so the value does not depend on how it
+    was scaled even where its numerator is wider than the precision."""
+    g = math.gcd(num, den)
+    return mpmath.mpf(num // g) / (den // g)
+
+
+def _mpf(q):
+    """A Fraction at the current working precision."""
+    return _ratio(q.numerator, q.denominator)
+
+
+def _phase(num: int, mod: int):
+    """e^{-2 pi i num / mod} for integers num and mod > 0, at the current
+    working precision; num is reduced modulo mod in integers first, so the
+    angle lies in [-2 pi, 0] however large the arguments."""
+    angle = -2 * (+mpmath.pi) * _ratio(num % mod, mod)
+    return mpmath.mpc(mpmath.cos(angle), mpmath.sin(angle))
+
+
 def _phase_eps(bits: int) -> float:
     """Bound on |computed cis(-2 pi t) - e^{-2 pi i t}| at `bits` of precision
     for an exactly reduced rational t; it is also a generous per-operation
@@ -114,7 +150,7 @@ def _phase_eps(bits: int) -> float:
       more, so the angle is off by at most 5u * pi < 16u.  numpy documents
       at most 4 ulp for its float64 sin and cos, at most 4u each for values
       in [-1, 1], which adds sqrt(2) * 4u < 6u: 22u in all.
-    * working precision (cis_neg): t is reduced to [0, 1), so the angle
+    * working precision (_phase): t is reduced to [0, 1), so the angle
       lies in [0, 2 pi].  The conversion of t, the rounded pi and the
       product cost at most 4u relative, 8u * pi < 26u, and mpmath's sin
       and cos are within 1 ulp, sqrt(2) u more: 27u in all.
@@ -227,37 +263,35 @@ def _batch_geometry(p: Polytope):
 def _hp_roots(p: Polytope, bits: int):
     """pi, -2 pi i, and per level the square roots of the face measures and
     of the children's |m|^2, at `bits` of precision.  Build under
-    phase_context."""
-    pi = hp_pi()
+    mpmath.workprec(bits)."""
+    pi = +mpmath.pi
     return {
         "eps": _phase_eps(bits),
         "pi_f": float(pi),
-        "m2pi_i": hp_complex(0, -2) * pi,
+        "m2pi_i": mpmath.mpc(0, -2) * pi,
         "levels": [
-            ([hp_sqrt(q) for q in lv["measure_sq"]], [hp_sqrt(q) for q in lv["m_sq"]])
+            ([mpmath.sqrt(_mpf(q)) for q in lv["measure_sq"]], [mpmath.sqrt(_mpf(q)) for q in lv["m_sq"]])
             for lv in _batch_geometry(p)["levels"]
         ],
     }
 
 
-def _walk_hp(p: Polytope, x, den, want=((-1, 0),)):
+def _walk_hp(p: Polytope, x, den, want=((-1, 0),), bits: int = _BITS):
     """The boundary recursion at xi = x / den, for integers x and a positive
-    integer den, at working precision.  Returns one list per level (the
-    vertices, the edges in 3D, the facets, the body) of (value, error
-    bound) per face.  Only the faces in want, (level, index) pairs with the
-    body by default, and the faces they reach are evaluated; the others are
-    None.  Call under phase_context.
+    integer den, at `bits` of working precision.  Returns one list per
+    level (the vertices, the edges in 3D, the facets, the body) of (value,
+    error bound) per face.  Only the faces in want, (level, index) pairs
+    with the body by default, and the faces they reach are evaluated; the
+    others are None.  Arithmetic on the values needs a workprec of its own.
 
-    Every operand reaches hp_real, hp_sqrt or cis_neg as an exactly reduced
-    rational: a phase as its residue modulo den * scale, |xi_par|^2 as its
-    integer numerator over den^2 |n|^2, and a weight <xi, m> / |m| as
-    lam <x, primitive(m)> / den over sqrt(|m|^2).  A child of weight zero is
-    skipped.  The error bound of a combination is the children's bounds
-    through the weights plus 3 eps per term and 2 eps for the division.
+    Every operand reaches mpmath as integers: a phase as its numerator
+    modulo den * scale, |xi_par|^2 as its integer numerator over
+    den^2 |n|^2, and a weight <xi, m> / |m| as lam <x, primitive(m)> / den
+    over sqrt(|m|^2).  A child of weight zero is skipped.  The error bound
+    of a combination is the children's bounds through the weights plus
+    3 eps per term and 2 eps for the division.
     """
     g = _batch_geometry(p)
-    hp = _hp_roots(p, precision_bits())
-    eps = hp["eps"]
     x = np.array([int(c) for c in x], dtype=object)
     den = int(den)
     x_sq = int(x @ x)
@@ -285,37 +319,39 @@ def _walk_hp(p: Polytope, x, den, want=((-1, 0),)):
         for f in need[k + 1]:
             if nums[f]:
                 need[k].update(child[j] for j in range(lv["bounds"][f], lv["bounds"][f + 1]) if coeffs[j])
-    mod = den * g["v_scale"]
-    phases = (g["verts"] @ x).tolist()
-    below = [(cis_neg(Rat(r % mod, mod)), eps) if i in need[0] else None for i, r in enumerate(phases)]
-    levels = [below]
-    for lv, (measures, wdens), (coeffs, child, nums, par_dens), faces in zip(
-        g["levels"], hp["levels"], ints, need[1:]
-    ):
-        out = [None] * len(nums)
-        for f in faces:
-            if nums[f] == 0:
-                cmod = den * lv["c_scale"]
-                phase = int(lv["centroid"][f] @ x) % cmod
-                # the phase costs eps, the rounded measure and product far less
-                out[f] = (measures[f] * cis_neg(Rat(phase, cmod)), 2 * eps * float(measures[f]))
-                continue
-            acc, err = hp_complex(0, 0), 0.0
-            for j in range(lv["bounds"][f], lv["bounds"][f + 1]):
-                if coeffs[j] == 0:
+    with mpmath.workprec(bits):
+        hp = _hp_roots(p, bits)
+        eps = hp["eps"]
+        mod = den * g["v_scale"]
+        phases = (g["verts"] @ x).tolist()
+        below = [(_phase(r, mod), eps) if i in need[0] else None for i, r in enumerate(phases)]
+        levels = [below]
+        for lv, (measures, wdens), (coeffs, child, nums, par_dens), faces in zip(
+            g["levels"], hp["levels"], ints, need[1:]
+        ):
+            out = [None] * len(nums)
+            for f in faces:
+                if nums[f] == 0:
+                    phase = _phase(int(lv["centroid"][f] @ x), den * lv["c_scale"])
+                    # the phase costs eps, the rounded measure and product far less
+                    out[f] = (measures[f] * phase, 2 * eps * float(measures[f]))
                     continue
-                lam = lv["lam"][j]
-                w = hp_real(Rat(lam.numerator * coeffs[j], lam.denominator * den)) / wdens[j]
-                z, e = below[child[j]]
-                acc = acc + w * z
-                aw = abs(float(w))
-                err += aw * e + aw * (float(abs(z)) + 1) * 3 * eps
-            s = hp_real(Rat(nums[f], par_dens[f]))
-            val = acc / (hp["m2pi_i"] * s)
-            out[f] = (val, err / (2 * hp["pi_f"] * float(s)) + (float(abs(val)) + 1) * 2 * eps)
-        levels.append(out)
-        below = out
-    return levels
+                acc, err = mpmath.mpc(0), 0.0
+                for j in range(lv["bounds"][f], lv["bounds"][f + 1]):
+                    if coeffs[j] == 0:
+                        continue
+                    lam = lv["lam"][j]
+                    w = _ratio(lam.numerator * coeffs[j], lam.denominator * den) / wdens[j]
+                    z, e = below[child[j]]
+                    acc = acc + w * z
+                    aw = abs(float(w))
+                    err += aw * e + aw * (float(abs(z)) + 1) * 3 * eps
+                s = _ratio(nums[f], par_dens[f])
+                val = acc / (hp["m2pi_i"] * s)
+                out[f] = (val, err / (2 * hp["pi_f"] * float(s)) + (float(abs(val)) + 1) * 2 * eps)
+            levels.append(out)
+            below = out
+        return levels
 
 
 def _integer_rows(xis):
@@ -329,7 +365,7 @@ def _integer_rows(xis):
 
 
 def _walk_at(p: Polytope, xi, want=((-1, 0),)):
-    """_walk_hp at one rational frequency.  Call under phase_context."""
+    """_walk_hp at one rational frequency."""
     (x,), (den,) = _integer_rows([xi])
     return _walk_hp(p, x, den, want)
 
@@ -441,12 +477,28 @@ def _indicator_batch(p: Polytope, X, D):
     return val, err
 
 
-def _indicator_rows_hp(p: Polytope, X, D, rows, val, err):
-    """Overwrite the given rows of a batch result by their _walk_hp values."""
-    with phase_context():
+def _indicator_rows_hp(p: Polytope, X, D, val, err, too_coarse) -> int:
+    """Settle the rows of a batch result whose bound is too coarse to decide.
+
+    too_coarse(|val|, err) is the caller's decision test, a mask over all
+    rows.  The rows it flags are overwritten by their _walk_hp values, and
+    those it still flags are walked again at each higher precision of
+    _LADDER; past the cap the last result stands.  The walk's bound is a
+    multiple of _phase_eps(bits), so a row that even the cap's smaller
+    bound would leave too coarse (a tolerance of 0, a value exactly on a
+    decision bound) stops climbing at once.  Returns the number of rows
+    the float64 bound left too coarse.
+    """
+    rows = np.flatnonzero(too_coarse(np.abs(val), err))
+    fallbacks = len(rows)
+    for bits in _LADDER:
         for i in rows:
-            z, err[i] = _walk_hp(p, X[i], D[i])[-1][0]
+            z, err[i] = _walk_hp(p, X[i], D[i], bits=bits)[-1][0]
             val[i] = complex(float(z.real), float(z.imag))
+        mag = np.abs(val)
+        at_cap = err * (_phase_eps(_LADDER[-1]) / _phase_eps(bits))
+        rows = rows[(too_coarse(mag, err) & ~too_coarse(mag, at_cap))[rows]]
+    return fallbacks
 
 
 def _check_frequency(p: Polytope, xi) -> tuple:
@@ -466,15 +518,13 @@ def ft_indicator(p: Polytope, xi) -> ComplexValue:
     xi = _check_frequency(p, xi)
     if is_zero_vec(xi):
         return ComplexValue(float(p.volume), 0.0, 0.0)
-    with phase_context():
-        return _complex_value(_walk_at(p, xi)[-1][0])
+    return _complex_value(_walk_at(p, xi)[-1][0])
 
 
 def ft_surface(p: Polytope, facet: int, xi) -> ComplexValue:
     """Transform of the surface measure of one facet."""
     xi = _check_frequency(p, xi)
-    with phase_context():
-        return _complex_value(_walk_at(p, xi, [(-2, facet)])[-2][facet])
+    return _complex_value(_walk_at(p, xi, [(-2, facet)])[-2][facet])
 
 
 def ft_with_boundary(p: Polytope, xi):
@@ -488,9 +538,8 @@ def ft_with_boundary(p: Polytope, xi):
     xi = _check_frequency(p, xi)
     if is_zero_vec(xi):
         raise ZeroFrequency("boundary identity is stated for nonzero frequencies")
-    with phase_context():
-        *_, facets, body = _walk_at(p, xi, [(-1, 0)] + [(-2, fi) for fi in range(len(p.facets))])
-        return _complex_value(body[0]), tuple(_complex_value(f) for f in facets)
+    *_, facets, body = _walk_at(p, xi, [(-1, 0)] + [(-2, fi) for fi in range(len(p.facets))])
+    return _complex_value(body[0]), tuple(_complex_value(f) for f in facets)
 
 
 def ft_zero(p: Polytope, xi, tol: float = TOL_ZERO) -> bool:
@@ -531,9 +580,11 @@ def decay_bound_check(p: Polytope, samples) -> DecayReport:
     """|1^_P(xi)| <= (|boundary| / 2 pi) |xi|^{-1} at every sample.
 
     The boundary measure is rounded up and |xi| down, so the verified
-    inequality is never tightened by the square-root bounds.  All samples
-    go through the float64 batch kernel; a sample whose error bound
-    straddles the decay bound is evaluated again at working precision.
+    inequality is never tightened by the square-root bounds.  A sample
+    passes when |1^_P(xi)| plus its error bound is within the decay bound.
+    All samples go through the float64 batch kernel; a sample whose error
+    bound straddles the decay bound climbs the precision ladder, and one
+    still undecided at its cap does not pass.
     """
     xis = []
     for raw in samples:
@@ -545,9 +596,8 @@ def decay_bound_check(p: Polytope, samples) -> DecayReport:
     bound = np.array([float(area_ub / (2 * _PI_LB * sqrt_lower(norm_sq(xi)))) for xi in xis])
     X, D = _integer_rows(xis)
     val, err = _indicator_batch(p, X, D)
-    mag = np.abs(val)
-    # float64 decides a sample when |v| + err <= bound or |v| - err > bound
-    _indicator_rows_hp(p, X, D, np.flatnonzero((mag + err > bound) & (mag - err <= bound)), val, err)
+    # a sample is decided when |v| + err <= bound or |v| - err > bound
+    _indicator_rows_hp(p, X, D, val, err, lambda mag, e: (mag + e > bound) & (mag - e <= bound))
     mag = np.abs(val)
     worst = -1.0
     worst_xi = None
@@ -555,7 +605,7 @@ def decay_bound_check(p: Polytope, samples) -> DecayReport:
         ratio = float(m / b)
         if ratio > worst:
             worst, worst_xi = ratio, xi
-        if m > b + e:
+        if m + e > b:
             return DecayReport(False, len(xis), ratio, xi)
     return DecayReport(True, len(xis), worst, worst_xi)
 
@@ -645,9 +695,12 @@ def asymptotic_cone_check(p: Polytope, sigma: Polytope, alpha: float, xi1_values
             dirs.append(tuple([1] + [-1] * (dbase - 1)))
         eta_dirs = tuple(dirs)
     samples = []
-    with phase_context():
+    with mpmath.workprec(_BITS):
         for raw in xi1_values:
             xi1 = rational(raw) if not isinstance(raw, float) else rational_from_float(raw)
+            t = _mpf(xi1)
+            # sin(pi xi_1) = -Im e^{-2 pi i xi_1 / 2}
+            sin_pi = -_phase(xi1.numerator, 2 * xi1.denominator).imag
             scale_full = alpha_r * abs(xi1)
             etas = [tuple(ZERO for _ in range(dbase))]
             for dvec in eta_dirs:
@@ -657,12 +710,12 @@ def asymptotic_cone_check(p: Polytope, sigma: Polytope, alpha: float, xi1_values
                 xi = (xi1,) + eta
                 body, _ = _walk_at(p, xi)[-1][0]
                 if is_zero_vec(eta):
-                    base_val = hp_complex(hp_real(sigma.volume), 0)
+                    base_val = mpmath.mpc(_mpf(sigma.volume), 0)
                 else:
                     base_val, _ = _walk_at(sigma, eta)[-1][0]
-                r = hp_pi() * hp_real(xi1) * body - sin_pi(xi1) * base_val
+                r = (+mpmath.pi) * t * body - sin_pi * base_val
                 r_abs = float(abs(r))
-                samples.append(ConeSample(xi=xi, r_abs=r_abs, r_scaled=r_abs * abs(float(hp_real(xi1)))))
+                samples.append(ConeSample(xi=xi, r_abs=r_abs, r_scaled=r_abs * abs(float(t))))
     max_abs = max(s.r_abs for s in samples)
     max_scaled = max(s.r_scaled for s in samples)
     return ConeReport(alpha=float(alpha), samples=tuple(samples), max_r_abs=max_abs, max_r_scaled=max_scaled)

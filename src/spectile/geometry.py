@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import reduce, wraps
 from itertools import combinations
 
-from ._backend import Rat, ZERO, rational
 from .errors import (
     DimensionMismatch,
     Empty,
@@ -29,6 +28,8 @@ from .errors import (
     ZeroDimensionalFace,
 )
 from .linalg import (
+    Rat,
+    ZERO,
     affine_rank,
     angular_sort,
     centroid,
@@ -42,6 +43,7 @@ from .linalg import (
     norm_sq,
     primitive,
     rank,
+    rational,
     solve,
     vadd,
     vdot,
@@ -336,6 +338,13 @@ class Polytope:
                 deg = sum(1 for f in self.facets if i in f.indices)
                 if deg != 2:
                     raise AssertionError("polygon vertex not in exactly two edges")
+
+
+@memo
+def facet_widths(p: Polytope) -> tuple:
+    """Per facet with normal n, support(n) + support(-n): the exact width
+    of p along n, times |n|."""
+    return tuple(p.support(f.normal) + p.support(vneg(f.normal)) for f in p.facets)
 
 
 # --- constructors ----------------------------------------------------------

@@ -1,15 +1,20 @@
 """Exact rational vectors, small matrices, and integer lattice normal forms.
 
-Vectors are plain tuples of Rat; matrices are tuples of row tuples.  Sizes
-are at most 3x3 for geometry, but the routines are written generically --
-the Hermite normal form in particular sees n x d generator matrices.
+All geometry in this package is exact arithmetic on the stdlib
+``fractions.Fraction``, exported as ``Rat``.  Vectors are plain tuples of
+Rat; matrices are tuples of row tuples.  Sizes are at most 3x3 for
+geometry, but the routines are written generically -- the Hermite normal
+form in particular sees n x d generator matrices.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from ._backend import Rat, ZERO, rational
+Rat = Fraction
+
+ZERO = Rat(0)
 
 Vec = tuple
 Mat = tuple
@@ -17,6 +22,45 @@ Mat = tuple
 # the largest int64; integer arrays stay int64 only while their values
 # provably fit under it, and hold Python ints otherwise
 INT64_MAX = 2**63 - 1
+
+
+def rational(x) -> Rat:
+    """Coerce ints, rational strings ("p/q", "3", "0.25") and Fractions to Rat.
+
+    Floats are rejected: exact fields never pass through binary floating
+    point.  Use rational_from_float for explicit snapping.
+    """
+    if isinstance(x, float):
+        raise TypeError("refusing implicit float->rational conversion; use rational_from_float")
+    return Rat(x)
+
+
+def rational_from_float(x: float, max_denominator: int = 10**6) -> Rat:
+    """Snap a float to a nearby rational with bounded denominator."""
+    return Rat(x).limit_denominator(max_denominator)
+
+
+_SQRT_SHIFT = 64  # fixed-point scale; bound gap is 2^-64 of the denominator unit
+
+
+def sqrt_lower(q) -> Rat:
+    """Rational lower bound for sqrt(q), q >= 0; gap below 2^-64 / den."""
+    if q < 0:
+        raise ValueError("negative radicand")
+    a, b = q.numerator, q.denominator
+    return Rat(math.isqrt((a * b) << (2 * _SQRT_SHIFT)), b << _SQRT_SHIFT)
+
+
+def sqrt_upper(q) -> Rat:
+    """Rational upper bound for sqrt(q), q >= 0."""
+    if q < 0:
+        raise ValueError("negative radicand")
+    a, b = q.numerator, q.denominator
+    scaled = (a * b) << (2 * _SQRT_SHIFT)
+    s = math.isqrt(scaled)
+    if s * s == scaled:
+        return Rat(s, b << _SQRT_SHIFT)
+    return Rat(s + 1, b << _SQRT_SHIFT)
 
 
 def vec(*coords) -> Vec:

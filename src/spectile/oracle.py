@@ -13,23 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
-from ._backend import (
-    ZERO,
-    cis_neg,
-    hp_complex,
-    hp_pi,
-    hp_real,
-    phase_context,
-    precision_bits,
-    rational,
-    sqrt_upper,
-)
 from .errors import PreconditionFailed, RankDeficient
-from .fourier import ComplexValue, _check_frequency, _phase_eps
+from .fourier import ComplexValue, _check_frequency, _mpf, _phase, _phase_eps, precision_bits
 from .geometry import Polytope
-from .linalg import det, hnf_rational, norm_sq, rank, vdot, vsub
+from .linalg import ZERO, det, hnf_rational, norm_sq, rank, rational, sqrt_upper, vdot, vsub
 from .tiling import coefficient_box
 
 __all__ = ["SampleConfig", "MCVolume", "MultiplicityHistogram", "mc_volume", "multiplicity_sample", "simplex_ft"]
@@ -214,8 +204,8 @@ def _divided_difference_exp(phases):
     """
     ts = sorted(phases)
     n = len(ts)
-    vals = {t: cis_neg(t) for t in set(ts)}
-    minus_two_pi_i = hp_complex(0, -2) * hp_pi()
+    vals = {t: _phase(t.numerator, t.denominator) for t in set(ts)}
+    minus_two_pi_i = mpmath.mpc(0, -2) * (+mpmath.pi)
     table = [[None] * n for _ in range(n)]
     for i in range(n):
         table[i][i] = vals[ts[i]]
@@ -225,7 +215,7 @@ def _divided_difference_exp(phases):
             if ts[i] == ts[j]:
                 table[i][j] = vals[ts[i]] / math.factorial(span)
             else:
-                dz = minus_two_pi_i * hp_real(ts[j] - ts[i])
+                dz = minus_two_pi_i * _mpf(ts[j] - ts[i])
                 table[i][j] = (table[i + 1][j] - table[i][j - 1]) / dz
     return table[0][n - 1]
 
@@ -239,8 +229,8 @@ def simplex_ft(p: Polytope, xi) -> ComplexValue:
     xi = _check_frequency(p, xi)
     if all(c == 0 for c in xi):
         return ComplexValue(float(p.volume), 0.0, 0.0)
-    with phase_context():
-        acc = hp_complex(0, 0)
+    with mpmath.workprec(precision_bits()):
+        acc = mpmath.mpc(0)
         total_weight = ZERO
         for simplex in _triangulate(p):
             v0 = simplex[0]
@@ -250,6 +240,6 @@ def simplex_ft(p: Polytope, xi) -> ComplexValue:
                 continue
             total_weight += weight
             phases = [vdot(xi, v) for v in simplex]
-            acc = acc + hp_real(weight) * _divided_difference_exp(phases)
+            acc = acc + _mpf(weight) * _divided_difference_exp(phases)
         err = float(total_weight) * len(xi) * 20 * _phase_eps(precision_bits())
         return ComplexValue(float(acc.real), float(acc.imag), err)

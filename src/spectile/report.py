@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import time
 
-from . import __version__
-from ._backend import BACKEND, precision_bits
+from . import BACKEND, __version__
 from .errors import PrismExcluded, SpectileError, UnsupportedDimension
-from .fourier import TOL_ZERO
+from .fourier import TOL_ZERO, precision_bits
 from .geometry import Polytope
 from .oracle import SampleConfig, multiplicity_sample
 from .spectrum import (

@@ -20,9 +20,9 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
+import mpmath
 import numpy as np
 
-from ._backend import Rat, cis_neg, phase_context
 from .errors import (
     PreconditionFailed,
     PrismExcluded,
@@ -36,11 +36,13 @@ from .fourier import (
     _indicator_batch,
     _indicator_rows_hp,
     _integer_rows,
+    _phase,
     _walk_at,
     frequency_from_floats,
+    precision_bits,
 )
-from .geometry import Polytope, memo
-from .linalg import INT64_MAX, clear_denominators, inverse, norm_sq, primitive, vdot, vneg
+from .geometry import Polytope, facet_widths, memo
+from .linalg import INT64_MAX, Rat, clear_denominators, inverse, norm_sq, primitive, vdot
 from .tiling import Lattice, TilingReport, is_prism, lattice_T, venkov_mcmullen
 
 __all__ = [
@@ -414,8 +416,10 @@ def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -
     The distinct differences (+-collapsed for exact patches, see
     _difference_rows) go through the float64 batch kernel in one call; a
     difference whose error bound exceeds FALLBACK_FRACTION of tol * volume
-    is evaluated again at working precision.  Float patches are snapped coordinate-wise to
-    rationals with denominators up to 10^9.
+    is evaluated again at working precision, and at higher precisions while
+    its bound still exceeds that (fourier._indicator_rows_hp).  Float
+    patches are snapped coordinate-wise to rationals with denominators up
+    to 10^9.
     """
     require_finite(tol, "tolerance", non_negative=True)
     if len(s) == 0:
@@ -428,8 +432,7 @@ def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -
         X, D = _integer_rows([frequency_from_floats(d, 10**9) for d in U.tolist()])
     limit = tol * float(p.volume)
     val, err = _indicator_batch(p, X, D)
-    fallbacks = np.flatnonzero(err > FALLBACK_FRACTION * limit)
-    _indicator_rows_hp(p, X, D, fallbacks, val, err)
+    fallbacks = _indicator_rows_hp(p, X, D, val, err, lambda mag, e: e > FALLBACK_FRACTION * limit)
     mag = np.abs(val)
     max_residual, worst_d, passed = -1.0, None, True
     if len(U):
@@ -445,7 +448,7 @@ def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -
         num_differences=len(U),
         tolerance=tol,
         max_err_bound=float(np.max(err, initial=0.0)),
-        fallbacks=len(fallbacks),
+        fallbacks=fallbacks,
     )
 
 
@@ -640,15 +643,15 @@ def chi_estimate(p: Polytope, extra_directions=(), seed: int = 0) -> float:
     vol = float(p.volume)
 
     def centered_re(xi):
-        with phase_context():
-            val, _ = _walk_at(p, xi)[-1][0]
-            shift = cis_neg(-vdot(xi, center))  # e^{+2 pi i <xi, c>}
+        val, _ = _walk_at(p, xi)[-1][0]
+        c = vdot(xi, center)
+        with mpmath.workprec(precision_bits()):
+            shift = _phase(-c.numerator, c.denominator)  # e^{+2 pi i <xi, c>}
             return float((shift * val).real), float(abs(val))
 
     best = math.inf
     min_width = min(
-        float(p.support(f.normal) + p.support(vneg(f.normal))) / math.sqrt(float(norm_sq(f.normal)))
-        for f in p.facets
+        float(w) / math.sqrt(float(norm_sq(f.normal))) for f, w in zip(p.facets, facet_widths(p))
     )
     for u in sorted(dirs):
         ulen = math.sqrt(sum(float(c) ** 2 for c in u))

@@ -19,11 +19,12 @@ from enum import Enum
 
 import numpy as np
 
-from ._backend import Rat, ZERO, sqrt_upper
 from .errors import NotALattice, NotATiler, PreconditionFailed
-from .geometry import Polytope, memo
+from .geometry import Polytope, facet_widths, memo
 from .linalg import (
     INT64_MAX,
+    Rat,
+    ZERO,
     angular_sort,
     clear_denominators,
     cross3,
@@ -34,10 +35,10 @@ from .linalg import (
     primitive,
     rank,
     solve,
+    sqrt_upper,
     transpose,
     vadd,
     vdot,
-    vneg,
     vscale,
     vsub,
 )
@@ -343,8 +344,7 @@ def _interiors_overlap(p: Polytope, center, tau) -> bool:
     about center."""
     # Width reject: if the shift along some facet normal reaches the width
     # of P in that direction, the interiors cannot meet.
-    for f in p.facets:
-        width = p.support(f.normal) + p.support(vneg(f.normal))
+    for f, width in zip(p.facets, facet_widths(p)):
         if abs(vdot(f.normal, tau)) >= width:
             return False
     # P n (P + tau) is symmetric about center + tau/2, so when it is solid

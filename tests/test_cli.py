@@ -453,6 +453,54 @@ def test_python_dash_m_spectile():
     assert "cube" in json.loads(out.stdout)
 
 
+def test_precision_is_no_setting(tmp_path):
+    # values are always at 128 bits: an environment variable of the name
+    # an older setting had, even an invalid value, changes nothing
+    src_root = Path(spectile.__file__).resolve().parents[1]
+    reports = []
+    for i, extra in enumerate(({}, {"SPECTILE_PRECISION_BITS": "nope"})):
+        path = tmp_path / f"report-{i}.json"
+        out = subprocess.run(
+            [sys.executable, "-m", "spectile", "analyze", "catalog:hexagon", "--output", str(path)],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_root), **extra},
+        )
+        assert out.returncode == 0, out.stderr
+        reports.append(strip_timings(json.loads(path.read_text())))
+    assert reports[0] == reports[1]
+    assert reports[0]["parameters"]["precision_bits"] == 128
+
+
+def test_stdlib_backend_importable():
+    # a clean interpreter computes with the stdlib rationals and an mpmath
+    # phase, with no other arithmetic backend to choose
+    code = (
+        "from spectile import BACKEND, Rat, ft_indicator, make\n"
+        "from spectile.fourier import _phase\n"
+        "import mpmath\n"
+        "assert BACKEND == 'stdlib', BACKEND\n"
+        "assert Rat(1, 3) + Rat(1, 6) == Rat(1, 2)\n"
+        "with mpmath.workprec(128):\n"
+        "    z = complex(_phase(1, 4))\n"
+        "assert abs(z - (-1j)) < 1e-15, z\n"
+        "assert abs(ft_indicator(make('cube'), (Rat(1, 2), 0, 0)).re - 2 / 3.141592653589793) < 1e-15\n"
+        "print('ok')\n"
+    )
+    # the child sees only the directory holding the spectile package this
+    # process imported, so an uninstalled source checkout works and no other
+    # settings leak in
+    src_root = Path(spectile.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_root)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+
+
 def test_imports_leave_scipy_out():
     # scipy is no dependency; importing it would add about 37 MB of resident
     # memory and half a second of start-up to every run

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,8 @@ from spectile.errors import NotStandardPosition, ZeroFrequency
 from spectile.fourier import (
     _indicator_rows_hp,
     _integer_rows,
+    _phase,
+    _phase_eps,
     asymptotic_cone_check,
     decay_bound_check,
     ft_indicator,
@@ -23,6 +26,37 @@ from spectile.linalg import det, norm_sq, transpose, vdot
 from spectile.oracle import simplex_ft
 
 from conftest import random_frequency, random_generators, random_zonotope
+
+
+def test_cis_reduces_large_arguments():
+    # 10^40 + 1/8 reduced exactly: the naive float path would lose the 1/8
+    with mpmath.workprec(128):
+        z = complex(_phase(8 * 10**40 + 1, 8))
+    expect = complex(math.cos(-2 * math.pi / 8), math.sin(-2 * math.pi / 8))
+    assert abs(z - expect) < 1e-15
+
+
+def test_phase_beyond_two_to_the_128():
+    # operands wider than the working precision are still reduced exactly
+    rng = random.Random(11)
+    for _ in range(50):
+        mod = rng.randrange(2**128, 2**200)
+        num = rng.randrange(-(2**260), 2**260)
+        with mpmath.workprec(128):
+            got = _phase(num, mod)
+        with mpmath.workprec(300):
+            ref = mpmath.expjpi(-2 * mpmath.mpf(num % mod) / mod)
+            assert abs(got - ref) <= _phase_eps(128)
+
+
+def test_sin_pi_exact_reduction():
+    # the cone check's sin(pi q) = -Im e^{-2 pi i q / 2}, reduced modulo 2 in integers
+    def sin_pi(q):
+        with mpmath.workprec(128):
+            return float(-_phase(q.numerator, 2 * q.denominator).imag)
+
+    assert abs(sin_pi(Rat(10) ** 30)) < 1e-30
+    assert abs(sin_pi(Rat(10) ** 30 + Rat(1, 2)) - 1.0) < 1e-30
 
 
 def sinc(t: float) -> float:
@@ -137,7 +171,8 @@ def test_values_are_levels_of_one_walk(name, request):
     xis = [random_frequency(rng, p.dim) for _ in range(6)] + [(Rat(1),) + (Rat(0),) * (p.dim - 1)]
     X, D = _integer_rows(xis)
     val, err = np.zeros(len(xis), dtype=complex), np.zeros(len(xis))
-    _indicator_rows_hp(p, X, D, range(len(xis)), val, err)
+    # every row is still zeroed at first, and carries a positive bound once walked
+    _indicator_rows_hp(p, X, D, val, err, lambda mag, e: e == 0)
     for xi, v, e in zip(xis, val, err):
         value = ft_indicator(p, xi)
         body, sigmas = ft_with_boundary(p, xi)

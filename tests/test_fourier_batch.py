@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from spectile import Rat, make, zonotope
 from spectile import fourier
-from spectile._backend import cis_neg, phase_context
 from spectile.fourier import (
     FALLBACK_FRACTION,
     TOL_ZERO,
@@ -23,6 +22,7 @@ from spectile.fourier import (
     _indicator_batch,
     _indicator_rows_hp,
     _integer_rows,
+    _phase,
     _phase_eps,
     _walk_at,
 )
@@ -36,9 +36,8 @@ rationals = st.builds(Rat, st.integers(-40, 40), st.integers(1, 12))
 
 
 def _hp(p, xi):
-    with phase_context():
-        z, e = _walk_at(p, xi)[-1][0]
-        return complex(z), e
+    z, e = _walk_at(p, xi)[-1][0]
+    return complex(z), e
 
 
 @settings(max_examples=25, deadline=None)
@@ -69,8 +68,8 @@ def test_phase_allowance_at_both_precisions():
         with mpmath.workprec(300):
             ref = complex(mpmath.expjpi(-2 * mpmath.mpf(n) / m))
         assert abs(got - ref) <= _phase_eps(53)
-        with phase_context(53):
-            hp53 = complex(cis_neg(Rat(n, m)))
+        with mpmath.workprec(53):
+            hp53 = complex(_phase(n, m))
         assert abs(hp53 - ref) <= _phase_eps(53)
 
 
@@ -93,7 +92,7 @@ def test_near_degenerate_frequencies_take_the_fallback(k):
     if k >= 6:
         assert err[0] > FALLBACK_FRACTION * limit
     rows = np.flatnonzero(err > FALLBACK_FRACTION * limit)
-    _indicator_rows_hp(p, X, D, rows, val, err)
+    _indicator_rows_hp(p, X, D, val, err, lambda mag, e: e > FALLBACK_FRACTION * limit)
     for i in rows:
         ref, ref_err = _hp(p, (xi, base)[i])
         assert val[i] == ref and err[i] == ref_err
@@ -155,6 +154,16 @@ def test_orthogonality_counts_fallbacks(cube):
     assert rep.max_err_bound < 1e-20
 
 
+def test_orthogonality_climbs_past_128_bits(truncated_octahedron):
+    # a snapped difference of an irrationally shifted dual patch: at 128 bits
+    # it reads 1.05e-7 with a bound of 4.7e-5, far above the tolerance, and
+    # the walk at 256 bits certifies it
+    d = (Rat(1, 2), Rat(-50000000000000003, 10**17), Rat(-50000000000000003, 10**17))
+    rep = verify_orthogonality(truncated_octahedron, make_patch([(0, 0, 0), d], 1.0))
+    assert rep.passed and rep.fallbacks == 1
+    assert rep.max_err_bound <= FALLBACK_FRACTION * TOL_ZERO * float(truncated_octahedron.volume)
+
+
 def test_float_patch_difference_rounding_to_zero_fails(cube):
     # a nonzero float difference that snaps to 0 evaluates to the volume
     sp = make_patch([(0.0, 0.0, 0.0), (1e-12, 0.0, 0.0)], 1.0)
@@ -178,3 +187,42 @@ def test_decay_check_sends_straddling_samples_to_working_precision(monkeypatch, 
     assert fast.passed and slow.passed and fast.worst_xi == slow.worst_xi
     assert math.isclose(fast.worst_ratio, slow.worst_ratio, rel_tol=1e-12)
     assert fourier.decay_bound_check(truncated_octahedron, []).passed
+
+
+def test_decay_check_undecided_at_the_cap_does_not_pass(monkeypatch, truncated_octahedron):
+    # bounds that straddle the decay bound at every precision: the sample
+    # climbs the whole ladder and, still undecided at the cap, does not pass
+    samples = [(Rat(1, 3), Rat(1, 5), Rat(2, 7))]
+    assert fourier.decay_bound_check(truncated_octahedron, samples).passed
+    batch, walk = fourier._indicator_batch, fourier._walk_hp
+    seen = []
+
+    def coarse_batch(p, X, D):
+        val, err = batch(p, X, D)
+        return val, err + 1e3
+
+    def coarse_walk(p, x, den, bits):
+        seen.append(bits)
+        levels = walk(p, x, den, bits=bits)
+        z, e = levels[-1][0]
+        levels[-1][0] = (z, e + 1e3)
+        return levels
+
+    monkeypatch.setattr(fourier, "_indicator_batch", coarse_batch)
+    monkeypatch.setattr(fourier, "_walk_hp", coarse_walk)
+    assert not fourier.decay_bound_check(truncated_octahedron, samples).passed
+    assert seen == [128, 256, 512, 1024]
+
+
+def test_orthogonality_at_tolerance_zero_stays_at_128_bits(monkeypatch, cube):
+    # no precision certifies a tolerance of 0, so no row climbs the ladder
+    walk, seen = fourier._walk_hp, []
+
+    def counted(p, x, den, bits):
+        seen.append(bits)
+        return walk(p, x, den, bits=bits)
+
+    monkeypatch.setattr(fourier, "_walk_hp", counted)
+    rep = verify_orthogonality(cube, patch(decide_spectral(cube).spectrum, 2.0), tol=0.0)
+    assert not rep.passed and rep.fallbacks == len(seen) > 0
+    assert set(seen) == {128}

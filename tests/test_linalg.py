@@ -19,9 +19,43 @@ from spectile.linalg import (
     mat_mul,
     primitive,
     rank,
+    rational,
+    rational_from_float,
     solve,
+    sqrt_lower,
+    sqrt_upper,
     transpose,
 )
+
+
+def test_rational_parsing():
+    assert rational("3/4") == Rat(3, 4)
+    assert rational("0.25") == Rat(1, 4)
+    assert rational(7) == Rat(7)
+    assert rational("-2/6") == Rat(-1, 3)
+    with pytest.raises(TypeError):
+        rational(0.5)
+
+
+def test_rational_from_float_snaps():
+    assert rational_from_float(0.5) == Rat(1, 2)
+    assert abs(float(rational_from_float(math.pi)) - math.pi) < 1e-11
+
+
+def test_rat_str_roundtrip():
+    for q in (Rat(3, 4), Rat(-7, 2), Rat(5), Rat(0)):
+        assert rational(str(q)) == q
+
+
+@pytest.mark.parametrize("q", [Rat(2), Rat(9, 4), Rat(1, 3), Rat(10**12, 7)])
+def test_sqrt_bounds(q):
+    lo, hi = sqrt_lower(q), sqrt_upper(q)
+    assert lo * lo <= q <= hi * hi
+    assert hi - lo <= Rat(1, q.denominator * 2**60)
+
+
+def test_sqrt_exact_square():
+    assert sqrt_lower(Rat(9, 4)) == sqrt_upper(Rat(9, 4)) == Rat(3, 2)
 
 
 def test_solve_and_inverse():

@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectile import Rat, from_vertices, oracle, zonotope
-from spectile._backend import sqrt_upper
 from spectile.errors import RankDeficient
 from spectile.fourier import ft_indicator
-from spectile.linalg import hnf_rational, norm_sq
+from spectile.linalg import hnf_rational, norm_sq, sqrt_upper
 from spectile.oracle import MultiplicityHistogram, SampleConfig, mc_volume, multiplicity_sample, simplex_ft
 from spectile.symmetry import tau_vectors
 from spectile.tiling import Lattice, covering_verify
