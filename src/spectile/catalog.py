@@ -5,17 +5,19 @@ conventions and every value downstream (lattice bases, belt multisets,
 regression fixtures) refers to them.
 
 ==========================  ============================================================
-interval                    [-1/2, 1/2]
-square                      vertices (+-1/2, +-1/2)
-cube                        vertices (+-1/2, +-1/2, +-1/2)
+interval                    [-1/2, 1/2], the zonotope of (1)
+square                      vertices (+-1/2, +-1/2), the zonotope of the unit vectors
+cube                        vertices (+-1/2, +-1/2, +-1/2), the zonotope of the unit vectors
 triangle                    (0,0), (1,0), (0,1) -- the stock non-tiler
 hexagon                     (1,0), (0,1), (-1,1), (-1,0), (0,-1), (1,-1); area 3;
                             the zonotope of (1,-1), (1,0), (0,1)
 hexagonal-prism             [-1/2,1/2] x hexagon, prism axis first so the hexagonal
-                            facet sits in {x_1 = 1/2} (standard position along the axis)
+                            facet sits in {x_1 = 1/2} (standard position along the axis);
+                            the zonotope of (1,0,0), (0,1,-1), (0,1,0), (0,0,1)
 rhombic-dodecahedron        zonotope of the four cube diagonals (1,+-1,+-1)
 elongated-dodecahedron      the same four diagonals plus (0,0,2)
-truncated-octahedron        the 24 permutations of (0, +-1, +-2); volume 32
+truncated-octahedron        the 24 permutations of (0, +-1, +-2); volume 32;
+                            the zonotope of (1,+-1,0), (1,0,+-1), (0,1,+-1)
 rhombic-icosahedron         zonotope of five generators in general position,
                             (1,0,0), (0,1,0), (0,0,1), (1,1,1), (1,2,3) -- rational
                             stand-ins for the classical golden-ratio generators
@@ -25,11 +27,10 @@ rhombic-icosahedron         zonotope of five generators in general position,
 from __future__ import annotations
 
 import json
-from itertools import permutations, product
 
 from .errors import ParseError
 from .geometry import AffineMap, Polytope, from_halfspaces, from_vertices, zonotope
-from .linalg import Rat, rational
+from .linalg import rational
 
 __all__ = [
     "CATALOG_NAMES",
@@ -42,28 +43,23 @@ __all__ = [
 
 
 def _interval() -> Polytope:
-    return from_vertices([(Rat(-1, 2),), (Rat(1, 2),)])
+    return zonotope([(1,)])
 
 
 def _square() -> Polytope:
-    return from_vertices([(Rat(sx, 2), Rat(sy, 2)) for sx in (-1, 1) for sy in (-1, 1)])
+    return zonotope([(1, 0), (0, 1)])
 
 
 def _cube() -> Polytope:
-    return from_vertices(
-        [tuple(Rat(s, 2) for s in signs) for signs in product((-1, 1), repeat=3)]
-    )
+    return zonotope([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def _triangle() -> Polytope:
     return from_vertices([(0, 0), (1, 0), (0, 1)])
 
 
-HEXAGON_VERTICES = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-
-
 def _hexagon() -> Polytope:
-    return from_vertices(HEXAGON_VERTICES)
+    return zonotope([(1, -1), (1, 0), (0, 1)])
 
 
 def prism(base: Polytope, height) -> Polytope:
@@ -83,7 +79,7 @@ def parallelepiped(matrix) -> Polytope:
 
 
 def _hexagonal_prism() -> Polytope:
-    return prism(_hexagon(), 1)
+    return zonotope([(1, 0, 0), (0, 1, -1), (0, 1, 0), (0, 0, 1)])
 
 
 def _rhombic_dodecahedron() -> Polytope:
@@ -95,12 +91,7 @@ def _elongated_dodecahedron() -> Polytope:
 
 
 def _truncated_octahedron() -> Polytope:
-    pts = set()
-    for perm in permutations((0, 1, 2)):
-        for s1 in (-1, 1):
-            for s2 in (-1, 1):
-                pts.add(tuple({0: 0, 1: s1, 2: 2 * s2}[x] for x in perm))
-    return from_vertices(sorted(pts))
+    return zonotope([(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)])
 
 
 RHOMBIC_ICOSAHEDRON_GENERATORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3))

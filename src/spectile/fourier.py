@@ -20,13 +20,13 @@ geometry: vertices, then edges (3D), facets and the body, each level
 combining the values of the one below.  The walk has two arithmetics.
 Values (ft_indicator, ft_surface, ft_with_boundary, asymptotic_cone_check)
 come from _walk_hp in mpmath at a working precision of 128 bits
-(precision_bits()); the facet level is the surface transforms and the
-body the indicator.  Decisions over many frequencies
-(spectrum.verify_orthogonality, decay_bound_check) go through the float64
-batch kernel on integer-scaled frequencies, a floating-point filter: a
-frequency whose float64 bound is too coarse to decide is walked again at
-working precision, and again at 256, 512 and 1024 bits while its bound
-stays too coarse.
+(precision_bits()).  One walk evaluates every face: its facet level is
+the surface transforms and its body the indicator.  Decisions over many
+frequencies (spectrum.verify_orthogonality, decay_bound_check) go
+through the float64 batch kernel on integer-scaled frequencies, a
+floating-point filter: a frequency whose float64 bound is too coarse to
+decide is walked again at working precision, and again at 256, 512 and
+1024 bits while its bound stays too coarse.
 """
 
 from __future__ import annotations
@@ -276,13 +276,12 @@ def _hp_roots(p: Polytope, bits: int):
     }
 
 
-def _walk_hp(p: Polytope, x, den, want=((-1, 0),), bits: int = _BITS):
+def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
     """The boundary recursion at xi = x / den, for integers x and a positive
     integer den, at `bits` of working precision.  Returns one list per
     level (the vertices, the edges in 3D, the facets, the body) of (value,
-    error bound) per face.  Only the faces in want, (level, index) pairs
-    with the body by default, and the faces they reach are evaluated; the
-    others are None.  Arithmetic on the values needs a workprec of its own.
+    error bound) for every face.  Arithmetic on the values needs a
+    workprec of its own.
 
     Every operand reaches mpmath as integers: a phase as its numerator
     modulo den * scale, |xi_par|^2 as its integer numerator over
@@ -310,31 +309,19 @@ def _walk_hp(p: Polytope, x, den, want=((-1, 0),), bits: int = _BITS):
             else:  # a facet: |xi|^2 - <xi, n>^2 / |n|^2
                 nums = [x_sq * q - ci * ci for ci, q in zip(c, n_sq)]
         ints.append(((lv["m"] @ x).tolist(), lv["child"].tolist(), nums, par_dens))
-    # the faces to evaluate, from the top down
-    need = [set() for _ in range(len(ints) + 1)]
-    for k, f in want:
-        need[k].add(f)
-    for k, lv in reversed(list(enumerate(g["levels"]))):
-        coeffs, child, nums, _ = ints[k]
-        for f in need[k + 1]:
-            if nums[f]:
-                need[k].update(child[j] for j in range(lv["bounds"][f], lv["bounds"][f + 1]) if coeffs[j])
     with mpmath.workprec(bits):
         hp = _hp_roots(p, bits)
         eps = hp["eps"]
         mod = den * g["v_scale"]
-        phases = (g["verts"] @ x).tolist()
-        below = [(_phase(r, mod), eps) if i in need[0] else None for i, r in enumerate(phases)]
+        below = [(_phase(r, mod), eps) for r in (g["verts"] @ x).tolist()]
         levels = [below]
-        for lv, (measures, wdens), (coeffs, child, nums, par_dens), faces in zip(
-            g["levels"], hp["levels"], ints, need[1:]
-        ):
-            out = [None] * len(nums)
-            for f in faces:
+        for lv, (measures, wdens), (coeffs, child, nums, par_dens) in zip(g["levels"], hp["levels"], ints):
+            out = []
+            for f in range(len(nums)):
                 if nums[f] == 0:
                     phase = _phase(int(lv["centroid"][f] @ x), den * lv["c_scale"])
                     # the phase costs eps, the rounded measure and product far less
-                    out[f] = (measures[f] * phase, 2 * eps * float(measures[f]))
+                    out.append((measures[f] * phase, 2 * eps * float(measures[f])))
                     continue
                 acc, err = mpmath.mpc(0), 0.0
                 for j in range(lv["bounds"][f], lv["bounds"][f + 1]):
@@ -348,7 +335,7 @@ def _walk_hp(p: Polytope, x, den, want=((-1, 0),), bits: int = _BITS):
                     err += aw * e + aw * (float(abs(z)) + 1) * 3 * eps
                 s = _ratio(nums[f], par_dens[f])
                 val = acc / (hp["m2pi_i"] * s)
-                out[f] = (val, err / (2 * hp["pi_f"] * float(s)) + (float(abs(val)) + 1) * 2 * eps)
+                out.append((val, err / (2 * hp["pi_f"] * float(s)) + (float(abs(val)) + 1) * 2 * eps))
             levels.append(out)
             below = out
         return levels
@@ -364,10 +351,10 @@ def _integer_rows(xis):
     return nums, dens
 
 
-def _walk_at(p: Polytope, xi, want=((-1, 0),)):
+def _walk_at(p: Polytope, xi):
     """_walk_hp at one rational frequency."""
     (x,), (den,) = _integer_rows([xi])
-    return _walk_hp(p, x, den, want)
+    return _walk_hp(p, x, den)
 
 
 # --- the float64 batch kernel ------------------------------------------------
@@ -524,7 +511,7 @@ def ft_indicator(p: Polytope, xi) -> ComplexValue:
 def ft_surface(p: Polytope, facet: int, xi) -> ComplexValue:
     """Transform of the surface measure of one facet."""
     xi = _check_frequency(p, xi)
-    return _complex_value(_walk_at(p, xi, [(-2, facet)])[-2][facet])
+    return _complex_value(_walk_at(p, xi)[-2][facet])
 
 
 def ft_with_boundary(p: Polytope, xi):
@@ -538,7 +525,7 @@ def ft_with_boundary(p: Polytope, xi):
     xi = _check_frequency(p, xi)
     if is_zero_vec(xi):
         raise ZeroFrequency("boundary identity is stated for nonzero frequencies")
-    *_, facets, body = _walk_at(p, xi, [(-1, 0)] + [(-2, fi) for fi in range(len(p.facets))])
+    *_, facets, body = _walk_at(p, xi)
     return _complex_value(body[0]), tuple(_complex_value(f) for f in facets)
 
 

@@ -29,20 +29,12 @@ __all__ = ["SampleConfig", "MCVolume", "MultiplicityHistogram", "mc_volume", "mu
 class SampleConfig:
     count: int
     seed: int
-    bounding_box: tuple | None = None  # ((lo,...), (hi,...)) in floats
 
     def __post_init__(self):
         if self.count < 1:
             raise PreconditionFailed(f"sample count must be at least 1, got {self.count}")
         if self.seed < 0:
             raise PreconditionFailed(f"seed must be non-negative, got {self.seed}")
-
-    def resolve_box(self, p: Polytope):
-        if self.bounding_box is not None:
-            return self.bounding_box
-        lo = tuple(min(float(v[i]) for v in p.vertices) for i in range(p.dim))
-        hi = tuple(max(float(v[i]) for v in p.vertices) for i in range(p.dim))
-        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -65,8 +57,10 @@ def _inside_counts(a, b, pts):
 
 
 def mc_volume(p: Polytope, cfg: SampleConfig) -> MCVolume:
-    """Hit-ratio volume estimate with binomial standard error."""
-    lo, hi = cfg.resolve_box(p)
+    """Hit-ratio volume estimate with binomial standard error, sampling
+    the bounding box of the vertices."""
+    lo = tuple(min(float(v[i]) for v in p.vertices) for i in range(p.dim))
+    hi = tuple(max(float(v[i]) for v in p.vertices) for i in range(p.dim))
     rng = np.random.default_rng(cfg.seed)
     pts = rng.random((cfg.count, p.dim)) * (np.array(hi) - np.array(lo)) + np.array(lo)
     a, b = _facet_arrays(p)

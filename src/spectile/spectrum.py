@@ -78,11 +78,11 @@ class SpectrumPatch:
     """Finite window of a candidate spectrum.
 
     Points are exact rationals when lattice-derived; user patches may carry
-    floats.  separation is the smallest nonzero distance between two
-    points (see _separation).  Derived forms are computed once per
-    instance, on first use, and shared by every check: is_exact, the array
-    form of the points (_coords) and their distinct differences
-    (_differences).
+    floats, all finite.  separation is the smallest nonzero distance
+    between two points (see _separation).  Derived forms are computed once
+    per instance, on first use, and shared by every check: is_exact, the
+    array form of the points (_coords) and their distinct differences up to
+    sign (_differences).
     """
 
     points: tuple
@@ -115,10 +115,19 @@ class SpectrumPatch:
 
     @cached_property
     def _differences(self):
-        """(den, U): the distinct differences q_j - q_i (i < j), not
-        +-collapsed, as the rows of U / den in lexicographic order; see
-        _difference_rows.  U is read-only."""
+        """(den, U): the distinct differences of the patch points up to
+        sign, as the rows of U / den in lexicographic order; U is read-only.
+
+        d and -d count once, kept with the first nonzero coordinate
+        positive: the points are sorted lexicographically first, so every
+        later-minus-earlier difference is already that one.  Orthogonality
+        and C2 need no other form, since |1^_P(-d)| = |1^_P(d)| and
+        <-d, tau> is as far from an integer as <d, tau>; the set does not
+        depend on the order of the points.
+        """
         den, a = self._coords
+        if len(a) > 1:
+            a = a[np.lexsort(a.T[::-1])]
         u = _distinct_differences(a)
         u.flags.writeable = False
         return den, u
@@ -179,8 +188,7 @@ def _separation(a) -> float:
     The result equals, bit for bit, the minimum of
     sqrt(np.sum((a_i - a_j)**2, axis=-1)) over all pairs with a nonzero
     value, but only pairs that can be closest are evaluated, each with
-    that same arithmetic.  A row with a non-finite coordinate is at
-    distance inf or nan from every row and is dropped first.
+    that same arithmetic.  Every coordinate is finite (make_patch).
 
     The nearest neighbour of the row closest to the centroid gives h2, the
     computed squared distance of a real pair, so the result is at most
@@ -201,12 +209,9 @@ def _separation(a) -> float:
     scipy.spatial.cKDTree would find the pairs too, but importing it adds
     about 37 MB of resident memory and 0.57 s to every run.
     """
-    if len(a) < 2:
+    if len(a) < 2 or a.shape[1] == 0:
         return math.inf
-    a = a[np.isfinite(a).all(axis=1)]
     n, d = a.shape
-    if n < 2 or d == 0:
-        return math.inf
     centre = np.argmin(np.sum((a - a.mean(axis=0)) ** 2, axis=-1))
     near = np.sum((a - a[centre]) ** 2, axis=-1)
     h2 = float(near[near > 0].min(initial=math.inf))
@@ -232,10 +237,16 @@ def require_finite(x, name: str = "patch radius", non_negative: bool = False):
 
 
 def make_patch(points, window_radius: float) -> SpectrumPatch:
+    """The patch of the given points; PreconditionFailed for a window
+    radius or a float coordinate that is infinite or NaN."""
     window_radius = float(window_radius)
     require_finite(window_radius, "window radius", non_negative=True)
     pts = tuple(tuple(p) for p in points)
-    return SpectrumPatch(points=pts, window_radius=window_radius, separation=_separation(_float_rows(pts)))
+    rows = _float_rows(pts)
+    if not np.isfinite(rows).all():
+        bad = next(q for q, row in zip(pts, rows) if not np.isfinite(row).all())
+        raise PreconditionFailed(f"patch coordinates must be finite, got {bad}")
+    return SpectrumPatch(points=pts, window_radius=window_radius, separation=_separation(rows))
 
 
 def dual_lattice(lattice: Lattice) -> Lattice:
@@ -363,27 +374,6 @@ def _distinct_differences(a):
     return np.stack(cols, axis=1).reshape(-1, len(spans))
 
 
-def _difference_rows(s: SpectrumPatch, collapse_sign: bool):
-    """(den, U): the distinct differences q_j - q_i (i < j) of the patch
-    points are the rows of U / den, in lexicographic order.
-
-    The plain set is computed once per patch (SpectrumPatch._differences).
-    With collapse_sign, d and -d count once, kept with the first nonzero
-    coordinate positive: the plain set with every row sign-normalized and
-    deduplicated.
-    """
-    den, u = s._differences
-    if not collapse_sign or not len(u):
-        return den, u
-    u = u.copy()
-    first = (u != 0).argmax(axis=1)
-    neg = u[np.arange(len(u)), first] < 0
-    u[neg] = -u[neg]
-    if u.dtype == float:
-        u += 0.0  # -(0.0) is -0.0, which must count and print as 0.0
-    return den, _unique(u)
-
-
 def _matmul_mod(u, t, m: int):
     """(u @ t) % m for integer arrays u and t, in int64 when no product,
     sum or modulus can overflow, and in Python ints otherwise."""
@@ -413,19 +403,19 @@ class OrthogonalityReport:
 def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -> OrthogonalityReport:
     """All pairwise differences must lie in the zero set of the transform.
 
-    The distinct differences (+-collapsed for exact patches, see
-    _difference_rows) go through the float64 batch kernel in one call; a
-    difference whose error bound exceeds FALLBACK_FRACTION of tol * volume
-    is evaluated again at working precision, and at higher precisions while
-    its bound still exceeds that (fourier._indicator_rows_hp).  Float
-    patches are snapped coordinate-wise to rationals with denominators up
-    to 10^9.
+    The distinct differences up to sign (SpectrumPatch._differences, which
+    num_differences counts) go through the float64 batch kernel in one
+    call; a difference whose error bound exceeds FALLBACK_FRACTION of
+    tol * volume is evaluated again at working precision, and at higher
+    precisions while its bound still exceeds that
+    (fourier._indicator_rows_hp).  Float patches are snapped
+    coordinate-wise to rationals with denominators up to 10^9.
     """
     require_finite(tol, "tolerance", non_negative=True)
     if len(s) == 0:
         raise PreconditionFailed("empty patch")
     exact = s.is_exact
-    den, U = _difference_rows(s, collapse_sign=exact)
+    den, U = s._differences
     if exact:
         X, D = U, [den] * len(U)
     else:
@@ -503,18 +493,19 @@ def condition_C2_check(s: SpectrumPatch, taus, tol: float = 1e-9) -> C2Report:
     """<difference, tau> must be within tol of an integer for every pair
     of patch points and every facet translation tau.
 
-    The check runs on the distinct differences, not +-collapsed, which
-    num_differences counts.  An exact patch with exact taus is checked in
-    integers: with the differences U / den and the taus T / tden, the
-    distance of <u, t> / M (M = den * tden) to the nearest integer is
-    min(r, M - r) / M for r = <u, t> mod M, and the largest numerator is
-    divided by M once, so max_distance_to_integer is the correctly rounded
-    float of the exact maximum.  Otherwise every <d, tau> is summed in
-    float64 as ((0.0 + d_0 t_0) + d_1 t_1) + ..., with t_k = float(tau_k),
-    and its distance is |v - rint(v)|.
+    The check runs on the distinct differences up to sign
+    (SpectrumPatch._differences), which num_differences counts; each
+    distance below is the same for d and -d.  An exact patch with exact
+    taus is checked in integers: with the differences U / den and the taus
+    T / tden, the distance of <u, t> / M (M = den * tden) to the nearest
+    integer is min(r, M - r) / M for r = <u, t> mod M, and the largest
+    numerator is divided by M once, so max_distance_to_integer is the
+    correctly rounded float of the exact maximum.  Otherwise every
+    <d, tau> is summed in float64 as ((0.0 + d_0 t_0) + d_1 t_1) + ...,
+    with t_k = float(tau_k), and its distance is |v - rint(v)|.
     """
     taus = [tuple(t) for t in taus]
-    den, U = _difference_rows(s, collapse_sign=False)
+    den, U = s._differences
     worst = 0.0
     if len(U) and taus:
         if s.is_exact and not any(isinstance(c, float) for t in taus for c in t):

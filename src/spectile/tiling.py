@@ -324,14 +324,13 @@ def tau_lattice_closure(p: Polytope) -> Lattice:
     return Lattice.from_generators(taus)
 
 
-def lattice_T(p: Polytope, report: TilingReport | None = None) -> Lattice:
+def lattice_T(p: Polytope) -> Lattice:
     """The tiling lattice: integer combinations of the tau vectors.
 
     Only constructed when the tiling criterion holds; the group is a
     lattice precisely then.
     """
-    rep = report if report is not None else venkov_mcmullen(p)
-    if not rep.tiles:
+    if not venkov_mcmullen(p).tiles:
         raise PreconditionFailed("polytope does not tile; the tau group need not be a lattice")
     return tau_lattice_closure(p)
 
@@ -393,11 +392,11 @@ def covering_verify(p: Polytope, lattice: Lattice, samples: int = 20000, seed: i
     return hist.min >= 1
 
 
-def fedorov_classify(p: Polytope, report: TilingReport | None = None) -> FedorovClass:
+def fedorov_classify(p: Polytope) -> FedorovClass:
     """One of the five combinatorial types of 3D translational tiles."""
     if p.dim != 3:
         raise PreconditionFailed("classification is three-dimensional")
-    rep = report if report is not None else venkov_mcmullen(p)
+    rep = venkov_mcmullen(p)
     if not rep.tiles:
         raise NotATiler("polytope fails the tiling criterion")
     key = (len(p.facets), rep.belt_lengths)

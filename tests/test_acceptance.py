@@ -106,7 +106,7 @@ def test_criterion_03_hexagon():
     hexagon = make("hexagon")
     rep = venkov_mcmullen(hexagon)
     assert rep.tiles
-    lt = lattice_T(hexagon, rep)
+    lt = lattice_T(hexagon)
     assert lt.covolume == 3 == hexagon.volume
     dual = dual_lattice(lt)
     sp = patch(dual, 10.0)
@@ -143,8 +143,8 @@ def test_criterion_04_fedorov_catalog():
         rep = venkov_mcmullen(p)
         assert rep.tiles, name
         assert all(n in (4, 6) for n in rep.belt_lengths), name
-        assert fedorov_classify(p, rep) is cls, name
-        lt = lattice_T(p, rep)
+        assert fedorov_classify(p) is cls, name
+        lt = lattice_T(p)
         assert lt.covolume == p.volume, name
         assert packing_verify(p, lt), name
         details.append(f"{cls.value}{list(rep.belt_lengths)}")

@@ -1,8 +1,9 @@
 import json
+from itertools import permutations, product
 
 import pytest
 
-from spectile import Rat, polytope_from_json
+from spectile import Rat, from_vertices, polytope_from_json
 from spectile.catalog import CATALOG_NAMES, make, parallelepiped, prism, resolve_input
 from spectile.errors import ParseError
 from spectile.spectrum import decide_spectral
@@ -31,8 +32,29 @@ def test_catalog_tilers_tile():
         p = make(name)
         rep = venkov_mcmullen(p)
         assert rep.tiles, name
-        lt = lattice_T(p, rep)
+        lt = lattice_T(p)
         assert lt.covolume == p.volume, name
+
+
+HEXAGON_VERTICES = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+# the vertex lists the zonotope shapes were once built from
+VERTEX_LISTS = {
+    "interval": [(Rat(-1, 2),), (Rat(1, 2),)],
+    "square": [(Rat(sx, 2), Rat(sy, 2)) for sx in (-1, 1) for sy in (-1, 1)],
+    "cube": [tuple(Rat(s, 2) for s in signs) for signs in product((-1, 1), repeat=3)],
+    "hexagon": HEXAGON_VERTICES,
+    "hexagonal-prism": [(s * Rat(1, 2),) + v for v in HEXAGON_VERTICES for s in (1, -1)],
+    "truncated-octahedron": sorted({q for s in (-1, 1) for t in (-2, 2) for q in permutations((0, s, t))}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_LISTS))
+def test_zonotope_shapes_equal_their_vertex_hulls(name):
+    # vertex for vertex, facet for facet and, in the plane, cycle for cycle
+    got, hull = make(name), from_vertices(VERTEX_LISTS[name])
+    assert got.dim == hull.dim and got.vertices == hull.vertices
+    assert got.facets == hull.facets and got._cycle2d == hull._cycle2d
+    assert got.volume == hull.volume
 
 
 def test_catalog_non_tilers_fail_with_documented_witness():

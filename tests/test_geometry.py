@@ -289,6 +289,14 @@ def zonotope_generators(draw):
 @given(zonotope_generators())
 @example([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])
 @example([(1, 1, 0), (2, -1, 0), (-1, 3, 0)])
+# the catalog's generator lists: interval, square, cube, hexagon, hexagonal
+# prism and truncated octahedron
+@example([(1,)])
+@example([(1, 0), (0, 1)])
+@example([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+@example([(1, -1), (1, 0), (0, 1)])
+@example([(1, 0, 0), (0, 1, -1), (0, 1, 0), (0, 0, 1)])
+@example([(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)])
 def test_zonotope_matches_corner_hull(gens):
     """zonotope() reads the face lattice off the generators; it must equal
     the hull of the 2^k corners, vertex and facet for facet."""

@@ -20,7 +20,6 @@ from spectile.linalg import det
 from spectile.spectrum import (
     PrismSpectrumSpec,
     SpectrumPatch,
-    _difference_rows,
     _float_rows,
     _separation,
     chi_estimate,
@@ -91,21 +90,28 @@ def test_orthogonality_detects_bad_point(cube):
     assert rep.worst_difference is not None
 
 
-def _brute_differences(points, collapse_sign):
+def _brute_differences(points):
+    """Every q_j - q_i (i < j), d and -d counted once as the one with its
+    first nonzero coordinate positive."""
     out = set()
     for i, a in enumerate(points):
         for b in points[i + 1 :]:
             d = tuple(y - x for x, y in zip(a, b))
-            if collapse_sign and next((c for c in d if c != 0), 0) < 0:
+            if next((c for c in d if c != 0), 0) < 0:
                 d = tuple(-c for c in d)
             out.add(d)
     return out
 
 
-def _rat_rows(sp, collapse_sign):
-    """_difference_rows of an exact patch as a set of Rat tuples."""
-    den, rows = _difference_rows(sp, collapse_sign)
+def _rat_rows(sp):
+    """The difference set of an exact patch as a set of Rat tuples."""
+    den, rows = sp._differences
     return {tuple(Rat(int(c), den) for c in row) for row in rows}
+
+
+def _sign_normalized(rows) -> bool:
+    """Whether every nonzero row has its first nonzero coordinate positive."""
+    return all(next((c for c in row if c != 0), 1) > 0 for row in rows.tolist())
 
 
 def _brute_c2(points, taus):
@@ -156,23 +162,22 @@ def exact_patches(draw):
 @settings(max_examples=40, deadline=None)
 @example(  # int64 points whose products with the taus overflow int64
     patch_and_dim=([(Rat(0), Rat(0)), (Rat(2**61), Rat(1)), (Rat(7 - 2**61), Rat(3))], 2),
-    collapse_sign=False,
     tau_rows=[[Fraction(5, 3), Fraction(1, 7), Fraction(0)]],
     tau_type=Rat,
 )
 @given(
     exact_patches(),
-    st.booleans(),
     st.lists(st.lists(fractions, min_size=3, max_size=3), max_size=3),
     st.sampled_from([Rat, float]),
 )
-def test_difference_set_and_c2_match_brute_force_exact(patch_and_dim, collapse_sign, tau_rows, tau_type):
+def test_difference_set_and_c2_match_brute_force_exact(patch_and_dim, tau_rows, tau_type):
     pts, d = patch_and_dim
     sp = SpectrumPatch(points=tuple(pts), window_radius=1.0, separation=0.0)
-    den, rows = _difference_rows(sp, collapse_sign)
-    brute = _brute_differences(pts, collapse_sign)
-    assert _rat_rows(sp, collapse_sign) == brute and len(rows) == len(brute)
+    den, rows = sp._differences
+    brute = _brute_differences(pts)
+    assert _rat_rows(sp) == brute and len(rows) == len(brute)
     assert [tuple(r) for r in rows.tolist()] == sorted(tuple(r) for r in rows.tolist())
+    assert _sign_normalized(rows)
     # Python ints exactly when twice the cleared magnitudes overflow int64
     den = math.lcm(*(c.denominator for q in pts for c in q))
     big = max((abs(c) * den for q in pts for c in q), default=0)
@@ -180,41 +185,72 @@ def test_difference_set_and_c2_match_brute_force_exact(patch_and_dim, collapse_s
     taus = [tuple(tau_type(c) for c in t[:d]) for t in tau_rows]
     rep = condition_C2_check(sp, taus)
     assert rep.max_distance_to_integer == _brute_c2(pts, taus)
-    assert rep.num_differences == len(_brute_differences(pts, False))
+    assert rep.num_differences == len(brute)
     assert rep.passed == (rep.max_distance_to_integer <= rep.tolerance)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([2, 3]).flatmap(lambda d: st.lists(st.tuples(*[floats] * d), max_size=9)),
-    st.booleans(),
     st.lists(st.lists(fractions, min_size=3, max_size=3), min_size=1, max_size=3),
 )
-def test_difference_set_and_c2_match_brute_force_float(pts, collapse_sign, tau_rows):
+def test_difference_set_and_c2_match_brute_force_float(pts, tau_rows):
     sp = SpectrumPatch(points=tuple(pts), window_radius=1.0, separation=0.0)
-    den, rows = _difference_rows(sp, collapse_sign)
-    brute = _brute_differences(pts, collapse_sign)  # -0.0 == 0.0 in the set
+    den, rows = sp._differences
+    brute = _brute_differences(pts)  # -0.0 == 0.0 in the set
     assert den == 1 and {tuple(r) for r in rows.tolist()} == brute and len(rows) == len(brute)
-    assert not np.signbit(rows[rows == 0]).any()
+    assert not np.signbit(rows[rows == 0]).any() and _sign_normalized(rows)
     if pts and pts[0]:
         d = len(pts[0])
         taus = [tuple(Rat(c) for c in t[:d]) for t in tau_rows]
         rep = condition_C2_check(sp, taus)
         assert rep.max_distance_to_integer == _brute_c2(pts, taus)
-        assert rep.num_differences == len(_brute_differences(pts, False))
+        assert rep.num_differences == len(brute)
+
+
+float_patches = st.sampled_from([2, 3]).flatmap(
+    lambda d: st.tuples(st.lists(st.tuples(*[floats] * d), max_size=9), st.just(d))
+)
 
 
 @settings(max_examples=30, deadline=None)
-@given(exact_patches(), st.randoms(use_true_random=False))
-def test_collapsed_set_derived_from_plain_set(patch_and_dim, rnd):
+@given(st.one_of(exact_patches(), float_patches), st.randoms(use_true_random=False))
+def test_difference_set_independent_of_point_order(patch_and_dim, rnd):
+    # one set per patch, whatever the order of its points (duplicates kept)
     pts, _ = patch_and_dim
-    ordered = sorted(set(pts))
-    shuffled = list(ordered)
+    shuffled = list(pts)
     rnd.shuffle(shuffled)
-    for q in (ordered, shuffled):
-        sp = SpectrumPatch(points=tuple(q), window_radius=1.0, separation=0.0)
-        assert _rat_rows(sp, True) == _brute_differences(q, True)
-        assert _rat_rows(sp, False) == _brute_differences(q, False)
+    brute = {tuple(Rat(c) for c in d) for d in _brute_differences(pts)}
+    forms = []
+    for q in (pts, shuffled, shuffled[::-1]):
+        den, rows = SpectrumPatch(points=tuple(q), window_radius=1.0, separation=0.0)._differences
+        assert {tuple(Rat(c) / den for c in r) for r in rows.tolist()} == brute
+        signs = np.signbit(rows).tolist() if rows.dtype == float else None  # -0.0 == 0.0
+        forms.append((den, rows.dtype, rows.tolist(), signs))
+    assert forms[0] == forms[1] == forms[2]
+
+
+def test_reports_independent_of_point_order(hexagon):
+    # a lattice patch, a copy with one point moved off the lattice and an
+    # irrationally shifted float copy: shuffling the points changes nothing
+    taus = [t.tau for t in tau_vectors(hexagon)]
+    base = list(patch(dual_lattice(lattice_T(hexagon)), 3.0).points)
+    moved = list(base)
+    moved[5] = (moved[5][0] + Rat(1, 4), moved[5][1])
+    shift = (math.sqrt(2) / 7, math.sqrt(3) / 9)
+    shifted = [tuple(float(c) + s for c, s in zip(q, shift)) for q in base]
+    rnd = random.Random(11)
+    passed = []
+    for pts in (base, moved, shifted):
+        shuffled = list(pts)
+        rnd.shuffle(shuffled)
+        reports = []
+        for q in (sorted(pts), shuffled):
+            sp = make_patch(q, 3.5)
+            reports.append((verify_orthogonality(hexagon, sp), condition_C2_check(sp, taus)))
+        assert reports[0] == reports[1]
+        passed.append((reports[0][0].passed, reports[0][1].passed))
+    assert passed == [(True, True), (False, False), (True, True)]
 
 
 def test_analyze_walks_the_pairs_once(monkeypatch):
@@ -242,7 +278,7 @@ def test_c2_empty_and_single_point_patches():
         sp = make_patch(pts, 1.0)
         rep = condition_C2_check(sp, taus)
         assert rep.passed and rep.max_distance_to_integer == 0.0 and rep.num_differences == 0
-        assert len(_difference_rows(sp, True)[1]) == 0
+        assert len(sp._differences[1]) == 0
 
 
 def test_integer_differences_match_fraction_brute_force():
@@ -251,12 +287,11 @@ def test_integer_differences_match_fraction_brute_force():
     pts = list(patch(z3, 2.0).points)
     pts += [tuple(c + s for c, s in zip(q, (Rat(1, 4), 0, 0))) for q in pts]
     ordered = sorted(set(pts))
-    # the reversed order puts every pair against the collapsed sign
+    # the reversed order puts every pair against the kept sign
     for sp in (make_patch(ordered, 2.3), make_patch(ordered[::-1], 2.3)):
-        for collapse_sign in (True, False):
-            got = _rat_rows(sp, collapse_sign)
-            assert got == _brute_differences(sp.points, collapse_sign)
-            assert all(isinstance(c, Rat) for d in got for c in d)
+        got = _rat_rows(sp)
+        assert got == _brute_differences(sp.points)
+        assert all(isinstance(c, Rat) for d in got for c in d)
 
 
 def test_orthogonality_hexagon_difference_count(hexagon):
@@ -533,13 +568,27 @@ def separation_inputs(draw):
 @example([(0.0,), (4.223e-162,), (6.779e-162,)])  # the bound's own pair is the closest
 @example([(0.0, 0.0), (1e200, 0.0), (1e200, 1e185)])  # squares that overflow
 @example([(1e308, 0.0), (-1e308, 0.0), (0.0, 1.0)])  # a range that overflows
-@example([(math.nan, 0.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, 0.0), (0.0, 0.5)])
+@example([(math.nan, 0.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, 0.0), (0.0, 0.5)])  # rejected
 @given(separation_inputs())
 def test_separation_matches_the_pair_loop(pts):
+    if not np.isfinite(_float_rows(pts)).all():
+        with pytest.raises(PreconditionFailed, match="finite"):
+            make_patch(pts, 1.0)
+        return
     expected = _separation_reference(pts)
-    got = _separation(_float_rows(pts))
-    assert got == expected or (math.isnan(got) and math.isnan(expected))
+    assert _separation(_float_rows(pts)) == expected
     assert make_patch(pts, 1.0).separation == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_patch_rejects_non_finite_coordinates(truncated_octahedron, bad):
+    # unchecked, such a point passes uniqueness and C2 (max(0.0, nan) is
+    # 0.0) and breaks the snapping of differences in orthogonality
+    sp = patch(dual_lattice(lattice_T(truncated_octahedron)), 2.0)
+    pts = [tuple(float(c) for c in q) for q in sp.points]
+    pts[3] = (pts[3][0], bad, pts[3][2])
+    with pytest.raises(PreconditionFailed, match="finite"):
+        make_patch(pts, 2.0)
 
 
 def test_separation_of_lattice_patches(hexagon, truncated_octahedron):

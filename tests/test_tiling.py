@@ -131,15 +131,24 @@ def test_points_in_ball():
 
 
 def _ball_brute_force(lattice, radius_sq, strict=False):
-    """The lattice points in the ball by Fraction arithmetic over a box of
-    coefficients |k_i| <= R |b*_i| + 1, b*_i the dual rows, sorted."""
+    """The lattice points in the ball over a box of coefficients
+    |k_i| <= R |b*_i| + 1, b*_i the dual rows, sorted.
+
+    The basis is cleared once to integer rows Bi / den, so x = k Bi / den
+    lies in the ball of radius^2 = p / q exactly when q |k Bi|^2 <= p den^2,
+    compared in Python ints."""
     dual = transpose(inverse(lattice.basis))
     box = [int(math.sqrt(float(radius_sq) * float(norm_sq(row)))) + 1 for row in dual]
+    den = math.lcm(*(Rat(c).denominator for row in lattice.basis for c in row))
+    bi = [[int(c * den) for c in row] for row in lattice.basis]
+    r2 = Rat(radius_sq)
+    bound = r2.numerator * den * den
     out = []
     for k in itertools.product(*[range(-b, b + 1) for b in box]):
-        x = tuple(sum((c * row[j] for c, row in zip(k, lattice.basis)), Rat(0)) for j in range(lattice.dim))
-        if (norm_sq(x) < radius_sq) if strict else (norm_sq(x) <= radius_sq):
-            out.append(x)
+        x = [sum(c * row[j] for c, row in zip(k, bi)) for j in range(lattice.dim)]
+        n = r2.denominator * sum(c * c for c in x)
+        if (n < bound) if strict else (n <= bound):
+            out.append(tuple(Rat(c, den) for c in x))
     return tuple(sorted(out))
 
 
