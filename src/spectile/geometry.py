@@ -1,13 +1,15 @@
 """Exact convex polytopes in dimensions 1-3.
 
 Vertices are tuples of exact rationals.  Hulls of vertex input are
-computed with exact arithmetic only (incremental gift wrapping in 3D,
-monotone chain in 2D) and coplanar points are merged into maximal faces,
-so the face lattice is the combinatorial object itself, not a
-triangulation.  Zonotopes are built from their generators instead: the
-face lattice is read off the generator directions, never off the 2^k
-corners.  Every constructed polytope is validated: supporting-plane
-equalities, two facets per subfacet, and the Euler relation in 3D.
+computed with exact arithmetic only (gift wrapping in 3D, seeded from
+the 2D hull of a projection; monotone chain in 2D) and coplanar points
+are merged into maximal faces, so the face lattice is the combinatorial
+object itself, not a triangulation.  Zonotopes are built from their
+generators instead: the face lattice is read off the generator
+directions, never off the 2^k corners.  Halfspace input is bounded
+exactly when the origin is interior to the hull of its normals (Gordan).
+Every constructed polytope is validated in every dimension: supporting-
+plane equalities, two facets per subfacet, and the Euler relation.
 
 All values are immutable after construction; operations are pure.
 """
@@ -133,15 +135,7 @@ class Polytope:
     directly.
     """
 
-    __slots__ = (
-        "dim",
-        "vertices",
-        "facets",
-        "_cycle2d",
-        "_edges",
-        "_edge_facets",
-        "_cache",
-    )
+    __slots__ = ("dim", "vertices", "facets", "_cycle2d", "_subfacets", "_cache")
 
     def __init__(self, dim, vertices, facets, cycle2d=None):
         self.dim = dim
@@ -149,21 +143,15 @@ class Polytope:
         self.facets = facets
         self._cycle2d = cycle2d
         self._cache = {}
-        if dim == 3:
-            edge_facets: dict = {}
-            for fi, f in enumerate(self.facets):
-                cyc = f.indices
-                for k in range(len(cyc)):
-                    e = tuple(sorted((cyc[k], cyc[(k + 1) % len(cyc)])))
-                    edge_facets.setdefault(e, []).append(fi)
-            self._edges = tuple(sorted(edge_facets))
-            self._edge_facets = {e: tuple(fs) for e, fs in edge_facets.items()}
-        elif dim == 2:
-            self._edges = tuple(tuple(sorted(f.indices)) for f in self.facets)
-            self._edge_facets = {}
-        else:
-            self._edges = ()
-            self._edge_facets = {}
+        # {subfacet: owning facets}, sorted: the runs of dim - 1 indices
+        # along each facet cycle, so vertices in 2D, edges in 3D and the
+        # empty face in 1D
+        owners: dict = {}
+        for fi, f in enumerate(facets):
+            ring = f.indices * 2
+            for k in range(len(f.indices)):
+                owners.setdefault(tuple(sorted(ring[k : k + dim - 1])), []).append(fi)
+        self._subfacets = {sub: tuple(owners[sub]) for sub in sorted(owners)}
         self._validate()
 
     # -- face lattice ------------------------------------------------------
@@ -179,7 +167,7 @@ class Polytope:
             return tuple(tuple(sorted(f.indices)) for f in self.facets)
         if k == 0:
             return tuple((i,) for i in range(len(self.vertices)))
-        return self._edges  # k == 1, dim == 3
+        return tuple(self._subfacets)  # k == 1, dim == 3
 
     def subfacets(self) -> tuple:
         """(d-2)-faces; edges in 3D, vertices in 2D."""
@@ -188,11 +176,9 @@ class Polytope:
         return self.faces(self.dim - 2)
 
     def facets_of_subfacet(self, sub) -> tuple:
-        """Indices of the (exactly two) facets containing a subfacet."""
-        if self.dim == 3:
-            return self._edge_facets[tuple(sorted(sub))]
-        v = sub[0]
-        return tuple(fi for fi, f in enumerate(self.facets) if v in f.indices)
+        """Indices, in increasing order, of the (exactly two) facets
+        containing a subfacet given by its vertex indices."""
+        return self._subfacets[tuple(sorted(sub))]
 
     def facet_points(self, fi: int) -> tuple:
         return tuple(self.vertices[i] for i in self.facets[fi].indices)
@@ -326,18 +312,11 @@ class Polytope:
                         raise AssertionError("support set exceeds facet vertex set")
             if on != len(f.indices):
                 raise AssertionError("facet vertex set exceeds support set")
-        if self.dim == 3:
-            for e, fs in self._edge_facets.items():
-                if len(fs) != 2:
-                    raise AssertionError(f"edge {e} lies in {len(fs)} facets")
-            v, e, f = len(self.vertices), len(self._edges), len(self.facets)
-            if v - e + f != 2:
-                raise AssertionError("Euler relation violated")
-        if self.dim == 2:
-            for i in range(len(self.vertices)):
-                deg = sum(1 for f in self.facets if i in f.indices)
-                if deg != 2:
-                    raise AssertionError("polygon vertex not in exactly two edges")
+        for sub, fs in self._subfacets.items():
+            if len(fs) != 2:
+                raise AssertionError(f"subfacet {sub} lies in {len(fs)} facets")
+        if sum((-1) ** k * n for k, n in enumerate(self.f_vector())) != 1 - (-1) ** self.dim:
+            raise AssertionError("Euler relation violated")
 
 
 @memo
@@ -454,7 +433,8 @@ def _build_3d(pts) -> Polytope:
         return off, [p for p in pts if vdot(n, p) == off]
 
     def wrap(a, b, n_prev, off_prev):
-        """The supporting plane through edge (a, b) other than n_prev."""
+        """The normal of a supporting plane through edge (a, b) other than
+        the plane n_prev."""
         candidates = [p for p in pts if vdot(n_prev, p) < off_prev]
         u = vsub(b, a)
         for sign in (1, -1):
@@ -470,7 +450,7 @@ def _build_3d(pts) -> Polytope:
                 continue
             off = vdot(n, a)
             if all(vdot(n, p) <= off for p in pts):
-                return primitive(n), off
+                return n
         raise AssertionError("gift-wrap pivot failed to find a supporting plane")
 
     facet_by_normal = {}
@@ -491,40 +471,18 @@ def _build_3d(pts) -> Polytope:
             if len(edge_owners[e]) == 1:
                 queue.append((cycle[k], cycle[(k + 1) % m], n))
 
-    # Seed: a supporting plane at the lexicographic minimum.  If its support
-    # set is only an edge or a point, tilt until a facet or a hull edge shows.
-    p0 = min(pts)
-    n0 = (Rat(-1), ZERO, ZERO)
+    # Seed: the vertical plane over the first edge of the hull of the
+    # points projected along x supports the hull; its support set is a
+    # facet, or an edge to wrap around.  The projection is not flat, since
+    # the points are not.
+    q0, q1 = _monotone_chain({p[1:] for p in pts})[:2]
+    n0 = (ZERO, q1[1] - q0[1], q0[0] - q1[0])
     off0, sup0 = support_data(n0)
-    ar = affine_rank(sup0)
-    if ar == 2:
+    if affine_rank(sup0) == 2:
         register(n0)
     else:
-        if ar == 0:
-            best = None
-            best_a2 = best_w2 = None
-            for q in pts:
-                if q == p0:
-                    continue
-                a2 = (q[0] - p0[0]) ** 2
-                w = (q[1] - p0[1], q[2] - p0[2])
-                w2 = norm_sq(w)
-                if w2 == 0:
-                    continue
-                if best is None or a2 * best_w2 < best_a2 * w2:
-                    best, best_a2, best_w2 = q, a2, w2
-            wvec = (best[1] - p0[1], best[2] - p0[2])
-            a1 = best[0] - p0[0]
-            n0 = (-best_w2, a1 * wvec[0], a1 * wvec[1])
-            off0, sup0 = support_data(n0)
-            ar = affine_rank(sup0)
-        if ar == 2:
-            register(n0)
-        else:
-            seg = sorted(sup0)
-            a, b = seg[0], seg[-1]
-            n, _ = wrap(a, b, n0, off0)
-            register(n)
+        seg = sorted(sup0)
+        register(wrap(seg[0], seg[-1], n0, off0))
 
     while queue:
         a, b, owner = queue.popleft()
@@ -532,8 +490,7 @@ def _build_3d(pts) -> Polytope:
         if len(edge_owners[e]) >= 2:
             continue
         off_prev = facet_by_normal[owner][0]
-        n, _ = wrap(a, b, owner, off_prev)
-        register(n)
+        register(wrap(a, b, owner, off_prev))
         if owner not in edge_owners[e] or len(edge_owners[e]) != 2:
             raise AssertionError("edge adjacency bookkeeping failed")
 
@@ -603,32 +560,19 @@ def from_halfspaces(halfspaces) -> Polytope:
 def _check_bounded(hs, d):
     """Recession cone {u : <n_i, u> <= 0 for all i} must be {0}.
 
-    With full-rank normals the cone is pointed, so a nonzero cone contains
-    an extreme ray lying on d-1 of the boundary planes; those candidate
-    rays are enumerable exactly.  Rank deficiency gives a free line.
+    By Gordan's theorem it is {0} exactly when the origin is interior to
+    the convex hull of the normals n_i; rank deficiency already gives a
+    free line.
     """
     normals = [n for n, _ in hs]
     if rank(normals) < d:
         raise Unbounded("normals do not span the space")
-
-    def feasible(u):
-        return not is_zero_vec(u) and all(vdot(n, u) <= 0 for n in normals)
-
-    rays = []
-    if d == 1:
-        rays = [(Rat(1),), (Rat(-1),)]
-    elif d == 2:
-        for n in normals:
-            p = (-n[1], n[0])
-            rays.extend([p, vneg(p)])
-    else:
-        for i, j in combinations(range(len(normals)), 2):
-            c = cross3(normals[i], normals[j])
-            if not is_zero_vec(c):
-                rays.extend([c, vneg(c)])
-    for u in rays:
-        if feasible(u):
-            raise Unbounded("recession cone contains a ray")
+    try:
+        bounded = from_vertices(normals).contains((ZERO,) * d, strict=True)
+    except NotFullDimensional:
+        bounded = False
+    if not bounded:
+        raise Unbounded("recession cone contains a ray")
 
 
 def _zone_polygon(gens, flat) -> list:
@@ -703,6 +647,7 @@ def zonotope(generators) -> Polytope:
         keep = [a for a in range(3) if a != axis]
         zone = [g for g, h in zip(gens, heights) if h == 0]
         pts = [vadd(shift, q) for q in _zone_polygon(zone, lambda g: (g[keep[0]], g[keep[1]]))]
-        facet_by_normal[n] = (offset, tuple(_planar_cycle(pts, n)))
-        facet_by_normal[vneg(n)] = (offset, tuple(_planar_cycle([vneg(q) for q in pts], vneg(n))))
+        cycle = _planar_cycle(pts, n)
+        facet_by_normal[n] = (offset, tuple(cycle))
+        facet_by_normal[vneg(n)] = (offset, tuple(vneg(q) for q in reversed(cycle)))
     return _assemble_3d(facet_by_normal)

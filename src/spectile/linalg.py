@@ -63,10 +63,6 @@ def sqrt_upper(q) -> Rat:
     return Rat(s + 1, b << _SQRT_SHIFT)
 
 
-def vec(*coords) -> Vec:
-    return tuple(rational(c) for c in coords)
-
-
 def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -159,10 +155,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(Rat(1) if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def det(m: Mat):

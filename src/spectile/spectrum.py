@@ -42,7 +42,7 @@ from .fourier import (
     precision_bits,
 )
 from .geometry import Polytope, facet_widths, memo
-from .linalg import INT64_MAX, Rat, clear_denominators, inverse, norm_sq, primitive, vdot
+from .linalg import INT64_MAX, Rat, clear_denominators, inverse, norm_sq, primitive, sqrt_upper, vdot
 from .tiling import Lattice, TilingReport, is_prism, lattice_T, venkov_mcmullen
 
 __all__ = [
@@ -68,6 +68,9 @@ __all__ = [
 # pair differences are formed and checked this many rows at a time
 _BLOCK = 1 << 15
 
+# an exact rational above pi
+_PI_UP = Rat(math.nextafter(math.pi, math.inf))
+
 
 def _abs_max(a) -> int:
     return int(np.abs(a).max()) if a.size else 0
@@ -78,16 +81,20 @@ class SpectrumPatch:
     """Finite window of a candidate spectrum.
 
     Points are exact rationals when lattice-derived; user patches may carry
-    floats, all finite.  separation is the smallest nonzero distance
-    between two points (see _separation).  Derived forms are computed once
-    per instance, on first use, and shared by every check: is_exact, the
-    array form of the points (_coords) and their distinct differences up to
-    sign (_differences).
+    floats.  Every coordinate must be finite, however the patch is built
+    (PreconditionFailed otherwise).  separation is the smallest nonzero
+    distance between two points (see _separation).  Derived forms are
+    computed once per instance, on first use, and shared by every check:
+    is_exact, the array form of the points (_coords) and their distinct
+    differences up to sign (_differences).
     """
 
     points: tuple
     window_radius: float
     separation: float
+
+    def __post_init__(self):
+        _finite_rows(self.points)
 
     @cached_property
     def is_exact(self) -> bool:
@@ -139,6 +146,16 @@ class SpectrumPatch:
 def _float_rows(points):
     """The points as float64 rows, float(c) for each coordinate c."""
     return np.array([[float(c) for c in q] for q in points], dtype=float)
+
+
+def _finite_rows(points):
+    """_float_rows(points); PreconditionFailed for a coordinate that is
+    infinite or NaN there."""
+    rows = _float_rows(points)
+    if not np.isfinite(rows).all():
+        bad = next(q for q, row in zip(points, rows) if not np.isfinite(row).all())
+        raise PreconditionFailed(f"patch coordinates must be finite, got {bad}")
+    return rows
 
 
 def _closest(a, i, j, stop) -> float:
@@ -242,11 +259,7 @@ def make_patch(points, window_radius: float) -> SpectrumPatch:
     window_radius = float(window_radius)
     require_finite(window_radius, "window radius", non_negative=True)
     pts = tuple(tuple(p) for p in points)
-    rows = _float_rows(pts)
-    if not np.isfinite(rows).all():
-        bad = next(q for q, row in zip(pts, rows) if not np.isfinite(row).all())
-        raise PreconditionFailed(f"patch coordinates must be finite, got {bad}")
-    return SpectrumPatch(points=pts, window_radius=window_radius, separation=_separation(rows))
+    return SpectrumPatch(points=pts, window_radius=window_radius, separation=_separation(_finite_rows(pts)))
 
 
 def dual_lattice(lattice: Lattice) -> Lattice:
@@ -400,6 +413,18 @@ class OrthogonalityReport:
     fallbacks: int
 
 
+def _snap_bounds(p: Polytope, floats, snapped):
+    """Per float difference u and its snapped rational q, an upper bound on
+    |1^_P(u) - 1^_P(q)|: L |u - q| with L = 2 pi |P| max_v |v|, each
+    factor an exact rational upper bound and the product rounded up to a
+    float."""
+    lip = 2 * _PI_UP * p.volume * max(sqrt_upper(norm_sq(v)) for v in p.vertices)
+    return np.array([
+        math.nextafter(float(lip * sqrt_upper(sum((Rat(c) - x) ** 2 for c, x in zip(u, q)))), math.inf)
+        for u, q in zip(floats, snapped)
+    ])
+
+
 def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -> OrthogonalityReport:
     """All pairwise differences must lie in the zero set of the transform.
 
@@ -409,7 +434,10 @@ def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -
     tol * volume is evaluated again at working precision, and at higher
     precisions while its bound still exceeds that
     (fourier._indicator_rows_hp).  Float patches are snapped
-    coordinate-wise to rationals with denominators up to 10^9.
+    coordinate-wise to rationals with denominators up to 10^9, and the
+    snapping enters the bound: 1^_P is L-Lipschitz with
+    L = 2 pi |P| max_v |v| over the vertices v, so a difference u snapped
+    to X / D adds L |u - X / D|, both factors rounded up.
     """
     require_finite(tol, "tolerance", non_negative=True)
     if len(s) == 0:
@@ -419,10 +447,14 @@ def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -
     if exact:
         X, D = U, [den] * len(U)
     else:
-        X, D = _integer_rows([frequency_from_floats(d, 10**9) for d in U.tolist()])
+        floats = U.tolist()
+        snapped = [frequency_from_floats(d, 10**9) for d in floats]
+        X, D = _integer_rows(snapped)
     limit = tol * float(p.volume)
     val, err = _indicator_batch(p, X, D)
     fallbacks = _indicator_rows_hp(p, X, D, val, err, lambda mag, e: e > FALLBACK_FRACTION * limit)
+    if not exact:
+        err = err + _snap_bounds(p, floats, snapped)
     mag = np.abs(val)
     max_residual, worst_d, passed = -1.0, None, True
     if len(U):
@@ -502,9 +534,12 @@ def condition_C2_check(s: SpectrumPatch, taus, tol: float = 1e-9) -> C2Report:
     numerator is divided by M once, so max_distance_to_integer is the
     correctly rounded float of the exact maximum.  Otherwise every
     <d, tau> is summed in float64 as ((0.0 + d_0 t_0) + d_1 t_1) + ...,
-    with t_k = float(tau_k), and its distance is |v - rint(v)|.
+    with t_k = float(tau_k), and its distance is |v - rint(v)|.  A float
+    tau coordinate that is infinite or NaN raises PreconditionFailed.
     """
     taus = [tuple(t) for t in taus]
+    for c in (c for t in taus for c in t):
+        require_finite(c, "tau coordinate")
     den, U = s._differences
     worst = 0.0
     if len(U) and taus:
@@ -573,12 +608,12 @@ class PrismSpectrumSpec:
     theta: dict
 
 
-def prism_spectrum(base: Polytope, spec: PrismSpectrumSpec, radius: float, axis: int = 0) -> SpectrumPatch:
+def prism_spectrum(base: Polytope, spec: PrismSpectrumSpec, radius: float) -> SpectrumPatch:
     """Patch of the prism spectrum {(k + theta(gamma), gamma)}.
 
-    The axis argument places the 1D factor (default first coordinate, the
-    prism axis of I x base).  Offsets come from spec.theta, one per base
-    point, each in [0, 1).
+    The 1D factor is the first coordinate, the prism axis of I x base
+    (catalog.prism).  Offsets come from spec.theta, one per base point,
+    each in [0, 1).
     """
     r2 = float(radius) ** 2
     pts = []
@@ -593,15 +628,13 @@ def prism_spectrum(base: Polytope, spec: PrismSpectrumSpec, radius: float, axis:
         room = math.sqrt(r2 - g2)
         k = math.ceil(-room - thf)
         while k + thf <= room:
-            point = list(gamma)
-            point.insert(axis, k + th)
-            pts.append(tuple(point))
+            pts.append((k + th, *gamma))
             k += 1
     pts.sort(key=lambda q: tuple(float(c) for c in q))
     return make_patch(pts, float(radius))
 
 
-def chi_estimate(p: Polytope, extra_directions=(), seed: int = 0) -> float:
+def chi_estimate(p: Polytope, seed: int = 0) -> float:
     """Heuristic smallest zero radius of the indicator transform.
 
     Scans rays (facet normals, axes, short dual-lattice vectors for

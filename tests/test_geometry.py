@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +15,21 @@ from spectile.errors import (
     Unbounded,
     ZeroDimensionalFace,
 )
-from spectile.linalg import det, gram_det, vadd, vscale, vsub
+from spectile.geometry import Facet, Polytope
+from spectile.linalg import (
+    cross3,
+    det,
+    gram_det,
+    is_zero_vec,
+    primitive,
+    rank,
+    solve,
+    vadd,
+    vdot,
+    vneg,
+    vscale,
+    vsub,
+)
 
 from conftest import random_generators
 
@@ -112,6 +126,80 @@ def test_halfspaces_errors():
         from_halfspaces([((1, 0), Rat(-1)), ((-1, 0), Rat(-1)), ((0, 1), 1), ((0, -1), 1)])
     with pytest.raises(NotFullDimensional):
         from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)])
+
+
+def _recession_ray(normals, d):
+    """The message of Unbounded for these normals, or None when the
+    recession cone {u : <n, u> <= 0 for all n} is {0}.
+
+    A reference by candidate rays: with full-rank normals a nonzero cone
+    is pointed and has an extreme ray on d - 1 of the boundary planes, so
+    it suffices to try the axis directions in 1D, the perpendiculars of
+    the normals in 2D and the cross products of normal pairs in 3D.
+    """
+    if rank(normals) < d:
+        return "normals do not span the space"
+    if d == 1:
+        rays = [(Rat(1),), (Rat(-1),)]
+    elif d == 2:
+        rays = [(-n[1], n[0]) for n in normals]
+    else:
+        rays = [cross3(a, b) for a, b in combinations(normals, 2)]
+    for u in rays + [vneg(u) for u in rays]:
+        if not is_zero_vec(u) and all(vdot(n, u) <= 0 for n in normals):
+            return "recession cone contains a ray"
+    return None
+
+
+def _halfspace_reference(hs, d):
+    """from_halfspaces by the candidate-ray test and brute-force vertex
+    enumeration."""
+    hs = [(tuple(Rat(c) for c in n), Rat(off)) for n, off in hs]
+    message = _recession_ray([n for n, _ in hs], d)
+    if message:
+        raise Unbounded(message)
+    vertices = []
+    for sub in combinations(hs, d):
+        x = solve(tuple(n for n, _ in sub), tuple(off for _, off in sub))
+        if x is not None and all(vdot(n, x) <= off for n, off in hs):
+            vertices.append(x)
+    if not vertices:
+        raise Empty("halfspace intersection is empty")
+    return from_vertices(vertices)
+
+
+def _outcome(build, *args):
+    try:
+        p = build(*args)
+    except Exception as exc:  # noqa: BLE001 -- the type is compared
+        return type(exc), str(exc)
+    return p.vertices, p.facets
+
+
+def test_halfspaces_match_recession_ray_reference():
+    # bounded, unbounded (normals in a half-space), flat (a plane taken
+    # twice with both signs) and empty systems in dimensions 1-3
+    rng = random.Random(20261018)
+    seen = set()
+    for trial in range(240):
+        d = 1 + trial % 3
+        hs = []
+        for _ in range(rng.randint(1, 2 * d + 2)):
+            n = tuple(rng.randint(-3, 3) for _ in range(d))
+            if not any(n):
+                n = (1,) + n[1:]
+            hs.append((n, Rat(rng.randint(-4, 8), rng.randint(1, 3))))
+        kind = trial // 3 % 4
+        if kind == 1:
+            hs = [((abs(n[0]) or 1,) + n[1:], off) for n, off in hs]
+        elif kind == 2:
+            hs.append((vneg(hs[0][0]), -hs[0][1]))
+        elif kind == 3:
+            hs.append((vneg(hs[0][0]), -hs[0][1] - 1))
+        expected = _outcome(_halfspace_reference, hs, d)
+        assert _outcome(from_halfspaces, hs) == expected, hs
+        seen.add(expected[0] if isinstance(expected[0], type) else Polytope)
+    assert seen == {Polytope, Unbounded, Empty, NotFullDimensional}
 
 
 def test_roundtrip_halfspaces_vertices(hexagon, rhombic_dodecahedron):
@@ -324,3 +412,72 @@ def test_mc_volume_agreement(truncated_octahedron, hexagon):
     for p in (hexagon, truncated_octahedron):
         mv = mc_volume(p, SampleConfig(count=10**6, seed=20170529))
         assert abs(mv.estimate - float(p.volume)) <= 3 * mv.stderr
+
+
+def _brute_force_hull(points):
+    """{(normal, offset): vertex set} of the facets of a 3D hull, from every
+    plane through three points that has all points on one side; the
+    vertices are the points on three facets of independent normals."""
+    pts = sorted({tuple(Rat(c) for c in q) for q in points})
+    planes = {}
+    for a, b, c in combinations(pts, 3):
+        n = cross3(vsub(b, a), vsub(c, a))
+        if is_zero_vec(n):
+            continue
+        for m in (n, vneg(n)):
+            if all(vdot(m, q) <= vdot(m, a) for q in pts):
+                m = primitive(m)
+                planes[m] = vdot(m, a)
+    on = {q: [n for n, off in planes.items() if vdot(n, q) == off] for q in pts}
+    vertices = {q for q, ns in on.items() if rank(ns) == 3}
+    return {(n, off): {q for q in vertices if n in on[q]} for n, off in planes.items()}
+
+
+small_points = st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=4, max_size=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_points)
+# each seed outcome: the plane over the first edge of the hull projected
+# along x supports a facet or an edge, and the smallest x is taken by a
+# facet, an edge or a single vertex
+@example([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])  # facet; facet
+@example([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])  # edge; vertex
+@example([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 0, 1)])  # facet; vertex
+@example([(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1), (1, 0, 0)])  # facet; edge
+def test_hull_matches_brute_force_facets(points):
+    try:
+        p = from_vertices(points)
+    except NotFullDimensional:
+        assert rank([vsub(q, points[0]) for q in points]) < 3
+        return
+    found = {(f.normal, f.offset): {p.vertices[i] for i in f.indices} for f in p.facets}
+    assert found == _brute_force_hull(points)
+
+
+def _malformed(dim, vertices, facets):
+    """Polytope(dim, vertices, facets) from integer data; facets are
+    (index cycle, normal, offset)."""
+    vertices = tuple(tuple(Rat(c) for c in v) for v in vertices)
+    return Polytope(dim, vertices, tuple(Facet(ix, n, Rat(off)) for ix, n, off in facets))
+
+
+def test_validation_rejects_malformed_lattices():
+    # every supporting-plane equality holds; only the face lattice is wrong
+    edges = [((0, 1), (0, -1), 0), ((0, 2), (-1, 0), 0), ((1, 2), (1, 1), 1)]
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    assert _malformed(2, triangle, edges).f_vector() == (3, 3)
+    with pytest.raises(AssertionError, match="Euler"):  # a vertex in no facet
+        _malformed(2, triangle + [(Rat(1, 4), Rat(1, 4))], edges)
+    tetra = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    faces = [
+        ((0, 2, 1), (0, 0, -1), 0),
+        ((0, 1, 3), (0, -1, 0), 0),
+        ((0, 3, 2), (-1, 0, 0), 0),
+        ((1, 2, 3), (1, 1, 1), 1),
+    ]
+    assert _malformed(3, tetra, faces).f_vector() == (4, 6, 4)
+    with pytest.raises(AssertionError, match="lies in 3 facets"):  # a facet listed twice
+        _malformed(3, tetra, faces + faces[:1])
+    with pytest.raises(AssertionError, match="Euler"):  # an interior vertex
+        _malformed(3, tetra + [(Rat(1, 8), Rat(1, 8), Rat(1, 8))], faces)

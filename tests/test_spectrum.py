@@ -591,6 +591,31 @@ def test_make_patch_rejects_non_finite_coordinates(truncated_octahedron, bad):
         make_patch(pts, 2.0)
 
 
+def test_float_snapping_enters_the_orthogonality_bound(cube):
+    # the difference 1 + 3e-10 snaps to 1, a zero of the transform, but the
+    # transform at the float difference is 3.0e-10, above tol * volume
+    from spectile.fourier import ft_indicator
+
+    u = 1 + 3e-10
+    rep = verify_orthogonality(cube, make_patch([(0.0, 0.0, 0.0), (u, 0.0, 0.0)], 1.0))
+    true = ft_indicator(cube, (Fraction(u), 0, 0)).magnitude
+    assert true > rep.tolerance * float(cube.volume)
+    assert rep.max_residual + rep.max_err_bound >= true
+    assert not rep.passed
+
+
+def test_patch_checks_reject_non_finite_input():
+    # unchecked, this patch passed C2 with distance 0.0 although (1, 0.5)
+    # is 0.5 from an integer: max(worst, nan) keeps worst
+    with pytest.raises(PreconditionFailed, match="finite"):
+        SpectrumPatch(points=((0.0, 0.0), (math.nan, 1.0), (1.0, 0.5)), window_radius=1.0, separation=0.5)
+    sp = make_patch([(0.0, 0.0), (1.0, 0.5)], 1.0)
+    assert not condition_C2_check(sp, [(1, 0), (0, 1)]).passed
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionFailed, match="finite"):
+            condition_C2_check(sp, [(1, 0), (0.0, bad)])
+
+
 def test_separation_of_lattice_patches(hexagon, truncated_octahedron):
     shift = np.array([math.sqrt(2), math.sqrt(3)]) / 7
     for p, radius in ((hexagon, 5.0), (truncated_octahedron, 3.0)):
