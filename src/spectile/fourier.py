@@ -36,6 +36,21 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from mpmath.libmp import (
+    fzero,
+    from_int,
+    mpc_abs,
+    mpc_add,
+    mpc_div,
+    mpc_mul_mpf,
+    mpf_cos_sin,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pi,
+    mpf_sqrt,
+    to_float,
+)
 
 from .errors import DimensionMismatch, NotStandardPosition, ZeroFrequency
 from .geometry import Polytope, memo
@@ -43,9 +58,9 @@ from .linalg import (
     INT64_MAX,
     Rat,
     ZERO,
-    centroid,
     clear_denominators,
     cross3,
+    idot,
     is_zero_vec,
     norm_sq,
     primitive,
@@ -53,6 +68,7 @@ from .linalg import (
     rational_from_float,
     sqrt_lower,
     sqrt_upper,
+    vadd,
     vdot,
     vneg,
     vsub,
@@ -117,12 +133,21 @@ def frequency_from_floats(coords, max_denominator: int = 10**6) -> tuple:
     return tuple(rational_from_float(float(c), max_denominator) for c in coords)
 
 
-def _ratio(num: int, den: int):
-    """num / den for integers, den > 0, at the current working precision.
-    The fraction is reduced first, so the value does not depend on how it
-    was scaled even where its numerator is wider than the precision."""
+# libmp operations round to nearest, as mpmath's wrappers do by default
+_RND = "n"
+
+
+def _ratio_t(num: int, den: int, prec: int):
+    """num / den for integers, den > 0, as a libmp value at prec bits.  The
+    fraction is reduced first, so the value does not depend on how it was
+    scaled even where its numerator is wider than the precision."""
     g = math.gcd(num, den)
-    return mpmath.mpf(num // g) / (den // g)
+    return mpf_div(from_int(num // g, prec, _RND), from_int(den // g), prec, _RND)
+
+
+def _ratio(num: int, den: int):
+    """_ratio_t at the current working precision."""
+    return mpmath.mp.make_mpf(_ratio_t(num, den, mpmath.mp.prec))
 
 
 def _mpf(q):
@@ -130,12 +155,22 @@ def _mpf(q):
     return _ratio(q.numerator, q.denominator)
 
 
+def _minus_two_pi(prec: int):
+    return mpf_mul_int(mpf_pi(prec, _RND), -2, prec, _RND)
+
+
+def _phase_t(num: int, mod: int, m2pi, prec: int):
+    """e^{-2 pi i num / mod} for integers num and mod > 0 as a libmp pair
+    (cos, sin) at prec bits, with m2pi = -2 pi at prec bits; num is reduced
+    modulo mod in integers first, so the angle lies in [-2 pi, 0] however
+    large the arguments."""
+    return mpf_cos_sin(mpf_mul(m2pi, _ratio_t(num % mod, mod, prec), prec, _RND), prec, _RND)
+
+
 def _phase(num: int, mod: int):
-    """e^{-2 pi i num / mod} for integers num and mod > 0, at the current
-    working precision; num is reduced modulo mod in integers first, so the
-    angle lies in [-2 pi, 0] however large the arguments."""
-    angle = -2 * (+mpmath.pi) * _ratio(num % mod, mod)
-    return mpmath.mpc(mpmath.cos(angle), mpmath.sin(angle))
+    """_phase_t at the current working precision."""
+    prec = mpmath.mp.prec
+    return mpmath.mp.make_mpc(_phase_t(num, mod, _minus_two_pi(prec), prec))
 
 
 def _phase_eps(bits: int) -> float:
@@ -181,12 +216,21 @@ def _primitive_rows(vectors):
 
 
 def _norms(mat):
-    return np.sqrt(np.array([float(sum(c * c for c in row)) for row in mat]))
+    return np.sqrt(np.array([float(idot(row, row)) for row in mat]))
 
 
-def _batch_level(kind, children, normals, centroids, measure_sq):
+def _least_form(scale, rows):
+    """Integer rows standing for rows / scale, over the least common
+    denominator of those rationals: what clear_denominators gives for
+    them."""
+    g = math.gcd(scale, *(c for r in rows for c in r))
+    return scale // g, [[c // g for c in r] for r in rows]
+
+
+def _batch_level(kind, children, scale, normals, centroids, measure_sq):
     """One level: the children (index, m) of every parent, contiguous so that
-    np.add.reduceat sums them, and each face's normal, centroid and squared
+    np.add.reduceat sums them, with each integer m standing for m / scale;
+    and each face's normal, centroid (scale, integer rows) and squared
     measure."""
     flat = [c for group in children for c in group]
     m = _primitive_rows([vec for _, vec in flat])
@@ -195,9 +239,9 @@ def _batch_level(kind, children, normals, centroids, measure_sq):
         "child": np.array([i for i, _ in flat]),
         "m": m,
         "m_norm": _norms(m),
-        "m_sq": [norm_sq(vec) for _, vec in flat],
+        "m_sq": [Rat(idot(vec, vec), scale * scale) for _, vec in flat],
         # the exact scale lam of m = lam * primitive(m)
-        "lam": [next(Rat(c) / r for c, r in zip(vec, row) if r) for (_, vec), row in zip(flat, m)],
+        "lam": [next(Rat(c, r * scale) for c, r in zip(vec, row) if r) for (_, vec), row in zip(flat, m)],
         "starts": np.concatenate(([0], np.cumsum(sizes)[:-1])),
         "bounds": [0] + np.cumsum(sizes).tolist(),
         # relative rounding of the weights, the products and the sum
@@ -206,27 +250,28 @@ def _batch_level(kind, children, normals, centroids, measure_sq):
         "measure_sq": list(measure_sq),
         "measure": np.sqrt(np.array([float(q) for q in measure_sq])),
     }
-    lv["c_scale"], rows = clear_denominators(centroids)
+    lv["c_scale"], rows = _least_form(*centroids)
     lv["centroid"] = np.array(rows, dtype=object)
     if normals is not None:
         lv["normal"] = _primitive_rows(normals)
-        lv["normal_sq"] = np.array([sum(c * c for c in row) for row in lv["normal"]], dtype=object)
+        lv["normal_sq"] = np.array([idot(row, row) for row in lv["normal"]], dtype=object)
         lv["normal_norm"] = _norms(lv["normal"])
     return lv
 
 
 @memo
 def _batch_geometry(p: Polytope):
-    d, V, fs = p.dim, p.vertices, p.facets
-    v_scale, rows = clear_denominators(V)
-    verts = np.array(rows, dtype=object)
+    d, fs = p.dim, p.facets
+    v_scale, V = p.integer_vertices
+    verts = np.array(V, dtype=object)
     levels = []
     if d >= 2:
         edges = p.faces(1)
         us = [vsub(V[j], V[i]) for i, j in edges]
         children = [((j, u), (i, vneg(u))) for (i, j), u in zip(edges, us)]
-        mids = [centroid((V[i], V[j])) for i, j in edges]
-        levels.append(_batch_level("edge", children, us, mids, [norm_sq(u) for u in us]))
+        mids = (2 * v_scale, [vadd(V[i], V[j]) for i, j in edges])
+        squares = [Rat(idot(u, u), v_scale * v_scale) for u in us]
+        levels.append(_batch_level("edge", children, v_scale, us, mids, squares))
     if d == 3:
         edge_index = {e: k for k, e in enumerate(edges)}
         children = []
@@ -235,12 +280,13 @@ def _batch_geometry(p: Polytope):
             children.append(
                 [(edge_index[tuple(sorted(e))], cross3(vsub(V[e[1]], V[e[0]]), f.normal)) for e in pairs]
             )
-        ids = range(len(fs))
-        centroids = [p.facet_centroid(fi) for fi in ids]
-        measures = [p.face_measure_squared((2, fi)) for fi in ids]
-        levels.append(_batch_level("facet", children, [f.normal for f in fs], centroids, measures))
+        # facet centroids over v_scale times the lcm of the facet sizes
+        count = math.lcm(*(len(f.indices) for f in fs))
+        sums = [[sum(V[i][c] for i in f.indices) * (count // len(f.indices)) for c in range(d)] for f in fs]
+        measures = [p.face_measure_squared((2, fi)) for fi in range(len(fs))]
+        levels.append(_batch_level("facet", children, v_scale, [f.normal for f in fs], (count * v_scale, sums), measures))
     # xi = 0 is the body's flat case, with the volume as its measure
-    body = _batch_level("body", [list(enumerate(f.normal for f in fs))], None, [(ZERO,) * d], [p.volume**2])
+    body = _batch_level("body", [list(enumerate(f.normal for f in fs))], 1, None, (1, [[0] * d]), [p.volume**2])
     body["measure"] = np.array([float(p.volume)])
     levels.append(body)
     faces = levels[:-1]
@@ -261,18 +307,22 @@ def _batch_geometry(p: Polytope):
 
 @memo
 def _hp_roots(p: Polytope, bits: int):
-    """pi, -2 pi i, and per level the square roots of the face measures and
-    of the children's |m|^2, at `bits` of precision.  Build under
-    mpmath.workprec(bits)."""
-    pi = +mpmath.pi
+    """-2 pi, -2 pi i, and per level the square roots of the face measures
+    (with their floats) and of the children's |m|^2, as libmp values at
+    `bits` of precision."""
+    pi = mpf_pi(bits, _RND)
+    levels = []
+    for lv in _batch_geometry(p)["levels"]:
+        measures = [mpf_sqrt(_ratio_t(q.numerator, q.denominator, bits), bits, _RND) for q in lv["measure_sq"]]
+        wdens = [mpf_sqrt(_ratio_t(q.numerator, q.denominator, bits), bits, _RND) for q in lv["m_sq"]]
+        lams = [(q.numerator, q.denominator) for q in lv["lam"]]
+        levels.append((measures, [to_float(m, rnd=_RND) for m in measures], wdens, lams))
     return {
         "eps": _phase_eps(bits),
-        "pi_f": float(pi),
-        "m2pi_i": mpmath.mpc(0, -2) * pi,
-        "levels": [
-            ([mpmath.sqrt(_mpf(q)) for q in lv["measure_sq"]], [mpmath.sqrt(_mpf(q)) for q in lv["m_sq"]])
-            for lv in _batch_geometry(p)["levels"]
-        ],
+        "pi_f": to_float(pi, rnd=_RND),
+        "m2pi": mpf_mul_int(pi, -2, bits, _RND),
+        "m2pi_i": mpc_mul_mpf((fzero, from_int(-2)), pi, bits, _RND),
+        "levels": levels,
     }
 
 
@@ -280,8 +330,8 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
     """The boundary recursion at xi = x / den, for integers x and a positive
     integer den, at `bits` of working precision.  Returns one list per
     level (the vertices, the edges in 3D, the facets, the body) of (value,
-    error bound) for every face.  Arithmetic on the values needs a
-    workprec of its own.
+    error bound) for every face, the values as mpmath.mpc.  Arithmetic on
+    the values needs a workprec of its own.
 
     Every operand reaches mpmath as integers: a phase as its numerator
     modulo den * scale, |xi_par|^2 as its integer numerator over
@@ -289,6 +339,12 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
     over sqrt(|m|^2).  A child of weight zero is skipped.  The error bound
     of a combination is the children's bounds through the weights plus
     3 eps per term and 2 eps for the division.
+
+    The arithmetic is mpmath's own libmp layer on raw (sign, man, exp, bc)
+    tuples, one call per operation at `bits` and rounding to nearest, so
+    the values are those of the same expressions on mpmath.mpf and
+    mpmath.mpc, without their wrapper objects.  Each face keeps the float
+    of its magnitude, formed once, for the bounds of its parents.
     """
     g = _batch_geometry(p)
     x = np.array([int(c) for c in x], dtype=object)
@@ -309,36 +365,49 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
             else:  # a facet: |xi|^2 - <xi, n>^2 / |n|^2
                 nums = [x_sq * q - ci * ci for ci, q in zip(c, n_sq)]
         ints.append(((lv["m"] @ x).tolist(), lv["child"].tolist(), nums, par_dens))
-    with mpmath.workprec(bits):
-        hp = _hp_roots(p, bits)
-        eps = hp["eps"]
-        mod = den * g["v_scale"]
-        below = [(_phase(r, mod), eps) for r in (g["verts"] @ x).tolist()]
-        levels = [below]
-        for lv, (measures, wdens), (coeffs, child, nums, par_dens) in zip(g["levels"], hp["levels"], ints):
-            out = []
-            for f in range(len(nums)):
-                if nums[f] == 0:
-                    phase = _phase(int(lv["centroid"][f] @ x), den * lv["c_scale"])
-                    # the phase costs eps, the rounded measure and product far less
-                    out.append((measures[f] * phase, 2 * eps * float(measures[f])))
+
+    hp = _hp_roots(p, bits)
+    eps, m2pi, m2pi_i, two_pi_f = hp["eps"], hp["m2pi"], hp["m2pi_i"], 2 * hp["pi_f"]
+
+    def magnitude(z):
+        return to_float(mpc_abs(z, bits, _RND), rnd=_RND)
+
+    mod = den * g["v_scale"]
+    below = []
+    for r in (g["verts"] @ x).tolist():
+        z = _phase_t(r, mod, m2pi, bits)
+        below.append((z, eps, magnitude(z)))
+    levels = [below]
+    for lv, (measures, measures_f, wdens, lams), (coeffs, child, nums, par_dens) in zip(
+        g["levels"], hp["levels"], ints
+    ):
+        out = []
+        bounds = lv["bounds"]
+        for f in range(len(nums)):
+            if nums[f] == 0:
+                phase = _phase_t(int(lv["centroid"][f] @ x), den * lv["c_scale"], m2pi, bits)
+                z = mpc_mul_mpf(phase, measures[f], bits, _RND)
+                # the phase costs eps, the rounded measure and product far less
+                out.append((z, 2 * eps * measures_f[f], magnitude(z)))
+                continue
+            acc, err = (fzero, fzero), 0.0
+            for j in range(bounds[f], bounds[f + 1]):
+                if coeffs[j] == 0:
                     continue
-                acc, err = mpmath.mpc(0), 0.0
-                for j in range(lv["bounds"][f], lv["bounds"][f + 1]):
-                    if coeffs[j] == 0:
-                        continue
-                    lam = lv["lam"][j]
-                    w = _ratio(lam.numerator * coeffs[j], lam.denominator * den) / wdens[j]
-                    z, e = below[child[j]]
-                    acc = acc + w * z
-                    aw = abs(float(w))
-                    err += aw * e + aw * (float(abs(z)) + 1) * 3 * eps
-                s = _ratio(nums[f], par_dens[f])
-                val = acc / (hp["m2pi_i"] * s)
-                out.append((val, err / (2 * hp["pi_f"] * float(s)) + (float(abs(val)) + 1) * 2 * eps))
-            levels.append(out)
-            below = out
-        return levels
+                num, dnm = lams[j]
+                w = mpf_div(_ratio_t(num * coeffs[j], dnm * den, bits), wdens[j], bits, _RND)
+                z, e, mag = below[child[j]]
+                acc = mpc_add(acc, mpc_mul_mpf(z, w, bits, _RND), bits, _RND)
+                aw = abs(to_float(w, rnd=_RND))
+                err += aw * e + aw * (mag + 1) * 3 * eps
+            s = _ratio_t(nums[f], par_dens[f], bits)
+            val = mpc_div(acc, mpc_mul_mpf(m2pi_i, s, bits, _RND), bits, _RND)
+            mag = magnitude(val)
+            out.append((val, err / (two_pi_f * to_float(s, rnd=_RND)) + (mag + 1) * 2 * eps, mag))
+        levels.append(out)
+        below = out
+    make = mpmath.mp.make_mpc
+    return [[(make(z), e) for z, e, _ in level] for level in levels]
 
 
 def _integer_rows(xis):

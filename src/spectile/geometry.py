@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import reduce, wraps
 from itertools import combinations
 
+import numpy as np
+
 from .errors import (
     DimensionMismatch,
     Empty,
@@ -30,6 +32,7 @@ from .errors import (
     ZeroDimensionalFace,
 )
 from .linalg import (
+    INT64_MAX,
     Rat,
     ZERO,
     affine_rank,
@@ -39,10 +42,10 @@ from .linalg import (
     cross2,
     cross3,
     det,
+    idot,
     inverse,
     is_zero_vec,
     mat_vec,
-    norm_sq,
     primitive,
     rank,
     rational,
@@ -156,6 +159,7 @@ class Polytope:
 
     # -- face lattice ------------------------------------------------------
 
+    @memo
     def faces(self, k: int) -> tuple:
         """Faces of dimension k as sorted vertex-index tuples.
 
@@ -183,9 +187,21 @@ class Polytope:
     def facet_points(self, fi: int) -> tuple:
         return tuple(self.vertices[i] for i in self.facets[fi].indices)
 
+    @property
+    @memo
+    def integer_vertices(self) -> tuple:
+        """(scale, rows): the vertices as integer rows over their least
+        common denominator, vertices[i][j] == rows[i][j] / scale.  Every
+        metric quantity below is integer arithmetic on these rows, divided
+        by a power of the scale once at the end."""
+        scale, rows = clear_denominators(self.vertices)
+        return scale, tuple(map(tuple, rows))
+
     @memo
     def facet_centroid(self, fi: int) -> Point:
-        return centroid(self.facet_points(fi))
+        s, V = self.integer_vertices
+        idx = self.facets[fi].indices
+        return tuple(Rat(sum(V[i][c] for i in idx), len(idx) * s) for c in range(self.dim))
 
     @memo
     def opposite_facet(self, fi: int):
@@ -198,27 +214,24 @@ class Polytope:
     @property
     @memo
     def volume(self):
-        """Exact d-volume via fan triangulation from a vertex."""
+        """Exact d-volume: the shoelace sum in 2D, a fan of tetrahedra from
+        vertex 0 in 3D."""
+        s, V = self.integer_vertices
         if self.dim == 1:
-            return self.vertices[-1][0] - self.vertices[0][0]
+            return Rat(V[-1][0] - V[0][0], s)
         if self.dim == 2:
             cyc = self._cycle2d
-            acc = ZERO
-            for k in range(len(cyc)):
-                a = self.vertices[cyc[k]]
-                b = self.vertices[cyc[(k + 1) % len(cyc)]]
-                acc += cross2(a, b)
-            return abs(acc) / 2
-        v0 = self.vertices[0]
-        acc = ZERO
-        for fi, f in enumerate(self.facets):
+            acc = sum(cross2(V[a], V[b]) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+            return Rat(abs(acc), 2 * s * s)
+        v0 = V[0]
+        acc = 0
+        for f in self.facets:
             if 0 in f.indices:
                 continue
-            pts = self.facet_points(fi)
-            c0 = pts[0]
-            for k in range(1, len(pts) - 1):
-                acc += abs(det((vsub(c0, v0), vsub(pts[k], v0), vsub(pts[k + 1], v0))))
-        return acc / 6
+            c0, *rest = (vsub(V[i], v0) for i in f.indices)
+            for a, b in zip(rest, rest[1:]):
+                acc += abs(idot(c0, cross3(a, b)))
+        return Rat(acc, 6 * s**3)
 
     def face_measure_squared(self, face):
         """Exact squared k-volume of a face given as (k, index).
@@ -230,16 +243,17 @@ class Polytope:
         k, idx = face
         if k == 0:
             raise ZeroDimensionalFace("vertices have no positive-dimensional measure")
+        s, V = self.integer_vertices
         members = self.faces(k)[idx]
         if k == 1:
-            a, b = (self.vertices[i] for i in members)
-            return norm_sq(vsub(b, a))
-        pts = self.facet_points(idx)
-        p0 = pts[0]
-        acc = (ZERO, ZERO, ZERO)
-        for j in range(1, len(pts) - 1):
-            acc = vadd(acc, cross3(vsub(pts[j], p0), vsub(pts[j + 1], p0)))
-        return norm_sq(acc) / 4
+            a, b = (V[i] for i in members)
+            u = vsub(b, a)
+            return Rat(idot(u, u), s * s)
+        p0, *rest = (V[i] for i in self.facets[idx].indices)
+        acc = (0, 0, 0)
+        for a, b in zip(rest, rest[1:]):
+            acc = vadd(acc, cross3(vsub(a, p0), vsub(b, p0)))
+        return Rat(idot(acc, acc), 4 * s**4)
 
     @property
     @memo
@@ -249,11 +263,17 @@ class Polytope:
     @property
     @memo
     def diameter_sq(self):
-        vs = self.vertices
-        return max(norm_sq(vsub(vs[i], vs[j])) for i in range(len(vs)) for j in range(i + 1, len(vs)))
+        s, V = self.integer_vertices
+        rows = np.array(V, dtype=object)
+        if 4 * self.dim * int(np.abs(rows).max()) ** 2 <= INT64_MAX:
+            rows = rows.astype(np.int64)
+        best = max(int((d * d).sum(axis=1).max()) for d in (rows[i + 1 :] - rows[i] for i in range(len(V) - 1)))
+        return Rat(best, s * s)
 
     def support(self, direction):
-        return max(vdot(direction, v) for v in self.vertices)
+        s, V = self.integer_vertices
+        den, (d,) = clear_denominators([direction])
+        return Rat(max(idot(d, v) for v in V), den * s)
 
     def contains(self, point, strict: bool = False) -> bool:
         for f in self.facets:
@@ -296,17 +316,17 @@ class Polytope:
         return f"<Polytope dim={self.dim} f-vector {counts}>"
 
     def _validate(self):
-        # exact integer form: vertices and offsets over one common
-        # denominator (facet normals are integer vectors already)
-        _, rows = clear_denominators([*self.vertices, *((f.offset,) for f in self.facets)])
-        scaled = rows[: len(self.vertices)]
-        for f, (off,) in zip(self.facets, rows[len(self.vertices) :]):
+        # exact integer form: an offset o over the vertex scale s compares
+        # as <n, row> * den(o s) against num(o s)
+        s, rows = self.integer_vertices
+        for f in self.facets:
+            off = f.offset * s
             on = 0
-            for i, v in enumerate(scaled):
-                s = sum(n * x for n, x in zip(f.normal, v))
-                if s > off:
+            for i, v in enumerate(rows):
+                h = idot(f.normal, v) * off.denominator
+                if h > off.numerator:
                     raise AssertionError("vertex outside a facet halfspace")
-                if s == off:
+                if h == off.numerator:
                     on += 1
                     if i not in f.indices:
                         raise AssertionError("support set exceeds facet vertex set")
@@ -323,7 +343,12 @@ class Polytope:
 def facet_widths(p: Polytope) -> tuple:
     """Per facet with normal n, support(n) + support(-n): the exact width
     of p along n, times |n|."""
-    return tuple(p.support(f.normal) + p.support(vneg(f.normal)) for f in p.facets)
+    s, V = p.integer_vertices
+    widths = []
+    for f in p.facets:
+        heights = [idot(f.normal, v) for v in V]
+        widths.append(Rat(max(heights) - min(heights), s))
+    return tuple(widths)
 
 
 # --- constructors ----------------------------------------------------------

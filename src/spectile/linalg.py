@@ -83,6 +83,11 @@ def vdot(a: Vec, b: Vec):
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
+def idot(a: Vec, b: Vec) -> int:
+    """<a, b> for integer vectors, kept in Python ints."""
+    return sum(x * y for x, y in zip(a, b))
+
+
 def norm_sq(a: Vec):
     return vdot(a, a)
 

@@ -249,3 +249,125 @@ def test_zero_frequency_guard(cube, square):
         ft_with_boundary(cube, (0, 0, 0))
     with pytest.raises(ZeroFrequency):
         decay_bound_check(square, [(0, 0)])
+
+
+# --- the working-precision walk against its mpmath-object form ---------------
+
+
+def _walk_reference(p, x, den, bits):
+    """The level walk written on mpmath.mpf / mpmath.mpc objects, with cos
+    and sin taken separately: the form _walk_hp had before it moved to libmp
+    tuples, kept as the reference its values and bounds must equal bit for
+    bit."""
+    from spectile.fourier import _batch_geometry
+
+    def ratio(num, den):
+        g = math.gcd(num, den)
+        return mpmath.mpf(num // g) / (den // g)
+
+    def phase(num, mod):
+        angle = -2 * (+mpmath.pi) * ratio(num % mod, mod)
+        return mpmath.mpc(mpmath.cos(angle), mpmath.sin(angle))
+
+    g = _batch_geometry(p)
+    x = np.array([int(c) for c in x], dtype=object)
+    x_sq = int(x @ x)
+    ints = []
+    for lv in g["levels"]:
+        if lv["kind"] == "body":
+            nums, par_dens = [x_sq], [den * den]
+        else:
+            c = (lv["normal"] @ x).tolist()
+            n_sq = lv["normal_sq"].tolist()
+            par_dens = [den * den * q for q in n_sq]
+            if lv["kind"] == "edge":
+                nums = [ci * ci for ci in c]
+            else:
+                nums = [x_sq * q - ci * ci for ci, q in zip(c, n_sq)]
+        ints.append(((lv["m"] @ x).tolist(), lv["child"].tolist(), nums, par_dens))
+    with mpmath.workprec(bits):
+        eps = _phase_eps(bits)
+        pi = +mpmath.pi
+        pi_f, m2pi_i = float(pi), mpmath.mpc(0, -2) * pi
+        roots = [
+            (
+                [mpmath.sqrt(ratio(q.numerator, q.denominator)) for q in lv["measure_sq"]],
+                [mpmath.sqrt(ratio(q.numerator, q.denominator)) for q in lv["m_sq"]],
+            )
+            for lv in g["levels"]
+        ]
+        mod = den * g["v_scale"]
+        below = [(phase(r, mod), eps) for r in (g["verts"] @ x).tolist()]
+        levels = [below]
+        for lv, (measures, wdens), (coeffs, child, nums, par_dens) in zip(g["levels"], roots, ints):
+            out = []
+            for f in range(len(nums)):
+                if nums[f] == 0:
+                    ph = phase(int(lv["centroid"][f] @ x), den * lv["c_scale"])
+                    out.append((measures[f] * ph, 2 * eps * float(measures[f])))
+                    continue
+                acc, err = mpmath.mpc(0), 0.0
+                for j in range(lv["bounds"][f], lv["bounds"][f + 1]):
+                    if coeffs[j] == 0:
+                        continue
+                    lam = lv["lam"][j]
+                    w = ratio(lam.numerator * coeffs[j], lam.denominator * den) / wdens[j]
+                    z, e = below[child[j]]
+                    acc = acc + w * z
+                    aw = abs(float(w))
+                    err += aw * e + aw * (float(abs(z)) + 1) * 3 * eps
+                s = ratio(nums[f], par_dens[f])
+                val = acc / (m2pi_i * s)
+                out.append((val, err / (2 * pi_f * float(s)) + (float(abs(val)) + 1) * 2 * eps))
+            levels.append(out)
+            below = out
+        return levels
+
+
+def _walk_cases():
+    """Seeded zonotopes and catalog shapes, each with small, flat-branch and
+    10^9-denominator frequencies."""
+    from spectile import make
+
+    rng = random.Random(23)
+    shapes = [make(n) for n in ("interval", "triangle", "hexagon", "cube", "truncated-octahedron", "rhombic-icosahedron")]
+    shapes += [random_zonotope(rng, k, d) for k, d in ((4, 2), (5, 3), (6, 3))]
+    for p in shapes:
+        d = p.dim
+        xis = [random_frequency(rng, d), random_frequency(rng, d, span=50, max_den=97)]
+        # along an axis and along a facet normal: edges and facets of the
+        # cube, zonotope facets parallel to the frequency, take the flat branch
+        xis.append((Rat(rng.randint(1, 9), rng.randint(1, 9)),) + (Rat(0),) * (d - 1))
+        xis.append(tuple(Rat(c, 3) for c in p.facets[0].normal))
+        xis.append(tuple(Rat(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(d)))
+        yield p, xis
+
+
+def _flat_faces(p, x):
+    """Faces of the edge and facet levels that take the flat branch at x:
+    those where the frequency projects to zero on the face's directions."""
+    from spectile.fourier import _batch_geometry
+
+    x = np.array([int(c) for c in x], dtype=object)
+    count = 0
+    for lv in _batch_geometry(p)["levels"][:-1]:
+        c = lv["normal"] @ x
+        par = c * c if lv["kind"] == "edge" else (x @ x) * lv["normal_sq"] - c * c
+        count += int((par == 0).sum())
+    return count
+
+
+def test_walk_matches_the_mpmath_object_reference():
+    from spectile.fourier import _walk_hp
+
+    cases = list(_walk_cases())
+    assert sum(_flat_faces(p, x) for p, xis in cases for x in _integer_rows(xis)[0]) > 0
+    for bits in (128, 256, 512, 1024):
+        for p, xis in cases:
+            X, D = _integer_rows(xis)
+            for x, den in zip(X, D):
+                got = _walk_hp(p, x, den, bits)
+                ref = _walk_reference(p, x, den, bits)
+                assert [[(z._mpc_, e) for z, e in level] for level in got] == [
+                    [(z._mpc_, e) for z, e in level] for level in ref
+                ]
