@@ -16,12 +16,15 @@ evaluated trigonometrically; the geometry contributes no error at all, and
 each value carries an a-posteriori bound for the rounding.
 
 The recursion runs as a level walk over one memoized integer face
-geometry: vertices, then edges (3D), facets and the body, each level
-combining the values of the one below.  The walk has two arithmetics.
-Values (ft_indicator, ft_surface, ft_with_boundary, asymptotic_cone_check)
-come from _walk_hp in mpmath at a working precision of 128 bits
-(precision_bits()).  One walk evaluates every face: its facet level is
-the surface transforms and its body the indicator.  Decisions over many
+geometry, built from the polytope's integer vertex array: vertices, then
+edges (3D), facets and the body, each level combining the values of the
+one below.  The walk has two arithmetics.  Values (ft_indicator,
+ft_surface, ft_with_boundary, asymptotic_cone_check) come from _walk_hp
+at a working precision of 128 bits (precision_bits()); it runs on
+mpmath's libmp tuples, with the precision and rounding (to nearest) that
+mpmath's mpf and mpc objects would use, so its values are theirs.  One
+walk evaluates every face: its facet level is the surface transforms and
+its body the indicator.  Decisions over many
 frequencies (spectrum.verify_orthogonality, decay_bound_check) go
 through the float64 batch kernel on integer-scaled frequencies, a
 floating-point filter: a frequency whose float64 bound is too coarse to
@@ -63,7 +66,6 @@ from .linalg import (
     idot,
     is_zero_vec,
     norm_sq,
-    primitive,
     rational,
     rational_from_float,
     sqrt_lower,
@@ -210,9 +212,13 @@ _UNIT = 2.0**-53  # float64 unit roundoff
 
 
 def _primitive_rows(vectors):
-    """Each vector scaled positively to coprime integers, for quantities
-    that depend on its direction only."""
-    return np.array([primitive(v) for v in vectors], dtype=object)
+    """Each nonzero integer vector divided by the gcd of its entries, for
+    quantities that depend on its direction only."""
+    rows = []
+    for v in vectors:
+        g = math.gcd(*v)
+        rows.append([c // g for c in v])
+    return np.array(rows, dtype=object)
 
 
 def _norms(mat):
@@ -320,7 +326,7 @@ def _hp_roots(p: Polytope, bits: int):
     return {
         "eps": _phase_eps(bits),
         "pi_f": to_float(pi, rnd=_RND),
-        "m2pi": mpf_mul_int(pi, -2, bits, _RND),
+        "m2pi": _minus_two_pi(bits),
         "m2pi_i": mpc_mul_mpf((fzero, from_int(-2)), pi, bits, _RND),
         "levels": levels,
     }

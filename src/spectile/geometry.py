@@ -1,6 +1,9 @@
 """Exact convex polytopes in dimensions 1-3.
 
-Vertices are tuples of exact rationals.  Hulls of vertex input are
+Vertices are tuples of exact rationals; metric quantities (volume, face
+measures, diameter, centroids, support) are computed in Python ints on the
+same vertices cleared to one common denominator, and divided by a power
+of it once.  Hulls of vertex input are
 computed with exact arithmetic only (gift wrapping in 3D, seeded from
 the 2D hull of a projection; monotone chain in 2D) and coplanar points
 are merged into maximal faces, so the face lattice is the combinatorial
@@ -21,8 +24,6 @@ from dataclasses import dataclass
 from functools import reduce, wraps
 from itertools import combinations
 
-import numpy as np
-
 from .errors import (
     DimensionMismatch,
     Empty,
@@ -32,7 +33,6 @@ from .errors import (
     ZeroDimensionalFace,
 )
 from .linalg import (
-    INT64_MAX,
     Rat,
     ZERO,
     affine_rank,
@@ -264,11 +264,7 @@ class Polytope:
     @memo
     def diameter_sq(self):
         s, V = self.integer_vertices
-        rows = np.array(V, dtype=object)
-        if 4 * self.dim * int(np.abs(rows).max()) ** 2 <= INT64_MAX:
-            rows = rows.astype(np.int64)
-        best = max(int((d * d).sum(axis=1).max()) for d in (rows[i + 1 :] - rows[i] for i in range(len(V) - 1)))
-        return Rat(best, s * s)
+        return Rat(max(idot(d, d) for d in (vsub(a, b) for a, b in combinations(V, 2))), s * s)
 
     def support(self, direction):
         s, V = self.integer_vertices

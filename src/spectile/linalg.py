@@ -1,10 +1,14 @@
 """Exact rational vectors, small matrices, and integer lattice normal forms.
 
-All geometry in this package is exact arithmetic on the stdlib
-``fractions.Fraction``, exported as ``Rat``.  Vectors are plain tuples of
-Rat; matrices are tuples of row tuples.  Sizes are at most 3x3 for
-geometry, but the routines are written generically -- the Hermite normal
-form in particular sees n x d generator matrices.
+All geometry in this package is exact.  Rationals are the stdlib
+``fractions.Fraction``, exported as ``Rat``; vectors are plain tuples of
+Rat and matrices tuples of row tuples.  Where the data is integer once a
+common denominator is cleared (clear_denominators), the work runs in
+Python ints instead: a polytope's metric quantities come from its one
+integer vertex array (Polytope.integer_vertices), and lattices from
+integer rows.  Sizes are at most 3x3 for geometry, but the routines are
+written generically -- the Hermite normal form in particular sees n x d
+generator matrices.
 """
 
 from __future__ import annotations

@@ -17,9 +17,21 @@ import mpmath
 import numpy as np
 
 from .errors import PreconditionFailed, RankDeficient
-from .fourier import ComplexValue, _check_frequency, _mpf, _phase, _phase_eps, precision_bits
-from .geometry import Polytope
-from .linalg import ZERO, det, hnf_rational, norm_sq, rank, rational, sqrt_upper, vdot, vsub
+from .fourier import ComplexValue, _check_frequency, _phase, _phase_eps, _ratio, precision_bits
+from .geometry import Polytope, memo
+from .linalg import (
+    ZERO,
+    Rat,
+    clear_denominators,
+    det,
+    hnf_rational,
+    idot,
+    norm_sq,
+    rank,
+    rational,
+    sqrt_upper,
+    vsub,
+)
 from .tiling import coefficient_box
 
 __all__ = ["SampleConfig", "MCVolume", "MultiplicityHistogram", "mc_volume", "multiplicity_sample", "simplex_ft"]
@@ -167,49 +179,59 @@ def multiplicity_sample(p: Polytope, generators, cfg: SampleConfig) -> Multiplic
 # --- simplex-decomposition Fourier transform ---------------------------------
 
 
-def _triangulate(p: Polytope):
-    """Fan triangulation into d-simplices from the first vertex."""
-    v0 = p.vertices[0]
+@memo
+def _fan(p: Polytope):
+    """The fan triangulation into d-simplices from vertex 0, on the
+    vertices cleared to integer rows over one scale: (scale, rows, the
+    simplices as vertex-index tuples with their |det| weights, the total
+    weight as a Rat).  A simplex of weight 0 is dropped; d! vol(S) is its
+    weight over scale^d."""
+    scale, rows = clear_denominators(p.vertices)
     if p.dim == 1:
-        return [(p.vertices[0], p.vertices[1])]
-    simplices = []
-    if p.dim == 2:
+        fan = [(0, 1)]
+    elif p.dim == 2:
         cyc = p._cycle2d
         pos = cyc.index(0)
         cyc = cyc[pos:] + cyc[:pos]
-        for k in range(1, len(cyc) - 1):
-            simplices.append((v0, p.vertices[cyc[k]], p.vertices[cyc[k + 1]]))
-        return simplices
-    for fi, f in enumerate(p.facets):
-        if 0 in f.indices:
-            continue
-        pts = p.facet_points(fi)
-        for k in range(1, len(pts) - 1):
-            simplices.append((v0, pts[0], pts[k], pts[k + 1]))
-    return simplices
+        fan = [(0, cyc[k], cyc[k + 1]) for k in range(1, len(cyc) - 1)]
+    else:
+        fan = [
+            (0, f.indices[0], f.indices[k], f.indices[k + 1])
+            for f in p.facets
+            if 0 not in f.indices
+            for k in range(1, len(f.indices) - 1)
+        ]
+    simplices = []
+    for idx in fan:
+        weight = abs(int(det(tuple(vsub(rows[i], rows[0]) for i in idx[1:]))))
+        if weight:
+            simplices.append((idx, weight))
+    total = Rat(sum(w for _, w in simplices), scale**p.dim)
+    return scale, rows, simplices, total
 
 
-def _divided_difference_exp(phases):
-    """Confluent divided differences of exp at nodes z_j = -2 pi i t_j.
+def _divided_difference_exp(nums, mod, phases):
+    """Confluent divided differences of exp at nodes z_j = -2 pi i t_j,
+    t_j = nums[j] / mod, given phases[n] = e^{-2 pi i n / mod}.
 
-    Node collisions are decided by exact equality of the rational t_j, and
-    collided blocks take the derivative value e^z / m!; the recursion never
-    divides by a difference that is only numerically small.
+    Node collisions are decided by exact equality of the integer
+    numerators, and collided blocks take the derivative value e^z / m!;
+    the recursion never divides by a difference that is only numerically
+    small.
     """
-    ts = sorted(phases)
+    ts = sorted(nums)
     n = len(ts)
-    vals = {t: _phase(t.numerator, t.denominator) for t in set(ts)}
     minus_two_pi_i = mpmath.mpc(0, -2) * (+mpmath.pi)
     table = [[None] * n for _ in range(n)]
     for i in range(n):
-        table[i][i] = vals[ts[i]]
+        table[i][i] = phases[ts[i]]
     for span in range(1, n):
         for i in range(n - span):
             j = i + span
             if ts[i] == ts[j]:
-                table[i][j] = vals[ts[i]] / math.factorial(span)
+                table[i][j] = phases[ts[i]] / math.factorial(span)
             else:
-                dz = minus_two_pi_i * _mpf(ts[j] - ts[i])
+                dz = minus_two_pi_i * _ratio(ts[j] - ts[i], mod)
                 table[i][j] = (table[i + 1][j] - table[i][j - 1]) / dz
     return table[0][n - 1]
 
@@ -219,21 +241,21 @@ def simplex_ft(p: Polytope, xi) -> ComplexValue:
 
     Each simplex S with vertices v_0..v_d contributes
     d! vol(S) * DD[exp](-2 pi i <xi, v_0>, ..., -2 pi i <xi, v_d>).
+    Every <xi, v> is an integer over one modulus, the denominator of xi
+    times the vertex scale, so each vertex phase is evaluated once.
     """
     xi = _check_frequency(p, xi)
-    if all(c == 0 for c in xi):
-        return ComplexValue(float(p.volume), 0.0, 0.0)
+    scale, rows, simplices, total_weight = _fan(p)
+    if all(c == 0 for c in xi):  # the volume, the total weight over d!
+        return ComplexValue(float(total_weight / math.factorial(p.dim)), 0.0, 0.0)
+    xden, (x,) = clear_denominators([xi])
+    mod = xden * scale
+    nums = [idot(x, v) for v in rows]
     with mpmath.workprec(precision_bits()):
+        phases = {n: _phase(n, mod) for n in set(nums)}
         acc = mpmath.mpc(0)
-        total_weight = ZERO
-        for simplex in _triangulate(p):
-            v0 = simplex[0]
-            m = tuple(vsub(v, v0) for v in simplex[1:])
-            weight = abs(det(m))
-            if weight == 0:
-                continue
-            total_weight += weight
-            phases = [vdot(xi, v) for v in simplex]
-            acc = acc + _mpf(weight) * _divided_difference_exp(phases)
+        for idx, weight in simplices:
+            dd = _divided_difference_exp([nums[i] for i in idx], mod, phases)
+            acc = acc + _ratio(weight, scale**p.dim) * dd
         err = float(total_weight) * len(xi) * 20 * _phase_eps(precision_bits())
         return ComplexValue(float(acc.real), float(acc.imag), err)

@@ -534,8 +534,9 @@ def condition_C2_check(s: SpectrumPatch, taus, tol: float = 1e-9) -> C2Report:
     numerator is divided by M once, so max_distance_to_integer is the
     correctly rounded float of the exact maximum.  Otherwise every
     <d, tau> is summed in float64 as ((0.0 + d_0 t_0) + d_1 t_1) + ...,
-    with t_k = float(tau_k), and its distance is |v - rint(v)|.  A float
-    tau coordinate that is infinite or NaN raises PreconditionFailed.
+    with t_k = float(tau_k), and its distance is |v - rint(v)|, or infinite
+    when the sum overflows.  A float tau coordinate that is infinite or NaN
+    raises PreconditionFailed.
     """
     taus = [tuple(t) for t in taus]
     for c in (c for t in taus for c in t):
@@ -558,9 +559,13 @@ def condition_C2_check(s: SpectrumPatch, taus, tol: float = 1e-9) -> C2Report:
             for lo in range(0, len(U), _BLOCK):
                 f = U[lo : lo + _BLOCK]
                 v = 0.0
-                for k in range(f.shape[1]):
-                    v = v + f[:, k, None] * t[:, k]
-                worst = max(worst, float(np.abs(v - np.rint(v)).max()))
+                # a product that overflows has no distance to an integer
+                # that float64 can tell, so it fails the check
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for k in range(f.shape[1]):
+                        v = v + f[:, k, None] * t[:, k]
+                    dist = np.where(np.isfinite(v), np.abs(v - np.rint(v)), np.inf)
+                worst = max(worst, float(dist.max()))
     return C2Report(passed=worst <= tol, max_distance_to_integer=worst, num_differences=len(U), tolerance=tol)
 
 

@@ -2,7 +2,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectile import AffineMap, Rat, from_halfspaces, from_vertices, zonotope
@@ -15,7 +15,7 @@ from spectile.errors import (
     Unbounded,
     ZeroDimensionalFace,
 )
-from spectile.geometry import Facet, Polytope
+from spectile.geometry import Facet, Polytope, facet_widths
 from spectile.linalg import (
     cross3,
     det,
@@ -481,3 +481,92 @@ def test_validation_rejects_malformed_lattices():
         _malformed(3, tetra, faces + faces[:1])
     with pytest.raises(AssertionError, match="Euler"):  # an interior vertex
         _malformed(3, tetra + [(Rat(1, 8), Rat(1, 8), Rat(1, 8))], faces)
+
+
+# --- metric quantities against their Fraction-tuple form ---------------------
+
+
+def _metric_reference(p, directions):
+    """volume, face measures, diameter, facet centroids, support values and
+    facet widths computed on the Fraction vertex tuples directly: the form
+    these quantities had before they moved to the integer vertex rows."""
+    from spectile.linalg import centroid, cross2, norm_sq
+
+    V = p.vertices
+    if p.dim == 1:
+        volume = V[-1][0] - V[0][0]
+    elif p.dim == 2:
+        cyc = p._cycle2d
+        volume = abs(sum((cross2(V[a], V[b]) for a, b in zip(cyc, cyc[1:] + cyc[:1])), Rat(0))) / 2
+    else:
+        volume = Rat(0)
+        for fi, f in enumerate(p.facets):
+            if 0 not in f.indices:
+                pts = p.facet_points(fi)
+                for k in range(1, len(pts) - 1):
+                    volume += abs(det((vsub(pts[0], V[0]), vsub(pts[k], V[0]), vsub(pts[k + 1], V[0]))))
+        volume /= 6
+    measures = {}
+    for k in range(1, p.dim):
+        for idx, members in enumerate(p.faces(k)):
+            if k == 1:
+                a, b = (V[i] for i in members)
+                measures[k, idx] = norm_sq(vsub(b, a))
+            else:
+                pts = p.facet_points(idx)
+                acc = (Rat(0),) * 3
+                for j in range(1, len(pts) - 1):
+                    acc = vadd(acc, cross3(vsub(pts[j], pts[0]), vsub(pts[j + 1], pts[0])))
+                measures[k, idx] = norm_sq(acc) / 4
+    diameter = max(norm_sq(vsub(a, b)) for a, b in combinations(V, 2))
+    centroids = [centroid(p.facet_points(fi)) for fi in range(len(p.facets))]
+    support = [max(vdot(u, v) for v in V) for u in directions]
+    widths = [max(vdot(f.normal, v) for v in V) + max(vdot(vneg(f.normal), v) for v in V) for f in p.facets]
+    return volume, measures, diameter, centroids, support, widths
+
+
+metric_rationals = st.builds(Rat, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+@st.composite
+def metric_polytopes(draw):
+    """A 1-3D hull of drawn points, a box cut by drawn halfspaces, or a
+    zonotope, all with rational coordinates; and support directions."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    vec = st.tuples(*[metric_rationals] * dim)
+    kind = draw(st.sampled_from(("hull", "halfspaces", "zonotope")))
+    try:
+        if kind == "hull":
+            p = from_vertices(draw(st.lists(vec, min_size=dim + 1, max_size=9)))
+        elif kind == "halfspaces":
+            hs = []
+            for i in range(dim):
+                e = tuple(Rat(int(j == i)) for j in range(dim))
+                hs += [(e, draw(metric_rationals.filter(lambda r: r > 0))), (vneg(e), draw(metric_rationals.filter(lambda r: r > 0)))]
+            hs += draw(st.lists(st.tuples(vec.filter(any), metric_rationals), max_size=3))
+            p = from_halfspaces(hs)
+        else:
+            p = zonotope(draw(st.lists(vec.filter(any), min_size=1, max_size=5)))
+    except (NotFullDimensional, Empty):
+        assume(False)
+    directions = [f.normal for f in p.facets[:2]] + draw(st.lists(vec, min_size=1, max_size=2))
+    return p, directions
+
+
+@settings(max_examples=80, deadline=None)
+@given(metric_polytopes())
+@example((from_vertices([(Rat(1, 3),), (Rat(-5, 2),)]), [(Rat(7, 5),)]))
+@example((zonotope([(Rat(1, 2), Rat(1, 3), 0), (0, Rat(2, 5), Rat(1, 7)), (Rat(3, 4), 0, Rat(-1, 6))]), [(1, 1, 1)]))
+def test_metric_quantities_match_fraction_reference(case):
+    from fractions import Fraction
+
+    p, directions = case
+    volume, measures, diameter, centroids, support, widths = _metric_reference(p, directions)
+    got_measures = {face: p.face_measure_squared(face) for face in measures}
+    got = [p.volume, p.diameter_sq, *got_measures.values(), *(c for fi in range(len(p.facets)) for c in p.facet_centroid(fi))]
+    got += [p.support(u) for u in directions] + list(facet_widths(p))
+    assert all(type(x) is Fraction for x in got)
+    assert p.volume == volume and p.diameter_sq == diameter and got_measures == measures
+    assert [p.facet_centroid(fi) for fi in range(len(p.facets))] == centroids
+    assert [p.support(u) for u in directions] == support
+    assert list(facet_widths(p)) == widths

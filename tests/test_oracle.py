@@ -155,3 +155,25 @@ def test_simplex_ft_collision_branch(cube):
 
 def test_simplex_ft_at_zero(hexagon):
     assert simplex_ft(hexagon, (0, 0)).re == 3.0
+
+
+def test_simplex_ft_reads_no_fast_path(monkeypatch):
+    # the oracle checks the walk, so it computes from the vertices and
+    # facets alone: not from the walk, its face geometry or the polytope's
+    # integer vertex array
+    from spectile import fourier, geometry
+
+    shapes = [zonotope(g) for g in ([(1, 0), (0, 1), (1, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, Rat(1, 2))])]
+    expected = [(simplex_ft(p, (0,) * p.dim), simplex_ft(p, (Rat(1, 3),) * p.dim)) for p in shapes]
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached a fast path")
+
+    monkeypatch.setattr(fourier, "_batch_geometry", refuse)
+    monkeypatch.setattr(fourier, "_walk_hp", refuse)
+    monkeypatch.setattr(geometry.Polytope, "integer_vertices", property(refuse))
+    monkeypatch.setattr(geometry.Polytope, "volume", property(refuse))
+    for p, (at_zero, at_third) in zip(shapes, expected):
+        p._cache.clear()  # the oracle's own memo is rebuilt under the patches
+        assert simplex_ft(p, (0,) * p.dim) == at_zero
+        assert simplex_ft(p, (Rat(1, 3),) * p.dim) == at_third

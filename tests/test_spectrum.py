@@ -616,6 +616,17 @@ def test_patch_checks_reject_non_finite_input():
             condition_C2_check(sp, [(1, 0), (0.0, bad)])
 
 
+def test_c2_fails_an_overflowing_product():
+    # <d, tau> = 1e300 * 1e10 overflows to inf, and |inf - rint(inf)| is
+    # NaN, which max(worst, nan) dropped: this patch used to pass C2 with
+    # distance 0.0
+    sp = SpectrumPatch(points=((0.0, 0.0), (1e300, 0.5)), window_radius=1.0, separation=0.5)
+    for taus in ([(1e10, 1)], [(1e10, 1), (0, 1)], [(10**10, 1)]):
+        rep = condition_C2_check(sp, taus)
+        assert not rep.passed
+        assert rep.max_distance_to_integer == math.inf
+
+
 def test_separation_of_lattice_patches(hexagon, truncated_octahedron):
     shift = np.array([math.sqrt(2), math.sqrt(3)]) / 7
     for p, radius in ((hexagon, 5.0), (truncated_octahedron, 3.0)):
