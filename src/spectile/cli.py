@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -261,7 +262,10 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; parsing leaves
+    it unchanged, so every main() call shares it."""
     parser = argparse.ArgumentParser(
         prog="spectile",
         description="Tiling and spectrum analysis for convex polytopes with rational data.",
@@ -333,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except SpectileError as exc:

@@ -1,24 +1,28 @@
 """Exact convex polytopes in dimensions 1-3.
 
-Vertices are tuples of exact rationals; metric quantities (volume, face
-measures, diameter, centroids, support) are computed in Python ints on the
-same vertices cleared to one common denominator, and divided by a power
-of it once.  Hulls of vertex input are
-computed with exact arithmetic only (gift wrapping in 3D, seeded from
-the 2D hull of a projection; monotone chain in 2D) and coplanar points
-are merged into maximal faces, so the face lattice is the combinatorial
-object itself, not a triangulation.  Zonotopes are built from their
-generators instead: the face lattice is read off the generator
-directions, never off the 2^k corners.  Halfspace input is bounded
-exactly when the origin is interior to the hull of its normals (Gordan).
-Every constructed polytope is validated in every dimension: supporting-
-plane equalities, two facets per subfacet, and the Euler relation.
+Vertices are tuples of exact rationals, but every builder works on
+integer rows over one positive scale and forms the Rat vertices and facet
+offsets once, at the end; the rows stay with the polytope as
+Polytope.integer_vertices (least form), and metric quantities (volume,
+face measures, diameter, centroids, support) are Python-int arithmetic on
+them, divided by a power of the scale once.  Hulls of vertex input clear
+the points to such rows first and are computed with exact arithmetic only
+(gift wrapping in 3D, seeded from the 2D hull of a projection; monotone
+chain in 2D); coplanar points are merged into maximal faces, so the face
+lattice is the combinatorial object itself, not a triangulation.
+Zonotopes are built from their generators instead, cleared once: the face
+lattice is read off the generator directions, never off the 2^k corners.
+Halfspace input is bounded exactly when the origin is interior to the
+hull of its normals (Gordan).  Every constructed polytope is validated in
+every dimension: integer rows equal to the vertices, supporting-plane
+equalities, two facets per subfacet, and the Euler relation.
 
 All values are immutable after construction; operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce, wraps
@@ -53,7 +57,6 @@ from .linalg import (
     vadd,
     vdot,
     vneg,
-    vscale,
     vsub,
 )
 
@@ -140,12 +143,18 @@ class Polytope:
 
     __slots__ = ("dim", "vertices", "facets", "_cycle2d", "_subfacets", "_cache")
 
-    def __init__(self, dim, vertices, facets, cycle2d=None):
+    def __init__(self, dim, vertices, facets, cycle2d=None, integer=None):
         self.dim = dim
         self.vertices = vertices
         self.facets = facets
         self._cycle2d = cycle2d
         self._cache = {}
+        if integer is not None:
+            # the builder's integer rows over their scale seed the memo of
+            # integer_vertices, in least form (_validate checks them)
+            scale, rows = integer
+            g = math.gcd(scale, *(c for r in rows for c in r))
+            self._cache[("integer_vertices",)] = (scale // g, tuple(tuple(c // g for c in r) for r in rows))
         # {subfacet: owning facets}, sorted: the runs of dim - 1 indices
         # along each facet cycle, so vertices in 2D, edges in 3D and the
         # empty face in 1D
@@ -192,8 +201,10 @@ class Polytope:
     def integer_vertices(self) -> tuple:
         """(scale, rows): the vertices as integer rows over their least
         common denominator, vertices[i][j] == rows[i][j] / scale.  Every
-        metric quantity below is integer arithmetic on these rows, divided
-        by a power of the scale once at the end."""
+        metric quantity below, and the symmetry and belt tests, are integer
+        arithmetic on these rows, divided by a power of the scale once at
+        the end.  The builders hand their rows to the constructor, so this
+        clears the vertices only for a polytope built directly."""
         scale, rows = clear_denominators(self.vertices)
         return scale, tuple(map(tuple, rows))
 
@@ -258,7 +269,8 @@ class Polytope:
     @property
     @memo
     def vertex_centroid(self) -> Point:
-        return centroid(self.vertices)
+        s, V = self.integer_vertices
+        return tuple(Rat(sum(col), len(V) * s) for col in zip(*V))
 
     @property
     @memo
@@ -315,14 +327,18 @@ class Polytope:
         # exact integer form: an offset o over the vertex scale s compares
         # as <n, row> * den(o s) against num(o s)
         s, rows = self.integer_vertices
+        for v, row in zip(self.vertices, rows, strict=True):
+            if any(c.numerator * s != x * c.denominator for c, x in zip(v, row, strict=True)):
+                raise AssertionError("integer rows differ from the vertices")
         for f in self.facets:
             off = f.offset * s
+            num, den = off.numerator, off.denominator
             on = 0
             for i, v in enumerate(rows):
-                h = idot(f.normal, v) * off.denominator
-                if h > off.numerator:
+                h = idot(f.normal, v) * den
+                if h > num:
                     raise AssertionError("vertex outside a facet halfspace")
-                if h == off.numerator:
+                if h == num:
                     on += 1
                     if i not in f.indices:
                         raise AssertionError("support set exceeds facet vertex set")
@@ -369,26 +385,31 @@ def _clean_points(points):
 
 
 def from_vertices(points) -> Polytope:
-    """Convex hull with redundant points removed and the face lattice built."""
+    """Convex hull with redundant points removed and the face lattice built.
+
+    The points are cleared to integer rows over one scale first; a positive
+    scale changes no sign and no order, so the hull runs on the rows."""
     d, pts = _clean_points(points)
     if len(pts) < d + 1 or affine_rank(pts) < d:
         raise NotFullDimensional(f"affine hull has dimension below {d}")
-    if d == 1:
-        return _build_1d(pts)
-    if d == 2:
-        return _build_2d(pts)
-    return _build_3d(pts)
+    scale, rows = clear_denominators(pts)
+    return (_build_1d, _build_2d, _build_3d)[d - 1](list(map(tuple, rows)), scale)
 
 
-def _build_1d(pts) -> Polytope:
-    lo = min(p[0] for p in pts)
-    hi = max(p[0] for p in pts)
-    vertices = ((lo,), (hi,))
+def _over(rows, scale) -> tuple:
+    """Integer rows as Rat points over a positive scale."""
+    return tuple(tuple(Rat(x, scale) for x in r) for r in rows)
+
+
+def _build_1d(rows, scale) -> Polytope:
+    lo = min(r[0] for r in rows)
+    hi = max(r[0] for r in rows)
     facets = (
-        Facet(indices=(0,), normal=(-1,), offset=-lo),
-        Facet(indices=(1,), normal=(1,), offset=hi),
+        Facet(indices=(0,), normal=(-1,), offset=Rat(-lo, scale)),
+        Facet(indices=(1,), normal=(1,), offset=Rat(hi, scale)),
     )
-    return Polytope(1, vertices, facets)
+    ends = ((lo,), (hi,))
+    return Polytope(1, _over(ends, scale), facets, integer=(scale, ends))
 
 
 def _monotone_chain(pts):
@@ -408,24 +429,24 @@ def _monotone_chain(pts):
     return lower[:-1] + upper[:-1]
 
 
-def _build_2d(pts) -> Polytope:
-    cycle_pts = _monotone_chain(pts)
-    vertices = tuple(sorted(cycle_pts))
-    index = {v: i for i, v in enumerate(vertices)}
+def _build_2d(rows, scale) -> Polytope:
+    cycle_pts = _monotone_chain(rows)
+    order = tuple(sorted(cycle_pts))
+    index = {v: i for i, v in enumerate(order)}
     cyc = tuple(index[p] for p in cycle_pts)
     facets = []
     n = len(cyc)
     for k in range(n):
-        a, b = vertices[cyc[k]], vertices[cyc[(k + 1) % n]]
+        a, b = order[cyc[k]], order[cyc[(k + 1) % n]]
         dvec = vsub(b, a)
         normal = primitive((dvec[1], -dvec[0]))
-        facets.append(Facet(indices=(cyc[k], cyc[(k + 1) % n]), normal=normal, offset=vdot(normal, a)))
+        facets.append(Facet(indices=(cyc[k], cyc[(k + 1) % n]), normal=normal, offset=Rat(idot(normal, a), scale)))
     facets.sort(key=lambda f: tuple(sorted(f.indices)))
-    return Polytope(2, vertices, tuple(facets), cycle2d=cyc)
+    return Polytope(2, _over(order, scale), tuple(facets), cycle2d=cyc, integer=(scale, order))
 
 
 def _planar_cycle(support_pts, normal):
-    """Cyclic boundary (extreme points only) of coplanar 3D points.
+    """Cyclic boundary (extreme points only) of coplanar integer 3D points.
 
     Projects out the largest normal coordinate, runs the exact 2D hull,
     and orients the cycle counterclockwise as seen from the normal side.
@@ -438,39 +459,39 @@ def _planar_cycle(support_pts, normal):
     cycle2 = _monotone_chain(list(flat))
     cycle = [flat[q] for q in cycle2]
     p0 = cycle[0]
-    area_vec = (ZERO, ZERO, ZERO)
+    area_vec = (0, 0, 0)
     for j in range(1, len(cycle) - 1):
         area_vec = vadd(area_vec, cross3(vsub(cycle[j], p0), vsub(cycle[j + 1], p0)))
-    if vdot(area_vec, normal) < 0:
+    if idot(area_vec, normal) < 0:
         cycle.reverse()
     return cycle
 
 
-def _build_3d(pts) -> Polytope:
+def _build_3d(pts, scale) -> Polytope:
     interior = centroid(pts)
 
     def support_data(n):
-        off = max(vdot(n, p) for p in pts)
-        return off, [p for p in pts if vdot(n, p) == off]
+        off = max(idot(n, p) for p in pts)
+        return off, [p for p in pts if idot(n, p) == off]
 
     def wrap(a, b, n_prev, off_prev):
         """The normal of a supporting plane through edge (a, b) other than
         the plane n_prev."""
-        candidates = [p for p in pts if vdot(n_prev, p) < off_prev]
+        candidates = [p for p in pts if idot(n_prev, p) < off_prev]
         u = vsub(b, a)
         for sign in (1, -1):
             w = candidates[0]
             for c in candidates[1:]:
-                s = det((u, vsub(w, a), vsub(c, a)))
+                s = idot(u, cross3(vsub(w, a), vsub(c, a)))
                 if (s > 0) if sign > 0 else (s < 0):
                     w = c
             n = cross3(u, vsub(w, a))
-            if vdot(n, interior) > vdot(n, a):
+            if vdot(n, interior) > idot(n, a):
                 n = vneg(n)
-            elif vdot(n, interior) == vdot(n, a):
+            elif vdot(n, interior) == idot(n, a):
                 continue
-            off = vdot(n, a)
-            if all(vdot(n, p) <= off for p in pts):
+            off = idot(n, a)
+            if all(idot(n, p) <= off for p in pts):
                 return n
         raise AssertionError("gift-wrap pivot failed to find a supporting plane")
 
@@ -497,7 +518,7 @@ def _build_3d(pts) -> Polytope:
     # facet, or an edge to wrap around.  The projection is not flat, since
     # the points are not.
     q0, q1 = _monotone_chain({p[1:] for p in pts})[:2]
-    n0 = (ZERO, q1[1] - q0[1], q0[0] - q1[0])
+    n0 = (0, q1[1] - q0[1], q0[0] - q1[0])
     off0, sup0 = support_data(n0)
     if affine_rank(sup0) == 2:
         register(n0)
@@ -515,30 +536,32 @@ def _build_3d(pts) -> Polytope:
         if owner not in edge_owners[e] or len(edge_owners[e]) != 2:
             raise AssertionError("edge adjacency bookkeeping failed")
 
-    return _assemble_3d(facet_by_normal)
+    return _assemble_3d(facet_by_normal, scale)
 
 
-def _assemble_3d(facet_by_normal) -> Polytope:
-    """The polytope of {outward primitive normal: (offset, vertex cycle)}.
+def _assemble_3d(facet_by_normal, scale) -> Polytope:
+    """The polytope of {outward primitive normal: (offset, vertex cycle)},
+    integer offsets and rows over one positive scale.
 
-    Vertices are indexed in sorted order, each cycle starts at its lowest
-    index and facets are sorted by their vertex sets, so the result does
-    not depend on how the facets were found.
+    Vertices are indexed in sorted order (the order of the rows, since the
+    scale is positive), each cycle starts at its lowest index and facets
+    are sorted by their vertex sets, so the result does not depend on how
+    the facets were found.
     """
     vertex_set = set()
     for off, cycle in facet_by_normal.values():
         vertex_set.update(cycle)
-    vertices = tuple(sorted(vertex_set))
-    index = {v: i for i, v in enumerate(vertices)}
+    order = tuple(sorted(vertex_set))
+    index = {v: i for i, v in enumerate(order)}
 
     facets = []
     for n, (off, cycle) in facet_by_normal.items():
         idx_cycle = tuple(index[p] for p in cycle)
         start = idx_cycle.index(min(idx_cycle))
         idx_cycle = idx_cycle[start:] + idx_cycle[:start]
-        facets.append(Facet(indices=idx_cycle, normal=n, offset=off))
+        facets.append(Facet(indices=idx_cycle, normal=n, offset=Rat(off, scale)))
     facets.sort(key=lambda f: tuple(sorted(f.indices)))
-    return Polytope(3, vertices, tuple(facets))
+    return Polytope(3, _over(order, scale), tuple(facets), integer=(scale, order))
 
 
 def from_halfspaces(halfspaces) -> Polytope:
@@ -597,14 +620,15 @@ def _check_bounded(hs, d):
 
 
 def _zone_polygon(gens, flat) -> list:
-    """The boundary, in cyclic order, of the centred zonotope of coplanar
-    generators spanning their plane.
+    """The boundary, in cyclic order, of the zonotope sum of [-g, g] over
+    coplanar integer generators spanning their plane: twice the centred
+    zonotope, so every point is an integer row.
 
     flat maps a generator to its coordinates in that plane.  Each generator
     is turned into the half-plane [0, pi) there and the turned generators
-    are sorted by angle, s_1..s_k.  The boundary is then v_0, v_0 + s_1,
-    ..., v_0 + s_1 + ... + s_(k-1) followed by their negatives, with
-    v_0 = -(s_1 + ... + s_k)/2: O(k log k) exact work, never the 2^k
+    are sorted by angle, s_1..s_k.  The boundary is then v_0, v_0 + 2 s_1,
+    ..., v_0 + 2 (s_1 + ... + s_(k-1)) followed by their negatives, with
+    v_0 = -(s_1 + ... + s_k): O(k log k) integer work, never the 2^k
     corners.  Parallel generators leave points inside an edge, which the
     exact hull of the caller drops.
     """
@@ -612,11 +636,11 @@ def _zone_polygon(gens, flat) -> list:
     for g in gens:
         x, y = flat(g)
         turned.append(g if y > 0 or (y == 0 and x > 0) else vneg(g))
-    v = vscale(reduce(vadd, turned), Rat(-1, 2))
+    v = vneg(reduce(vadd, turned))
     half = []
     for s in angular_sort(turned, {g: flat(g) for g in turned}):
         half.append(v)
-        v = vadd(v, s)
+        v = vadd(v, vadd(s, s))
     return half + [vneg(q) for q in half]
 
 
@@ -630,8 +654,16 @@ def zonotope(generators) -> Polytope:
     zone {g : <n, g> = 0}, translated by the sum of sign<n, g> g/2 over the
     other generators, and its offset is the sum of |<n, g>|/2; the facet
     of -n is its negative.  In 2D the polygon rule gives the body itself.
-    The work is O(k^3) exact operations, so the polytope checks of the
-    constructor dominate.
+
+    The generators are cleared once to integer rows G over den
+    (linalg.clear_denominators).  Every vertex is a sum of +-g/2, so over
+    the scale 2 den it is the integer row sum of +-G: heights, offsets,
+    shifts, the zone polygons and the planar hulls are Python-int work,
+    and each vertex coordinate and offset becomes a Rat once, when the
+    polytope is assembled.  The work is O(k^3) integer operations.  On
+    the twelve shapes of the explore-zonotopes benchmark the constructor
+    (subfacet map and checks) takes about 40% of a build and the Rat
+    output about 5%.
     """
     gens = [tuple(rational(c) for c in g) for g in generators]
     if not gens:
@@ -647,28 +679,31 @@ def zonotope(generators) -> Polytope:
         raise DimensionMismatch(f"dimension {d} outside supported range 1..3")
     if rank(gens) < d:
         raise NotFullDimensional(f"affine hull has dimension below {d}")
+    den, G = clear_denominators(gens)
+    G = list(map(tuple, G))
+    scale = 2 * den
     if d == 1:
-        h = sum((abs(g[0]) for g in gens), ZERO) / 2
-        return _build_1d([(-h,), (h,)])
+        h = sum(abs(g[0]) for g in G)
+        return _build_1d([(-h,), (h,)], scale)
     if d == 2:
-        return _build_2d(_zone_polygon(gens, lambda g: g))
+        return _build_2d(_zone_polygon(G, lambda g: g), scale)
 
     facet_by_normal = {}
-    for i, j in combinations(range(len(gens)), 2):
-        c = cross3(gens[i], gens[j])
+    for i, j in combinations(range(len(G)), 2):
+        c = cross3(G[i], G[j])
         if is_zero_vec(c):
             continue
         n = primitive(c, canonical_sign=True)
         if n in facet_by_normal:
             continue
-        heights = [vdot(n, g) for g in gens]
-        offset = sum((abs(h) for h in heights), ZERO) / 2
-        shift = reduce(vadd, (vscale(g, Rat(1 if h > 0 else -1, 2)) for g, h in zip(gens, heights) if h != 0))
+        heights = [idot(n, g) for g in G]
+        offset = sum(abs(h) for h in heights)
+        shift = reduce(vadd, (g if h > 0 else vneg(g) for g, h in zip(G, heights) if h != 0))
         axis = max(range(3), key=lambda a: abs(n[a]))
         keep = [a for a in range(3) if a != axis]
-        zone = [g for g, h in zip(gens, heights) if h == 0]
+        zone = [g for g, h in zip(G, heights) if h == 0]
         pts = [vadd(shift, q) for q in _zone_polygon(zone, lambda g: (g[keep[0]], g[keep[1]]))]
         cycle = _planar_cycle(pts, n)
         facet_by_normal[n] = (offset, tuple(cycle))
         facet_by_normal[vneg(n)] = (offset, tuple(vneg(q) for q in reversed(cycle)))
-    return _assemble_3d(facet_by_normal)
+    return _assemble_3d(facet_by_normal, scale)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul, sub
 
 Rat = Fraction
 
@@ -68,11 +69,11 @@ def sqrt_upper(q) -> Rat:
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vneg(a: Vec) -> Vec:
@@ -89,7 +90,7 @@ def vdot(a: Vec, b: Vec):
 
 def idot(a: Vec, b: Vec) -> int:
     """<a, b> for integer vectors, kept in Python ints."""
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def norm_sq(a: Vec):

@@ -10,6 +10,7 @@ instead of computed.  Obviousness is the goal, not speed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,12 @@ from .linalg import (
 )
 from .tiling import coefficient_box
 
-__all__ = ["SampleConfig", "MCVolume", "MultiplicityHistogram", "mc_volume", "multiplicity_sample", "simplex_ft"]
+__all__ = ["MAX_SAMPLES", "SampleConfig", "MCVolume", "MultiplicityHistogram", "mc_volume", "multiplicity_sample", "simplex_ft"]
+
+
+# the most samples one oracle run may draw (--samples); a run holds arrays
+# of count x d and count x (number of facets) floats
+MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,8 @@ class SampleConfig:
     def __post_init__(self):
         if self.count < 1:
             raise PreconditionFailed(f"sample count must be at least 1, got {self.count}")
+        if self.count > MAX_SAMPLES:
+            raise PreconditionFailed(f"sample count must be at most {MAX_SAMPLES}, got {self.count}")
         if self.seed < 0:
             raise PreconditionFailed(f"seed must be non-negative, got {self.seed}")
 
@@ -210,6 +218,13 @@ def _fan(p: Polytope):
     return scale, rows, simplices, total
 
 
+@functools.cache
+def _minus_two_pi_i(prec: int):
+    """-2 pi i rounded at prec bits, formed once per working precision."""
+    with mpmath.workprec(prec):
+        return mpmath.mpc(0, -2) * (+mpmath.pi)
+
+
 def _divided_difference_exp(nums, mod, phases):
     """Confluent divided differences of exp at nodes z_j = -2 pi i t_j,
     t_j = nums[j] / mod, given phases[n] = e^{-2 pi i n / mod}.
@@ -221,7 +236,7 @@ def _divided_difference_exp(nums, mod, phases):
     """
     ts = sorted(nums)
     n = len(ts)
-    minus_two_pi_i = mpmath.mpc(0, -2) * (+mpmath.pi)
+    minus_two_pi_i = _minus_two_pi_i(mpmath.mp.prec)
     table = [[None] * n for _ in range(n)]
     for i in range(n):
         table[i][i] = phases[ts[i]]

@@ -6,6 +6,13 @@ facet-pair translation vectors tau then generate the candidate tiling
 group.  Parallelism is exact (primitive integer normals that are exact
 negatives) and facet measures are compared as exact squared volumes, so no
 tolerance appears anywhere in this module.
+
+The point-set tests run in Python ints on the polytope's one integer
+vertex array (Polytope.integer_vertices, rows over a common scale): a set
+of n rows with sum S is centrally symmetric exactly when 2S - n v lies in
+n V for every row v, and one facet is a translate of another exactly when
+their sorted rows differ by one constant row.  The returned center and
+tau vectors become Rat once, at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotSymmetric
 from .geometry import Polytope, memo
-from .linalg import centroid, vadd, vsub
+from .linalg import Rat, vneg, vsub
 
 __all__ = [
     "center_of_symmetry",
@@ -28,6 +35,36 @@ __all__ = [
 ]
 
 
+def _symmetric(rows) -> bool:
+    """Whether integer rows are a centrally symmetric point set.
+
+    With n rows of sum S the reflection of v through the centroid S/n is
+    2S/n - v, so the set is symmetric exactly when n divides 2S and every
+    2S/n - v is a row: the test 2S - n v in n V, divided by n.
+    """
+    n = len(rows)
+    twice = [2 * sum(col) for col in zip(*rows)]
+    if any(c % n for c in twice):
+        return False
+    t = tuple(c // n for c in twice)
+    pset = set(rows)
+    return all(vsub(t, v) in pset for v in rows)
+
+
+def facet_translate(p: Polytope, fi: int, fj: int):
+    """The integer row t with facet fj = facet fi + t / scale, over the
+    scale of p.integer_vertices, or None when facet fj is no translate of
+    facet fi.  A translation keeps the lexicographic order of points, so
+    the sorted rows of the two facets differ by one constant row."""
+    _, V = p.integer_vertices
+    a = sorted(V[k] for k in p.facets[fi].indices)
+    b = sorted(V[k] for k in p.facets[fj].indices)
+    if len(a) != len(b):
+        return None
+    t = vsub(b[0], a[0])
+    return t if all(vsub(y, x) == t for x, y in zip(a, b)) else None
+
+
 @memo
 def center_of_symmetry(p: Polytope):
     """The center x with P - x = -(P - x), or None.
@@ -35,13 +72,7 @@ def center_of_symmetry(p: Polytope):
     For a centrally symmetric polytope the center is the vertex centroid,
     so a single candidate suffices.
     """
-    c = p.vertex_centroid
-    doubled = vadd(c, c)
-    vertex_set = set(p.vertices)
-    for v in p.vertices:
-        if vsub(doubled, v) not in vertex_set:
-            return None
-    return c
+    return p.vertex_centroid if _symmetric(p.integer_vertices[1]) else None
 
 
 @dataclass(frozen=True)
@@ -65,14 +96,6 @@ def minkowski_check(p: Polytope) -> MinkowskiResult:
     return MinkowskiResult(True)
 
 
-def _point_set_symmetric(points) -> bool:
-    pts = list(points)
-    c = centroid(pts)
-    doubled = vadd(c, c)
-    pset = set(pts)
-    return all(vsub(doubled, v) in pset for v in pts)
-
-
 @memo
 def facet_symmetry_check(p: Polytope):
     """(all_symmetric, witness facet indices).
@@ -83,8 +106,9 @@ def facet_symmetry_check(p: Polytope):
     """
     if p.dim < 3:
         return True, ()
+    _, V = p.integer_vertices
     witnesses = tuple(
-        fi for fi in range(len(p.facets)) if not _point_set_symmetric(p.facet_points(fi))
+        fi for fi, f in enumerate(p.facets) if not _symmetric([V[k] for k in f.indices])
     )
     return (len(witnesses) == 0), witnesses
 
@@ -110,6 +134,7 @@ def tau_vectors(p: Polytope) -> tuple:
         ok, _ = facet_symmetry_check(p)
         if not ok:
             raise NotSymmetric("some facet is not centrally symmetric")
+    scale, _ = p.integer_vertices
     pairs = []
     seen = set()
     for fi in range(len(p.facets)):
@@ -119,15 +144,13 @@ def tau_vectors(p: Polytope) -> tuple:
         if fj is None or fj in seen:
             raise NotSymmetric("unpaired facet")
         seen.update((fi, fj))
-        ci, cj = p.facet_centroid(fi), p.facet_centroid(fj)
-        if cj < ci:
-            small, big = fj, fi
-        else:
-            small, big = fi, fj
-        tau = vsub(p.facet_centroid(big), p.facet_centroid(small))
-        translated = {vadd(v, tau) for v in p.facet_points(small)}
-        if translated != set(p.facet_points(big)):
-            raise NotSymmetric(f"facets {small} and {big} are not exact translates")
+        t = facet_translate(p, fi, fj)
+        if t is None:
+            raise NotSymmetric(f"facets {fi} and {fj} are not exact translates")
+        # facet fj is facet fi + t, so its centroid is the larger exactly
+        # when t is lexicographically positive
+        small, big, t = (fi, fj, t) if t > (0,) * p.dim else (fj, fi, vneg(t))
+        tau = tuple(Rat(c, scale) for c in t)
         pairs.append(TauPair(facet=big, opposite=small, tau=tau))
     pairs.sort(key=lambda t: t.tau)
     return tuple(pairs)

@@ -24,12 +24,12 @@ from .geometry import Polytope, facet_widths, memo
 from .linalg import (
     INT64_MAX,
     Rat,
-    ZERO,
     angular_sort,
     clear_denominators,
     cross3,
     det,
     hnf_rational,
+    idot,
     inverse,
     norm_sq,
     primitive,
@@ -42,7 +42,7 @@ from .linalg import (
     vscale,
     vsub,
 )
-from .symmetry import center_of_symmetry, facet_symmetry_check, tau_vectors
+from .symmetry import center_of_symmetry, facet_symmetry_check, facet_translate, tau_vectors
 
 __all__ = [
     "Belt",
@@ -188,10 +188,11 @@ class Belt:
         return len(self.facets)
 
 
-def _edge_class_key(p: Polytope, edge):
-    a, b = (p.vertices[i] for i in edge)
-    d = vsub(b, a)
-    return primitive(d, canonical_sign=True), norm_sq(d)
+def _edge_class_key(V, edge):
+    """(primitive direction, squared length) of an edge, on the integer
+    vertex rows; the length is over the squared vertex scale."""
+    d = vsub(V[edge[1]], V[edge[0]])
+    return primitive(d, canonical_sign=True), idot(d, d)
 
 
 def belts(p: Polytope) -> tuple:
@@ -215,9 +216,12 @@ def belts(p: Polytope) -> tuple:
     if not ok:
         raise PreconditionFailed("belts need centrally symmetric facets")
 
+    # the keys are integer: directions are primitive, squared lengths are
+    # over scale^2, which orders them as the Rat lengths
+    scale, V = p.integer_vertices
     classes: dict = {}
     for edge in p.subfacets():
-        classes.setdefault(_edge_class_key(p, edge), []).append(edge)
+        classes.setdefault(_edge_class_key(V, edge), []).append(edge)
 
     out = []
     for (direction, len_sq), edges in sorted(classes.items()):
@@ -225,19 +229,18 @@ def belts(p: Polytope) -> tuple:
         # order facets around the common direction by the angle of their
         # normals in the plane orthogonal to it
         axis = min(range(3), key=lambda i: abs(direction[i]))
-        e_axis = tuple(Rat(1) if i == axis else ZERO for i in range(3))
-        u = tuple(Rat(c) for c in direction)
-        pvec = cross3(u, e_axis)
-        qvec = cross3(u, pvec)
+        e_axis = tuple(1 if i == axis else 0 for i in range(3))
+        pvec = cross3(direction, e_axis)
+        qvec = cross3(direction, pvec)
         coords = {
-            fi: (vdot(p.facets[fi].normal, pvec), vdot(p.facets[fi].normal, qvec))
+            fi: (idot(p.facets[fi].normal, pvec), idot(p.facets[fi].normal, qvec))
             for fi in facet_ids
         }
         ordered = tuple(angular_sort(facet_ids, coords))
         out.append(
             Belt(
                 direction=direction,
-                length_sq=len_sq,
+                length_sq=Rat(len_sq, scale * scale),
                 representative=edges[0],
                 facets=ordered,
             )
@@ -426,13 +429,7 @@ def is_prism(p: Polytope):
         if fj is None:
             continue
         seen.update((fi, fj))
-        pts_i = p.facet_points(fi)
-        pts_j = p.facet_points(fj)
-        if len(pts_i) != len(pts_j):
-            continue
-        tau = vsub(p.facet_centroid(fi), p.facet_centroid(fj))
-        if {vadd(v, tau) for v in pts_j} != set(pts_i):
-            continue
-        if len(pts_i) + len(pts_j) == len(p.vertices):
+        count = len(p.facets[fi].indices) + len(p.facets[fj].indices)
+        if count == len(p.vertices) and facet_translate(p, fj, fi) is not None:
             return (min(fi, fj), max(fi, fj))
     return None

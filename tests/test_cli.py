@@ -187,6 +187,29 @@ def test_samples_below_one_exit_2(capsys):
         assert code == 2 and "sample count must be at least 1" in err
 
 
+def test_samples_above_cap_exit_2(capsys):
+    from spectile.oracle import MAX_SAMPLES
+
+    over = str(MAX_SAMPLES + 1)
+    code, out, err = run_cli(capsys, "oracle", "catalog:hexagon", "--op", "volume", "--samples", over)
+    assert code == 2 and out == ""
+    assert f"sample count must be at most {MAX_SAMPLES}, got {over}" in err
+    code, out, err = run_cli(capsys, "analyze", "catalog:square", "--samples", over)
+    assert code == 2 and out == "" and f"at most {MAX_SAMPLES}" in err
+
+
+def test_main_reuses_one_parser_without_carrying_options(capsys, tmp_path):
+    from spectile import cli
+    from spectile.report import DEFAULT_RADIUS
+
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["analyze", "catalog:triangle", "--radius", "3", "--output", str(first)]) == 0
+    assert main(["analyze", "catalog:triangle", "--output", str(second)]) == 0
+    assert json.loads(first.read_text())["parameters"]["radius"] == 3.0
+    assert json.loads(second.read_text())["parameters"]["radius"] == DEFAULT_RADIUS
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_negative_seed_exit_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "catalog:rhombic-icosahedron", "--seed", "-1")
     assert code == 2 and out == ""

@@ -17,6 +17,7 @@ from spectile.errors import (
 )
 from spectile.geometry import Facet, Polytope, facet_widths
 from spectile.linalg import (
+    clear_denominators,
     cross3,
     det,
     gram_det,
@@ -350,18 +351,19 @@ def _corner_hull(gens):
     return from_vertices(corners)
 
 
-small_rationals = st.builds(Rat, st.integers(-3, 3), st.sampled_from((1, 1, 2)))
+small_rationals = st.builds(Rat, st.integers(-6, 6), st.integers(1, 6))
 
 
 @st.composite
 def zonotope_generators(draw):
-    """2D or 3D generators with parallel copies, an optional coplanar zone
-    (a share of the generators moved into the plane z = 0) and optional
+    """2D or 3D generators with denominators up to 6, at most seven of
+    them: repeated and parallel copies, an optional coplanar zone (a share
+    of the generators moved into the plane z = 0) and optional
     all-coplanar input; zero generators are dropped."""
     dim = draw(st.sampled_from((2, 3)))
     vec = st.tuples(*[small_rationals] * dim).filter(any)
     gens = draw(st.lists(vec, min_size=1, max_size=5))
-    factors = st.sampled_from((Rat(-2), Rat(-1), Rat(1, 2), Rat(3, 2)))
+    factors = st.sampled_from((Rat(1), Rat(-2), Rat(-1), Rat(1, 2), Rat(3, 2), Rat(-5, 6)))
     for g in draw(st.lists(st.sampled_from(gens), max_size=2)):
         gens.append(vscale(g, draw(factors)))
     if dim == 3:
@@ -373,10 +375,14 @@ def zonotope_generators(draw):
     return gens
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(zonotope_generators())
 @example([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])
 @example([(1, 1, 0), (2, -1, 0), (-1, 3, 0)])
+# seven generators over denominators up to 6, one of them repeated
+@example([(Rat(1, 6), Rat(-5, 4), Rat(2, 3)), (Rat(1, 5), 0, Rat(1, 2)), (0, Rat(1, 3), 1), (Rat(1, 6), Rat(-5, 4), Rat(2, 3)),
+          (Rat(-1, 3), Rat(5, 2), Rat(-4, 3)), (Rat(1, 5), 1, 0), (Rat(1, 2), Rat(1, 2), Rat(1, 2))])
+@example([(Rat(1, 2), Rat(1, 3)), (Rat(-1, 4), Rat(-1, 6)), (Rat(5, 6), 0), (Rat(5, 6), 0)])
 # the catalog's generator lists: interval, square, cube, hexagon, hexagonal
 # prism and truncated octahedron
 @example([(1,)])
@@ -386,8 +392,9 @@ def zonotope_generators(draw):
 @example([(1, 0, 0), (0, 1, -1), (0, 1, 0), (0, 0, 1)])
 @example([(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)])
 def test_zonotope_matches_corner_hull(gens):
-    """zonotope() reads the face lattice off the generators; it must equal
-    the hull of the 2^k corners, vertex and facet for facet."""
+    """zonotope() reads the face lattice off the generators, on integer
+    rows over one scale; it must equal the hull of the 2^k Rat corners,
+    vertex, facet and 2D cycle, with the rows in least form."""
     try:
         expected = _corner_hull(gens)
     except NotFullDimensional:
@@ -397,6 +404,9 @@ def test_zonotope_matches_corner_hull(gens):
     z = zonotope(gens)
     assert z.vertices == expected.vertices
     assert z.facets == expected.facets
+    assert z._cycle2d == expected._cycle2d
+    scale, rows = clear_denominators(z.vertices)
+    assert z.integer_vertices == (scale, tuple(map(tuple, rows)))
 
 
 def test_contains_and_support(cube):
@@ -455,11 +465,11 @@ def test_hull_matches_brute_force_facets(points):
     assert found == _brute_force_hull(points)
 
 
-def _malformed(dim, vertices, facets):
+def _malformed(dim, vertices, facets, integer=None):
     """Polytope(dim, vertices, facets) from integer data; facets are
-    (index cycle, normal, offset)."""
+    (index cycle, normal, offset), integer the builder's (scale, rows)."""
     vertices = tuple(tuple(Rat(c) for c in v) for v in vertices)
-    return Polytope(dim, vertices, tuple(Facet(ix, n, Rat(off)) for ix, n, off in facets))
+    return Polytope(dim, vertices, tuple(Facet(ix, n, Rat(off)) for ix, n, off in facets), integer=integer)
 
 
 def test_validation_rejects_malformed_lattices():
@@ -469,6 +479,11 @@ def test_validation_rejects_malformed_lattices():
     assert _malformed(2, triangle, edges).f_vector() == (3, 3)
     with pytest.raises(AssertionError, match="Euler"):  # a vertex in no facet
         _malformed(2, triangle + [(Rat(1, 4), Rat(1, 4))], edges)
+    # builder rows are kept in least form, and must be the vertices
+    doubled = (2, tuple((2 * x, 2 * y) for x, y in triangle))
+    assert _malformed(2, triangle, edges, integer=doubled).integer_vertices == (1, tuple(triangle))
+    with pytest.raises(AssertionError, match="integer rows differ"):
+        _malformed(2, triangle, edges, integer=(1, ((0, 0), (1, 0), (0, 2))))
     tetra = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     faces = [
         ((0, 2, 1), (0, 0, -1), 0),

@@ -177,3 +177,17 @@ def test_simplex_ft_reads_no_fast_path(monkeypatch):
         p._cache.clear()  # the oracle's own memo is rebuilt under the patches
         assert simplex_ft(p, (0,) * p.dim) == at_zero
         assert simplex_ft(p, (Rat(1, 3),) * p.dim) == at_third
+
+
+def test_minus_two_pi_i_is_formed_once_per_precision():
+    # the divided differences take -2 pi i from one memo per working
+    # precision; it must be the value they formed on every call before
+    import mpmath
+
+    from spectile.oracle import _minus_two_pi_i
+
+    for bits in (53, 128, 256, 1024):
+        with mpmath.workprec(bits):
+            fresh = mpmath.mpc(0, -2) * (+mpmath.pi)
+        assert _minus_two_pi_i(bits)._mpc_ == fresh._mpc_
+        assert _minus_two_pi_i(bits) is _minus_two_pi_i(bits)

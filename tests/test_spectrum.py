@@ -412,10 +412,11 @@ def test_analyze_runs_each_stage_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(tiling, "belts", counted("belts", tiling.belts))
-    monkeypatch.setattr(symmetry, "_point_set_symmetric", counted("facet", symmetry._point_set_symmetric))
+    monkeypatch.setattr(symmetry, "_symmetric", counted("symmetric", symmetry._symmetric))
     cube = make("cube")  # fresh: the shared fixtures may have stages kept already
     analyze(cube, radius=2.0)
-    assert calls == {"belts": 1, "facet": len(cube.facets)}
+    # one point-set test for the center and one per facet
+    assert calls == {"belts": 1, "symmetric": 1 + len(cube.facets)}
 
 
 def test_uniqueness_prism_excluded(hexagonal_prism, square):

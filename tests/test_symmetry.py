@@ -4,7 +4,7 @@ import pytest
 
 from spectile import AffineMap, Rat, from_vertices, zonotope
 from spectile.errors import NotSymmetric
-from spectile.linalg import centroid, det, vadd, vsub
+from spectile.linalg import centroid, det, rank, vadd, vsub
 from spectile.symmetry import (
     center_of_symmetry,
     facet_symmetry_check,
@@ -186,3 +186,89 @@ def test_symmetry_report_fields(hexagon, triangle):
     rep = symmetry_report(triangle)
     assert not rep.is_centrally_symmetric and not rep.minkowski_pass
     assert rep.facet_pairs == ()
+
+
+# --- symmetry and belt keys against their Fraction-tuple form ----------------
+
+
+def _symmetry_reference(p):
+    """center, facet-symmetry witnesses, tau pairs, prism witness and edge
+    class keys computed on the Fraction vertex tuples directly: the form
+    these stages had before they moved to the integer vertex rows.  tau
+    pairs are None where tau_vectors must raise."""
+    from spectile.linalg import norm_sq, primitive
+
+    def symmetric(pts):
+        c = centroid(pts)
+        doubled = vadd(c, c)
+        return all(vsub(doubled, v) in set(pts) for v in pts)
+
+    def translate(fi, fj):
+        # facet fi = facet fj + (centroid fi - centroid fj), as a set
+        tau = vsub(centroid(p.facet_points(fi)), centroid(p.facet_points(fj)))
+        return {vadd(v, tau) for v in p.facet_points(fj)} == set(p.facet_points(fi)), tau
+
+    center = centroid(p.vertices) if symmetric(p.vertices) else None
+    witnesses = tuple(fi for fi in range(len(p.facets)) if not symmetric(p.facet_points(fi))) if p.dim == 3 else ()
+    pairs, prism, seen = [], None, set()
+    for fi in range(len(p.facets)):
+        fj = p.opposite_facet(fi)
+        if fi in seen or fj is None:
+            continue
+        seen.update((fi, fj))
+        ci, cj = centroid(p.facet_points(fi)), centroid(p.facet_points(fj))
+        small, big = (fj, fi) if cj < ci else (fi, fj)
+        ok, tau = translate(big, small)
+        pairs.append((big, small, tau) if ok else None)
+        n_i, n_j = len(p.facets[fi].indices), len(p.facets[fj].indices)
+        if p.dim == 3 and prism is None and n_i == n_j and translate(fi, fj)[0] and n_i + n_j == len(p.vertices):
+            prism = (min(fi, fj), max(fi, fj))
+    if center is None or witnesses or len(seen) != len(p.facets) or None in pairs:
+        pairs = None
+    else:
+        pairs = sorted(pairs, key=lambda t: t[2])
+    keys = []
+    if p.dim == 3:
+        for a, b in p.subfacets():
+            d = vsub(p.vertices[b], p.vertices[a])
+            keys.append((primitive(d, canonical_sign=True), norm_sq(d)))
+    return center, witnesses, pairs, prism, keys
+
+
+def _reference_shapes():
+    rng = random.Random(1406)
+    shapes = []
+    for dim in (2, 3) * 15:
+        gens = [tuple(Rat(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(dim)) for _ in range(rng.randint(dim, dim + 4))]
+        gens = [g for g in gens if any(g)]
+        if rank(gens) == dim:
+            shapes.append(zonotope(gens))
+        p = _symmetrized(rng, dim)
+        if p is not None:
+            shapes += [p, _perturbed(rng, p)]
+    return shapes
+
+
+def test_symmetry_and_belt_keys_match_fraction_reference(cube, hexagonal_prism, truncated_octahedron, rhombic_icosahedron, triangle):
+    from spectile.tiling import _edge_class_key, is_prism
+
+    shapes = [cube, hexagonal_prism, truncated_octahedron, rhombic_icosahedron, triangle] + _reference_shapes()
+    kinds = {"symmetric": 0, "asymmetric facets": 0, "asymmetric": 0, "prism": 0}
+    for p in shapes:
+        center, witnesses, pairs, prism, keys = _symmetry_reference(p)
+        assert center_of_symmetry(p) == center
+        assert facet_symmetry_check(p) == (not witnesses, witnesses)
+        if pairs is None:
+            with pytest.raises(NotSymmetric):
+                tau_vectors(p)
+        else:
+            assert [(t.facet, t.opposite, t.tau) for t in tau_vectors(p)] == pairs
+        scale, V = p.integer_vertices
+        if p.dim == 3:
+            assert is_prism(p) == prism
+            got = [_edge_class_key(V, e) for e in p.subfacets()]
+            assert [(d, Rat(n, scale * scale)) for d, n in got] == keys
+            assert sorted(got) == [(d, n * scale * scale) for d, n in sorted(keys)]
+        kinds["prism"] += prism is not None
+        kinds["asymmetric" if center is None else "asymmetric facets" if witnesses else "symmetric"] += 1
+    assert all(kinds.values()), kinds
