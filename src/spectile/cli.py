@@ -167,10 +167,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     poly, _ = resolve_input(args.input)
     pts = _read_patch(args.patch, poly.dim)
-    radius = args.radius
-    if radius is None:
-        radius = max((sum(float(c) ** 2 for c in q)) ** 0.5 for q in pts)
-    sp = make_patch(pts, radius)
+    sp = make_patch(pts, args.radius)
     out = {
         "patch": {"count": len(sp), "window_radius": sp.window_radius, "separation": sp.separation},
         **patch_checks_json(poly, sp, symmetry_report(poly), args.tolerance),
@@ -300,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify a user-supplied patch CSV against a polytope")
     common(v)
     v.add_argument("--patch", required=True, help="CSV of patch points (decimals or p/q)")
-    v.add_argument("--radius", type=float, default=None)
+    v.add_argument("--radius", type=float, default=None, help="window radius (default: the largest |q|)")
     v.add_argument("--tolerance", type=float, default=TOL_ZERO)
     v.set_defaults(fn=_cmd_verify)
 

@@ -4,7 +4,7 @@ Vertices are tuples of exact rationals, but every builder works on
 integer rows over one positive scale and forms the Rat vertices and facet
 offsets once, at the end; the rows stay with the polytope as
 Polytope.integer_vertices (least form), and metric quantities (volume,
-face measures, diameter, centroids, support) are Python-int arithmetic on
+face measures, diameter, vertex centroid, support) are Python-int arithmetic on
 them, divided by a power of the scale once.  Hulls of vertex input clear
 the points to such rows first and are computed with exact arithmetic only
 (gift wrapping in 3D, seeded from the 2D hull of a projection; monotone
@@ -207,12 +207,6 @@ class Polytope:
         clears the vertices only for a polytope built directly."""
         scale, rows = clear_denominators(self.vertices)
         return scale, tuple(map(tuple, rows))
-
-    @memo
-    def facet_centroid(self, fi: int) -> Point:
-        s, V = self.integer_vertices
-        idx = self.facets[fi].indices
-        return tuple(Rat(sum(V[i][c] for i in idx), len(idx) * s) for c in range(self.dim))
 
     @memo
     def opposite_facet(self, fi: int):

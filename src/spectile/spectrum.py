@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import mpmath
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 
-# pair differences are formed and checked this many rows at a time
+# pair differences are formed this many rows at a time (_pair_blocks)
 _BLOCK = 1 << 15
 
 # an exact rational above pi
@@ -81,44 +81,32 @@ class SpectrumPatch:
     """Finite window of a candidate spectrum.
 
     Points are exact rationals when lattice-derived; user patches may carry
-    floats.  Every coordinate must be finite, however the patch is built
-    (PreconditionFailed otherwise).  separation is the smallest nonzero
-    distance between two points (see _separation).  Derived forms are
-    computed once per instance, on first use, and shared by every check:
-    is_exact, the array form of the points (_coords) and their distinct
-    differences up to sign (_differences).
+    floats.  separation is the smallest nonzero distance between two points
+    (see _separation).  The constructor forms the points once
+    (_patch_forms, or the forms make_patch passes), and every check shares
+    them:
+
+    - is_exact: no coordinate is a float;
+    - _coords, (den, A) with the points the rows of A / den, read-only:
+      integer rows for an exact patch, float64 rows for a float patch.  C2
+      reads them as per-point residues or walks their pairs, and uniqueness
+      tests them against the dual lattice.
+
+    Every coordinate must be finite and within float range, however the
+    patch is built (PreconditionFailed otherwise).  The distinct
+    differences up to sign (_differences) are formed on first use, for
+    orthogonality alone.
     """
 
     points: tuple
     window_radius: float
     separation: float
+    forms: InitVar[tuple | None] = None
 
-    def __post_init__(self):
-        _finite_rows(self.points)
-
-    @cached_property
-    def is_exact(self) -> bool:
-        return all(not isinstance(c, float) for p in self.points for c in p)
-
-    @cached_property
-    def _coords(self):
-        """(den, A): the points are the rows of A / den.
-
-        An exact patch is cleared by its common denominator into integers:
-        int64 when twice the largest magnitude fits, so that every
-        difference does, and Python ints otherwise.  A float patch gives
-        den 1 and float64 rows, with -0.0 stored as 0.0.  A is read-only.
-        """
-        d = len(self.points[0]) if self.points else 0
-        if self.is_exact:
-            den, ints = clear_denominators(self.points)
-            big = max((abs(c) for q in ints for c in q), default=0)
-            a = np.array(ints, dtype=np.int64 if 2 * big <= INT64_MAX else object)
-        else:
-            den, a = 1, np.array([[float(c) for c in q] for q in self.points], dtype=float) + 0.0
-        a = a.reshape(len(self.points), d)
-        a.flags.writeable = False  # shared by every check of the patch
-        return den, a
+    def __post_init__(self, forms):
+        exact, coords, _ = forms or _patch_forms(self.points)
+        object.__setattr__(self, "is_exact", exact)
+        object.__setattr__(self, "_coords", coords)
 
     @cached_property
     def _differences(self):
@@ -128,8 +116,7 @@ class SpectrumPatch:
         d and -d count once, kept with the first nonzero coordinate
         positive: the points are sorted lexicographically first, so every
         later-minus-earlier difference is already that one.  Orthogonality
-        and C2 need no other form, since |1^_P(-d)| = |1^_P(d)| and
-        <-d, tau> is as far from an integer as <d, tau>; the set does not
+        needs no other form, since |1^_P(-d)| = |1^_P(d)|; the set does not
         depend on the order of the points.
         """
         den, a = self._coords
@@ -143,19 +130,55 @@ class SpectrumPatch:
         return len(self.points)
 
 
+# float64 holds every integer up to 2^53, so for int64 a and den both at
+# most this, the float64 quotient a / den is the correctly rounded one,
+# float(Fraction(a, den))
+_FLOAT_INT = 2**53
+
+
 def _float_rows(points):
-    """The points as float64 rows, float(c) for each coordinate c."""
-    return np.array([[float(c) for c in q] for q in points], dtype=float)
+    """The points as float64 rows, float(c) for each coordinate c;
+    PreconditionFailed for a coordinate beyond float range."""
+    try:
+        return np.array([[float(c) for c in q] for q in points], dtype=float)
+    except OverflowError:
+        for i, q in enumerate(points):
+            for k, c in enumerate(q):
+                try:
+                    float(c)
+                except OverflowError:
+                    raise PreconditionFailed(f"patch coordinate {k} of point {i} is beyond float range") from None
+        raise
 
 
-def _finite_rows(points):
-    """_float_rows(points); PreconditionFailed for a coordinate that is
-    infinite or NaN there."""
-    rows = _float_rows(points)
+def _patch_forms(points):
+    """(is_exact, (den, A), F) for the points of a patch: whether no
+    coordinate is a float, the points as the rows of A / den, and as
+    float64 rows F, each coordinate rounded once.
+
+    An exact patch is cleared by its common denominator into integers:
+    int64 when twice the largest magnitude fits, so that every difference
+    does, and Python ints otherwise; F is A / den in float64 when A and den
+    are at most 2^53, and float(c) per coordinate otherwise.  A float
+    patch gives F from float(c), den 1 and A = F with -0.0 stored as 0.0.
+    A is read-only.  PreconditionFailed for a coordinate that is infinite,
+    NaN or beyond float range.
+    """
+    n, d = len(points), len(points[0]) if points else 0
+    exact = all(not isinstance(c, float) for q in points for c in q)
+    if exact:
+        den, ints = clear_denominators(points)
+        big = max((abs(c) for q in ints for c in q), default=0)
+        a = np.array(ints, dtype=np.int64 if 2 * big <= INT64_MAX else object).reshape(n, d)
+        rows = a / den if max(big, den) <= _FLOAT_INT else _float_rows(points)
+    else:
+        rows = _float_rows(points).reshape(n, d)
+        den, a = 1, rows + 0.0
     if not np.isfinite(rows).all():
         bad = next(q for q, row in zip(points, rows) if not np.isfinite(row).all())
         raise PreconditionFailed(f"patch coordinates must be finite, got {bad}")
-    return rows
+    a.flags.writeable = False  # shared by every check of the patch
+    return exact, (den, a), rows
 
 
 def _closest(a, i, j, stop) -> float:
@@ -253,13 +276,25 @@ def require_finite(x, name: str = "patch radius", non_negative: bool = False):
         raise PreconditionFailed(f"{name} must be non-negative, got {x}")
 
 
-def make_patch(points, window_radius: float) -> SpectrumPatch:
-    """The patch of the given points; PreconditionFailed for a window
-    radius or a float coordinate that is infinite or NaN."""
+def make_patch(points, window_radius: float | None = None) -> SpectrumPatch:
+    """The patch of the given points, each converted once (_patch_forms).
+
+    Without a window radius the patch takes the largest distance of a
+    point from the origin, sum(x ** 2 for x in q) ** 0.5 on the float64
+    rows.  PreconditionFailed for a coordinate that is infinite, NaN or
+    beyond float range, and for a window radius that is infinite, NaN or
+    negative.
+    """
+    pts = tuple(tuple(p) for p in points)
+    forms = _patch_forms(pts)
+    if window_radius is None:
+        try:
+            window_radius = max((sum(x**2 for x in q) ** 0.5 for q in forms[2].tolist()), default=0.0)
+        except OverflowError:  # a square beyond float range
+            window_radius = math.inf
     window_radius = float(window_radius)
     require_finite(window_radius, "window radius", non_negative=True)
-    pts = tuple(tuple(p) for p in points)
-    return SpectrumPatch(points=pts, window_radius=window_radius, separation=_separation(_finite_rows(pts)))
+    return SpectrumPatch(pts, window_radius, _separation(forms[2]), forms)
 
 
 def dual_lattice(lattice: Lattice) -> Lattice:
@@ -517,56 +552,103 @@ def verify_density(p: Polytope, s: SpectrumPatch, rel_tol: float = 0.05) -> Dens
 class C2Report:
     passed: bool
     max_distance_to_integer: float
-    num_differences: int
     tolerance: float
+
+
+def _widest_gap(r, m: int) -> int:
+    """The largest min(x - y mod m, y - x mod m) over pairs x, y of the
+    residues r, which lie in [0, m).
+
+    That is the largest distance between two residues on the circle of
+    circumference m.  From each residue x, the farthest one at most
+    h = floor(m/2) ahead, (z - x) mod m <= h, is the last one at or before
+    x + h mod m, which searchsorted finds in the sorted residues (wrapping
+    around to the last at the start).  Of a farthest pair, one residue
+    lies at most h ahead of the other, so the largest of these forward
+    distances is the answer.  Differences stay within (-m, m), so int64
+    residues do not overflow.
+    """
+    s = np.sort(r)
+    h = m // 2
+    z = s[np.searchsorted(s, (s - (m - h)) % m, side="right") - 1]
+    return int(((z - s) % m).max())
+
+
+# float C2 evaluates this many pair differences at a time, into two
+# preallocated arrays, so that its sums add little to peak memory
+_CHUNK = 1 << 12
+
+
+def _float_distance(a, den: int | None, taus) -> float:
+    """The largest distance of <q_j - q_i, tau> to an integer over every
+    pair i < j of the rows of a and every tau, in float64.
+
+    Each <d, tau> is summed as ((0.0 + d_0 t_0) + d_1 t_1) + ..., with
+    t_k = float(tau_k), and its distance is |v - rint(v)|, or infinite when
+    the sum is not finite.  The pairs come from _pair_blocks unsorted: a
+    repeated difference gives the same value again, and -d gives -v, as far
+    from an integer.  With den given, a holds the integer rows of an exact
+    patch, and each difference u is rounded once to float(u / den): in
+    float64 when |u| and den are at most 2^53, in Python ints otherwise.
+    """
+    t = np.array([[float(c) for c in tau] for tau in taus])
+    v, term = np.empty((_CHUNK, len(t))), np.empty((_CHUNK, len(t)))
+    worst = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _pair_blocks(a):
+            if den is not None:
+                if block.dtype == object or max(_abs_max(block), den) > _FLOAT_INT:
+                    block = (block.astype(object) / den).astype(float)
+                else:
+                    block = block / den
+            for lo in range(0, len(block), _CHUNK):
+                f = block[lo : lo + _CHUNK]
+                acc, prod = v[: len(f)], term[: len(f)]
+                acc.fill(0.0)
+                for k in range(f.shape[1]):
+                    np.multiply(f[:, k, None], t[:, k], out=prod)
+                    np.add(acc, prod, out=acc)
+                np.rint(acc, out=prod)
+                np.subtract(acc, prod, out=prod)
+                top = float(np.abs(prod, out=prod).max())
+                # a sum that is not finite gives NaN here: it has no
+                # distance to an integer that float64 can tell, so it fails
+                if math.isnan(top):
+                    return math.inf
+                worst = max(worst, top)
+    return worst
 
 
 def condition_C2_check(s: SpectrumPatch, taus, tol: float = 1e-9) -> C2Report:
     """<difference, tau> must be within tol of an integer for every pair
     of patch points and every facet translation tau.
 
-    The check runs on the distinct differences up to sign
-    (SpectrumPatch._differences), which num_differences counts; each
-    distance below is the same for d and -d.  An exact patch with exact
-    taus is checked in integers: with the differences U / den and the taus
-    T / tden, the distance of <u, t> / M (M = den * tden) to the nearest
-    integer is min(r, M - r) / M for r = <u, t> mod M, and the largest
-    numerator is divided by M once, so max_distance_to_integer is the
-    correctly rounded float of the exact maximum.  Otherwise every
-    <d, tau> is summed in float64 as ((0.0 + d_0 t_0) + d_1 t_1) + ...,
-    with t_k = float(tau_k), and its distance is |v - rint(v)|, or infinite
-    when the sum overflows.  A float tau coordinate that is infinite or NaN
-    raises PreconditionFailed.
+    Equivalently, every point has the same <q, tau> mod 1.  An exact patch
+    with exact taus is checked in integers on one residue per point and
+    tau, with no pairs: with the points A / den and the taus T / tden,
+    r = <a, t> mod M (M = den * tden), and the distance of a pair's
+    <q_j - q_i, tau> to the nearest integer is the circular distance of
+    their residues, min(r_j - r_i mod M, r_i - r_j mod M) / M.  The largest
+    numerator (_widest_gap) is divided by M once, so
+    max_distance_to_integer is the correctly rounded float of the exact
+    maximum.  Otherwise every pair of points is evaluated in float64
+    (_float_distance), and an infinite distance fails.  A float tau
+    coordinate that is infinite or NaN raises PreconditionFailed.
     """
     taus = [tuple(t) for t in taus]
     for c in (c for t in taus for c in t):
         require_finite(c, "tau coordinate")
-    den, U = s._differences
+    den, a = s._coords
     worst = 0.0
-    if len(U) and taus:
+    if len(a) > 1 and taus:
         if s.is_exact and not any(isinstance(c, float) for t in taus for c in t):
             tden, T = clear_denominators(taus)
             m = den * tden
-            num = 0
-            for lo in range(0, len(U), _BLOCK):
-                r = _matmul_mod(U[lo : lo + _BLOCK], list(zip(*T)), m)
-                num = max(num, int(np.minimum(r, m - r).max()))
-            worst = num / m
+            r = _matmul_mod(a, list(zip(*T)), m)
+            worst = max(_widest_gap(col, m) for col in r.T) / m
         else:
-            if s.is_exact:  # float taus: each difference is rounded once
-                U = (U.astype(object) / den).astype(float)
-            t = np.array([[float(c) for c in tau] for tau in taus])
-            for lo in range(0, len(U), _BLOCK):
-                f = U[lo : lo + _BLOCK]
-                v = 0.0
-                # a product that overflows has no distance to an integer
-                # that float64 can tell, so it fails the check
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for k in range(f.shape[1]):
-                        v = v + f[:, k, None] * t[:, k]
-                    dist = np.where(np.isfinite(v), np.abs(v - np.rint(v)), np.inf)
-                worst = max(worst, float(dist.max()))
-    return C2Report(passed=worst <= tol, max_distance_to_integer=worst, num_differences=len(U), tolerance=tol)
+            worst = _float_distance(a, den if s.is_exact else None, taus)
+    return C2Report(passed=worst <= tol, max_distance_to_integer=worst, tolerance=tol)
 
 
 def uniqueness_check(p: Polytope, s: SpectrumPatch, tol: float = 1e-9) -> bool:

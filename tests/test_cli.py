@@ -269,6 +269,20 @@ def test_verify_non_finite_window_radius_exit_2(capsys, tmp_path):
         assert f"window radius must be finite, got {radius}" in err
 
 
+def test_verify_coordinate_beyond_float_range_exit_2(capsys, tmp_path):
+    patch_file = tmp_path / "patch.csv"
+    patch_file.write_text("0,0\n1" + "0" * 400 + ",1\n")
+    for radius in ((), ("--radius", "1")):
+        code, out, err = run_cli(capsys, "verify", "catalog:square", "--patch", str(patch_file), *radius)
+        assert code == 2 and out == "", radius
+        assert "patch coordinate 0 of point 1 is beyond float range" in err
+    # the default window radius, the largest |q|, overflows
+    patch_file.write_text("0,0\n1e200,1\n")
+    code, out, err = run_cli(capsys, "verify", "catalog:square", "--patch", str(patch_file))
+    assert code == 2 and out == ""
+    assert "window radius must be finite, got inf" in err
+
+
 def test_analyze_zonotope_at_generator_cap(capsys, tmp_path, monkeypatch):
     """A 3D zonotope with MAX_ZONOTOPE_GENERATORS generators is analyzed
     at the default parameters without a single gift-wrap hull (2^14

@@ -502,7 +502,7 @@ def test_validation_rejects_malformed_lattices():
 
 
 def _metric_reference(p, directions):
-    """volume, face measures, diameter, facet centroids, support values and
+    """volume, face measures, diameter, vertex centroid, support values and
     facet widths computed on the Fraction vertex tuples directly: the form
     these quantities had before they moved to the integer vertex rows."""
     from spectile.linalg import centroid, cross2, norm_sq
@@ -534,10 +534,9 @@ def _metric_reference(p, directions):
                     acc = vadd(acc, cross3(vsub(pts[j], pts[0]), vsub(pts[j + 1], pts[0])))
                 measures[k, idx] = norm_sq(acc) / 4
     diameter = max(norm_sq(vsub(a, b)) for a, b in combinations(V, 2))
-    centroids = [centroid(p.facet_points(fi)) for fi in range(len(p.facets))]
     support = [max(vdot(u, v) for v in V) for u in directions]
     widths = [max(vdot(f.normal, v) for v in V) + max(vdot(vneg(f.normal), v) for v in V) for f in p.facets]
-    return volume, measures, diameter, centroids, support, widths
+    return volume, measures, diameter, centroid(V), support, widths
 
 
 metric_rationals = st.builds(Rat, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6)))
@@ -576,12 +575,12 @@ def test_metric_quantities_match_fraction_reference(case):
     from fractions import Fraction
 
     p, directions = case
-    volume, measures, diameter, centroids, support, widths = _metric_reference(p, directions)
+    volume, measures, diameter, center, support, widths = _metric_reference(p, directions)
     got_measures = {face: p.face_measure_squared(face) for face in measures}
-    got = [p.volume, p.diameter_sq, *got_measures.values(), *(c for fi in range(len(p.facets)) for c in p.facet_centroid(fi))]
+    got = [p.volume, p.diameter_sq, *got_measures.values(), *p.vertex_centroid]
     got += [p.support(u) for u in directions] + list(facet_widths(p))
     assert all(type(x) is Fraction for x in got)
     assert p.volume == volume and p.diameter_sq == diameter and got_measures == measures
-    assert [p.facet_centroid(fi) for fi in range(len(p.facets))] == centroids
+    assert p.vertex_centroid == center
     assert [p.support(u) for u in directions] == support
     assert list(facet_widths(p)) == widths

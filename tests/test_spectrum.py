@@ -16,7 +16,7 @@ from spectile.errors import (
     UnsupportedDimension,
     WindowTooSmall,
 )
-from spectile.linalg import det
+from spectile.linalg import clear_denominators, det
 from spectile.spectrum import (
     PrismSpectrumSpec,
     SpectrumPatch,
@@ -185,7 +185,6 @@ def test_difference_set_and_c2_match_brute_force_exact(patch_and_dim, tau_rows, 
     taus = [tuple(tau_type(c) for c in t[:d]) for t in tau_rows]
     rep = condition_C2_check(sp, taus)
     assert rep.max_distance_to_integer == _brute_c2(pts, taus)
-    assert rep.num_differences == len(brute)
     assert rep.passed == (rep.max_distance_to_integer <= rep.tolerance)
 
 
@@ -205,7 +204,6 @@ def test_difference_set_and_c2_match_brute_force_float(pts, tau_rows):
         taus = [tuple(Rat(c) for c in t[:d]) for t in tau_rows]
         rep = condition_C2_check(sp, taus)
         assert rep.max_distance_to_integer == _brute_c2(pts, taus)
-        assert rep.num_differences == len(brute)
 
 
 float_patches = st.sampled_from([2, 3]).flatmap(
@@ -254,7 +252,8 @@ def test_reports_independent_of_point_order(hexagon):
 
 
 def test_analyze_walks_the_pairs_once(monkeypatch):
-    # orthogonality and C2 share one difference set per patch
+    # orthogonality forms the difference set once; C2 on the exact patch
+    # reads per-point residues and walks no pairs
     from spectile.report import analyze
 
     walks = []
@@ -272,12 +271,110 @@ def test_analyze_walks_the_pairs_once(monkeypatch):
         assert walks == [rep["verification"]["patch"]["count"]]
 
 
+def _brute_gap(r, m):
+    """Largest min(x - y mod m, y - x mod m) over every pair of r."""
+    return max(min((x - y) % m, (y - x) % m) for x in r for y in r)
+
+
+@settings(max_examples=200, deadline=None)
+@example(([0], 1))
+@example(([1, 4, 0], 5))  # residues on both sides of 0
+@example(([3, 1, 2], 4))  # two residues exactly m/2 apart
+@example(([0, 13, 15], 21))  # odd m
+@example(([2, 2, 2], 9))  # a single residue class
+@example(([0, 2**62 + 1], 2**63 - 1))  # int64 residues near the top
+@given(st.integers(1, 40).flatmap(lambda m: st.tuples(st.lists(st.integers(0, m - 1), min_size=1, max_size=12), st.just(m))))
+def test_widest_gap_matches_every_pair(case):
+    r, m = case
+    for dtype in (np.int64, object):
+        assert spectrum._widest_gap(np.array(r, dtype=dtype), m) == _brute_gap(r, m)
+
+
+@settings(max_examples=60, deadline=None)
+@example(  # residues 0, 1, 4 mod 5: both sides of 0
+    patch_and_dim=([(Rat(0), Rat(0)), (Rat(1, 5), Rat(0)), (Rat(-1, 5), Rat(0))], 2),
+    tau_rows=[[Fraction(1), Fraction(0), Fraction(0)]],
+)
+@example(  # residues 0, 2, 1 mod 4: two of them m/2 apart
+    patch_and_dim=([(Rat(0), Rat(0)), (Rat(1, 2), Rat(0)), (Rat(1, 4), Rat(1))], 2),
+    tau_rows=[[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0), Fraction(1), Fraction(0)]],
+)
+@example(  # residues 0, 13, 15 mod 21: odd m
+    patch_and_dim=([(Rat(0), Rat(0)), (Rat(2, 7), Rat(1)), (Rat(5, 7), Rat(3))], 2),
+    tau_rows=[[Fraction(1), Fraction(1, 3), Fraction(0)]],
+)
+@example(  # every point in residue class 1 mod 3
+    patch_and_dim=([(Rat(1, 3), Rat(0)), (Rat(4, 3), Rat(0)), (Rat(1, 3), Rat(5))], 2),
+    tau_rows=[[Fraction(1), Fraction(0), Fraction(0)]],
+)
+@example(  # Python-int rows: the products with the taus overflow int64
+    patch_and_dim=([(Rat(0), Rat(0)), (Rat(2**61), Rat(1)), (Rat(7 - 2**61), Rat(3))], 2),
+    tau_rows=[[Fraction(5, 3), Fraction(1, 7), Fraction(0)]],
+)
+@given(exact_patches(), st.lists(st.lists(fractions, min_size=3, max_size=3), min_size=1, max_size=3))
+def test_exact_c2_on_residues_matches_brute_force(patch_and_dim, tau_rows):
+    pts, d = patch_and_dim
+    taus = [tuple(Rat(c) for c in t[:d]) for t in tau_rows]
+    rep = condition_C2_check(SpectrumPatch(points=tuple(pts), window_radius=1.0, separation=0.0), taus)
+    assert rep.max_distance_to_integer == _brute_c2(pts, taus)
+    assert rep.passed == (rep.max_distance_to_integer <= rep.tolerance)
+
+
+def test_c2_of_a_moved_lattice_point_matches_every_pair(hexagon):
+    # a 600-point lattice patch with one point moved by 1/1000, against
+    # <q_j - q_i, tau> mod M for every ordered pair in integers
+    taus = [t.tau for t in tau_vectors(hexagon)]
+    base = patch(dual_lattice(lattice_T(hexagon)), 8.1)
+    pts = list(base.points)
+    assert len(pts) >= 600
+    i = len(pts) // 3
+    pts[i] = (pts[i][0] + Rat(1, 1000), pts[i][1])
+    sp = SpectrumPatch(points=tuple(pts), window_radius=8.1, separation=0.0)
+    den, a = clear_denominators(pts)
+    tden, t = clear_denominators(taus)
+    m = den * tden
+    a, t = np.array(a, dtype=np.int64), np.array(t, dtype=np.int64).T
+    r = ((a[:, None, :] - a[None, :, :]) @ t) % m
+    num = int(np.minimum(r, m - r).max())
+    rep = condition_C2_check(sp, taus)
+    assert num > 0 and rep.max_distance_to_integer == num / m and not rep.passed
+    assert condition_C2_check(base, taus).max_distance_to_integer == 0.0
+
+
+def test_c2_walks_pairs_only_in_float(monkeypatch, hexagon):
+    # exact C2 reads residues; float C2 walks the pairs once, unsorted
+    walks, uniques = [], []
+    pair_blocks, unique = spectrum._pair_blocks, spectrum._unique
+
+    def counted_walk(a):
+        walks.append(len(a))
+        return pair_blocks(a)
+
+    def counted_unique(a):
+        uniques.append(len(a))
+        return unique(a)
+
+    monkeypatch.setattr(spectrum, "_pair_blocks", counted_walk)
+    monkeypatch.setattr(spectrum, "_unique", counted_unique)
+    taus = [t.tau for t in tau_vectors(hexagon)]
+    sp = patch(dual_lattice(lattice_T(hexagon)), 3.0)
+    floats = make_patch([tuple(float(c) + 0.25 for c in q) for q in sp.points], 3.0)
+    float_taus = [tuple(float(c) for c in t) for t in taus]
+    for s, t, walked in ((sp, taus, []), (sp, float_taus, [len(sp)]), (floats, taus, [len(sp)])):
+        walks.clear()
+        assert condition_C2_check(s, t).passed
+        assert walks == walked and uniques == []
+    walks.clear()
+    verify_orthogonality(hexagon, sp)
+    assert walks == [len(sp)] and uniques
+
+
 def test_c2_empty_and_single_point_patches():
     taus = [(Rat(1), Rat(0))]
     for pts in ((), ((Rat(1, 3), Rat(2)),), ((0.5, -0.0),)):
         sp = make_patch(pts, 1.0)
         rep = condition_C2_check(sp, taus)
-        assert rep.passed and rep.max_distance_to_integer == 0.0 and rep.num_differences == 0
+        assert rep.passed and rep.max_distance_to_integer == 0.0
         assert len(sp._differences[1]) == 0
 
 
@@ -615,6 +712,30 @@ def test_patch_checks_reject_non_finite_input():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(PreconditionFailed, match="finite"):
             condition_C2_check(sp, [(1, 0), (0.0, bad)])
+
+
+def test_patch_rejects_coordinates_beyond_float_range():
+    # float(Fraction(10**400)) raised OverflowError out of make_patch
+    big = Rat(10**400)
+    for pts in (((Rat(0), Rat(0)), (big, Rat(1))), ((0.0, 0.0), (big, 1.0))):
+        with pytest.raises(PreconditionFailed, match="coordinate 0 of point 1 is beyond float range"):
+            make_patch(pts, 1.0)
+        with pytest.raises(PreconditionFailed, match="coordinate 0 of point 1 is beyond float range"):
+            SpectrumPatch(points=pts, window_radius=1.0, separation=0.5)
+    # a large numerator over a large denominator is within range
+    sp = make_patch([(Rat(10**400 + 1, 10**399), Rat(0)), (Rat(0), Rat(1))], 1.0)
+    assert sp.separation == math.sqrt(101.0)
+
+
+@settings(max_examples=40, deadline=None)
+@example(([(Rat(1, 2**53), Rat(2**53 - 1)), (Rat(-3, 2**53 - 1), Rat(0))], 2))  # den past 2^53
+@example(([(Rat(2**53 + 1), Rat(1, 3)), (Rat(0), Rat(0))], 2))  # a numerator past 2^53
+@example(([(Rat(2**53), Rat(1, 3)), (Rat(-(2**53)), Rat(-1, 7))], 2))
+@given(exact_patches())
+def test_patch_floats_round_each_coordinate_once(patch_and_dim):
+    pts, _ = patch_and_dim
+    exact, (den, a), rows = spectrum._patch_forms(tuple(pts))
+    assert exact and rows.tolist() == [[float(c) for c in q] for q in pts]
 
 
 def test_c2_fails_an_overflowing_product():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spectile import AffineMap, Rat, from_vertices, geometry, make, tiling, zonotope
 from spectile.errors import NotATiler, NotFullDimensional, PreconditionFailed
-from spectile.linalg import INT64_MAX, clear_denominators, det, inverse, norm_sq, transpose, vadd, vsub
+from spectile.linalg import INT64_MAX, centroid, clear_denominators, det, inverse, norm_sq, transpose, vadd, vsub
 from spectile.tiling import (
     FEDOROV_TABLE,
     FedorovClass,
@@ -313,7 +313,7 @@ def _hull_volume_witness(p):
         pts_i, pts_j = p.facet_points(fi), p.facet_points(fj)
         if len(pts_i) != len(pts_j):
             continue
-        tau = vsub(p.facet_centroid(fi), p.facet_centroid(fj))
+        tau = vsub(centroid(pts_i), centroid(pts_j))
         if {vadd(v, tau) for v in pts_j} != set(pts_i):
             continue
         if from_vertices(list(pts_i) + list(pts_j)).volume == p.volume:
