@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import mpmath
@@ -82,9 +82,10 @@ class SpectrumPatch:
 
     Points are exact rationals when lattice-derived; user patches may carry
     floats.  separation is the smallest nonzero distance between two points
-    (see _separation).  The constructor forms the points once
-    (_patch_forms, or the forms make_patch passes), and every check shares
-    them:
+    (see _separation).  The constructor forms the points once with
+    _patch_forms, and every check shares them; make_patch alone passes the
+    keyword _forms, which must be _patch_forms(points), to skip a second
+    conversion:
 
     - is_exact: no coordinate is a float;
     - _coords, (den, A) with the points the rows of A / den, read-only:
@@ -101,10 +102,10 @@ class SpectrumPatch:
     points: tuple
     window_radius: float
     separation: float
-    forms: InitVar[tuple | None] = None
+    _forms: InitVar[tuple | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self, forms):
-        exact, coords, _ = forms or _patch_forms(self.points)
+    def __post_init__(self, _forms):
+        exact, coords, _ = _forms or _patch_forms(self.points)
         object.__setattr__(self, "is_exact", exact)
         object.__setattr__(self, "_coords", coords)
 
@@ -282,8 +283,8 @@ def make_patch(points, window_radius: float | None = None) -> SpectrumPatch:
     Without a window radius the patch takes the largest distance of a
     point from the origin, sum(x ** 2 for x in q) ** 0.5 on the float64
     rows.  PreconditionFailed for a coordinate that is infinite, NaN or
-    beyond float range, and for a window radius that is infinite, NaN or
-    negative.
+    beyond float range, for a default window radius beyond float range,
+    and for a given one that is infinite, NaN or negative.
     """
     pts = tuple(tuple(p) for p in points)
     forms = _patch_forms(pts)
@@ -291,10 +292,12 @@ def make_patch(points, window_radius: float | None = None) -> SpectrumPatch:
         try:
             window_radius = max((sum(x**2 for x in q) ** 0.5 for q in forms[2].tolist()), default=0.0)
         except OverflowError:  # a square beyond float range
-            window_radius = math.inf
+            raise PreconditionFailed(
+                "the default window radius, the largest |q| of a patch point, is beyond float range"
+            ) from None
     window_radius = float(window_radius)
     require_finite(window_radius, "window radius", non_negative=True)
-    return SpectrumPatch(pts, window_radius, _separation(forms[2]), forms)
+    return SpectrumPatch(pts, window_radius, _separation(forms[2]), _forms=forms)
 
 
 def dual_lattice(lattice: Lattice) -> Lattice:
@@ -588,8 +591,8 @@ def _float_distance(a, den: int | None, taus) -> float:
     the sum is not finite.  The pairs come from _pair_blocks unsorted: a
     repeated difference gives the same value again, and -d gives -v, as far
     from an integer.  With den given, a holds the integer rows of an exact
-    patch, and each difference u is rounded once to float(u / den): in
-    float64 when |u| and den are at most 2^53, in Python ints otherwise.
+    patch, and each difference u is rounded once to float(u / den), in
+    Python ints.
     """
     t = np.array([[float(c) for c in tau] for tau in taus])
     v, term = np.empty((_CHUNK, len(t))), np.empty((_CHUNK, len(t)))
@@ -597,10 +600,7 @@ def _float_distance(a, den: int | None, taus) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _pair_blocks(a):
             if den is not None:
-                if block.dtype == object or max(_abs_max(block), den) > _FLOAT_INT:
-                    block = (block.astype(object) / den).astype(float)
-                else:
-                    block = block / den
+                block = (block.astype(object) / den).astype(float)
             for lo in range(0, len(block), _CHUNK):
                 f = block[lo : lo + _CHUNK]
                 acc, prod = v[: len(f)], term[: len(f)]

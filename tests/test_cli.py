@@ -280,7 +280,7 @@ def test_verify_coordinate_beyond_float_range_exit_2(capsys, tmp_path):
     patch_file.write_text("0,0\n1e200,1\n")
     code, out, err = run_cli(capsys, "verify", "catalog:square", "--patch", str(patch_file))
     assert code == 2 and out == ""
-    assert "window radius must be finite, got inf" in err
+    assert "default window radius, the largest |q| of a patch point, is beyond float range" in err
 
 
 def test_analyze_zonotope_at_generator_cap(capsys, tmp_path, monkeypatch):
