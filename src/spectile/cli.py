@@ -99,7 +99,7 @@ def _patch_csv(points) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     for q in points:
-        writer.writerow([str(c) if not isinstance(c, float) else repr(c) for c in q])
+        writer.writerow([str(c) for c in q])
     return buf.getvalue()
 
 
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify a user-supplied patch CSV against a polytope")
     common(v)
     v.add_argument("--patch", required=True, help="CSV of patch points (decimals or p/q)")
-    v.add_argument("--radius", type=float, default=None, help="window radius (default: the largest |q|)")
+    v.add_argument("--radius", type=float, default=None, help="window radius (default: the largest |q - c|, c the patch centroid)")
     v.add_argument("--tolerance", type=float, default=TOL_ZERO)
     v.set_defaults(fn=_cmd_verify)
 

@@ -35,6 +35,7 @@ decide is walked again at working precision, and again at 256, 512 and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -80,7 +81,6 @@ __all__ = [
     "precision_bits",
     "ComplexValue",
     "frequency",
-    "frequency_from_floats",
     "ft_indicator",
     "ft_surface",
     "ft_with_boundary",
@@ -128,11 +128,6 @@ class ComplexValue:
 def frequency(coords) -> tuple:
     """Rational frequency vector; floats are rejected (snap them first)."""
     return tuple(rational(c) for c in coords)
-
-
-def frequency_from_floats(coords, max_denominator: int = 10**6) -> tuple:
-    """Snap a float vector to rationals; for plotting-style callers only."""
-    return tuple(rational_from_float(float(c), max_denominator) for c in coords)
 
 
 # libmp operations round to nearest, as mpmath's wrappers do by default
@@ -409,7 +404,10 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
             s = _ratio_t(nums[f], par_dens[f], bits)
             val = mpc_div(acc, mpc_mul_mpf(m2pi_i, s, bits, _RND), bits, _RND)
             mag = magnitude(val)
-            out.append((val, err / (two_pi_f * to_float(s, rnd=_RND)) + (mag + 1) * 2 * eps, mag))
+            # an |xi_par|^2 below the normal floats leaves no finite bound
+            scale = two_pi_f * to_float(s, rnd=_RND)
+            err = err / scale if scale >= sys.float_info.min else math.inf
+            out.append((val, err + (mag + 1) * 2 * eps, mag))
         levels.append(out)
         below = out
     make = mpmath.mp.make_mpc
@@ -457,6 +455,15 @@ def _fits_int64(g, dim: int, x_max: int, d_max: int) -> bool:
     D * scale, and |X|^2 |n|^2, which bounds <X, n>^2 as well."""
     largest = max(x_max * g["l1"], 2 * d_max * g["scale"], dim * x_max * x_max * g["normal_sq"])
     return largest <= INT64_MAX
+
+
+def _fits_float(g, dim: int, x: int, den: int) -> bool:
+    """Whether the float64s the kernel forms for one row stay finite: the
+    integers of _fits_int64, D times a row's 1-norm and D^2 |n|^2, which
+    bounds 1 / |xi_par|^2, are at most 2^500, so that products of two of
+    them are too."""
+    square = max(dim * x * x, den * den) * g["normal_sq"]
+    return max(x * g["l1"], den * g["l1"], 2 * den * g["scale"], square) <= 2**500
 
 
 def _cis(num, mod):
@@ -517,25 +524,37 @@ def _batch_combine(lv, x, den, den_f, x_sq, z, e):
 
 def _indicator_batch(p: Polytope, X, D):
     """float64 values of 1^_P(X[i] / D[i]) and their error bounds, as two
-    arrays, for integer rows X and positive integer denominators D."""
+    arrays, for integer rows X and positive integer denominators D.
+
+    A row whose integers are too large for float64 (_fits_float), such as
+    a difference of two floats of very different magnitudes, gets the
+    enclosure 0 with an infinite bound, which every caller's decision test
+    sends to working precision (_indicator_rows_hp).
+    """
     g = _batch_geometry(p)
     X = np.array(X, dtype=object).reshape(-1, p.dim)
     D = np.array(D, dtype=object)
-    val = np.empty(len(D), dtype=complex)
-    err = np.empty(len(D))
+    val = np.zeros(len(D), dtype=complex)
+    err = np.full(len(D), math.inf)
     for lo in range(0, len(D), _CHUNK):
         x, den = X[lo : lo + _CHUNK], D[lo : lo + _CHUNK]
+        rows = slice(lo, lo + len(den))
         if _fits_int64(g, p.dim, max(abs(c) for c in x.flat), max(den)):
             x, den = x.astype(np.int64), den.astype(np.int64)
+        else:
+            rows = lo + np.flatnonzero([_fits_float(g, p.dim, max(map(abs, r)), d) for r, d in zip(x, den)])
+            x, den = X[rows], D[rows]
+            if not len(den):
+                continue
         den_f = den.astype(float)
         x_sq = (x * x).sum(axis=1)
         z = _cis(x @ g["verts"].astype(x.dtype).T, (den * g["v_scale"])[:, None])
         e = np.full(z.shape, _phase_eps(53))
         for lv in g["levels"]:
             z, e = _batch_combine(lv, x, den, den_f, x_sq, z, e)
-        val[lo : lo + _CHUNK] = z[:, 0]
+        val[rows] = z[:, 0]
         # the bound's own arithmetic is within 2^-20 relative of exact
-        err[lo : lo + _CHUNK] = e[:, 0] * (1 + 2.0**-20)
+        err[rows] = e[:, 0] * (1 + 2.0**-20)
     return val, err
 
 

@@ -158,11 +158,6 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(vdot(row, v) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
 
@@ -297,13 +292,6 @@ def hnf_rational(generators) -> tuple:
         return ()
     den, int_rows = clear_denominators(gens)
     return tuple(tuple(Rat(x, den) for x in row) for row in hnf(int_rows))
-
-
-def gram_det(vectors) -> "Rat":
-    """Determinant of the Gram matrix; squared k-volume of the spanned cell."""
-    vs = list(vectors)
-    g = tuple(tuple(vdot(a, b) for b in vs) for a in vs)
-    return det(g)
 
 
 def angular_sort(items, plane_vectors) -> list:

@@ -217,9 +217,3 @@ def analyze(
     report["verification"] = verification
     report["timings"] = timings
     return report
-
-
-def strip_timings(report: dict) -> dict:
-    out = dict(report)
-    out.pop("timings", None)
-    return out

@@ -35,14 +35,12 @@ from .fourier import (
     TOL_ZERO,
     _indicator_batch,
     _indicator_rows_hp,
-    _integer_rows,
     _phase,
     _walk_at,
-    frequency_from_floats,
     precision_bits,
 )
 from .geometry import Polytope, facet_widths, memo
-from .linalg import INT64_MAX, Rat, clear_denominators, inverse, norm_sq, primitive, sqrt_upper, vdot
+from .linalg import INT64_MAX, Rat, clear_denominators, inverse, norm_sq, primitive, vdot
 from .tiling import Lattice, TilingReport, is_prism, lattice_T, venkov_mcmullen
 
 __all__ = [
@@ -68,9 +66,6 @@ __all__ = [
 # pair differences are formed this many rows at a time (_pair_blocks)
 _BLOCK = 1 << 15
 
-# an exact rational above pi
-_PI_UP = Rat(math.nextafter(math.pi, math.inf))
-
 
 def _abs_max(a) -> int:
     return int(np.abs(a).max()) if a.size else 0
@@ -80,18 +75,16 @@ def _abs_max(a) -> int:
 class SpectrumPatch:
     """Finite window of a candidate spectrum.
 
-    Points are exact rationals when lattice-derived; user patches may carry
-    floats.  separation is the smallest nonzero distance between two points
-    (see _separation).  The constructor forms the points once with
-    _patch_forms, and every check shares them; make_patch alone passes the
-    keyword _forms, which must be _patch_forms(points), to skip a second
-    conversion:
-
-    - is_exact: no coordinate is a float;
-    - _coords, (den, A) with the points the rows of A / den, read-only:
-      integer rows for an exact patch, float64 rows for a float patch.  C2
-      reads them as per-point residues or walks their pairs, and uniqueness
-      tests them against the dual lattice.
+    points are kept as the caller gave them: exact rationals when
+    lattice-derived, and possibly floats in a user patch.  A float is an
+    exact binary rational, and every check reads it as one, so a patch
+    gets the same verdicts whichever of the two forms its points arrive in.
+    separation is the smallest nonzero distance between two points (see
+    _separation).  The constructor forms the points once with _patch_forms
+    into _coords, (den, A) with the points the exact rows of A / den,
+    read-only; make_patch alone passes the keyword _forms, which must be
+    _patch_forms(points), to skip a second conversion.  C2 reads _coords as
+    per-point residues, and uniqueness tests them against the dual lattice.
 
     Every coordinate must be finite and within float range, however the
     patch is built (PreconditionFailed otherwise).  The distinct
@@ -105,8 +98,7 @@ class SpectrumPatch:
     _forms: InitVar[tuple | None] = field(default=None, kw_only=True)
 
     def __post_init__(self, _forms):
-        exact, coords, _ = _forms or _patch_forms(self.points)
-        object.__setattr__(self, "is_exact", exact)
+        coords, _ = _forms or _patch_forms(self.points)
         object.__setattr__(self, "_coords", coords)
 
     @cached_property
@@ -153,33 +145,28 @@ def _float_rows(points):
 
 
 def _patch_forms(points):
-    """(is_exact, (den, A), F) for the points of a patch: whether no
-    coordinate is a float, the points as the rows of A / den, and as
-    float64 rows F, each coordinate rounded once.
+    """((den, A), F) for the points of a patch: the points as the exact
+    rows of A / den, and as float64 rows F, each coordinate rounded once.
 
-    An exact patch is cleared by its common denominator into integers:
-    int64 when twice the largest magnitude fits, so that every difference
-    does, and Python ints otherwise; F is A / den in float64 when A and den
-    are at most 2^53, and float(c) per coordinate otherwise.  A float
-    patch gives F from float(c), den 1 and A = F with -0.0 stored as 0.0.
-    A is read-only.  PreconditionFailed for a coordinate that is infinite,
-    NaN or beyond float range.
+    A float coordinate is converted exactly, Fraction(x), so its float64
+    row is the float itself.  The points are cleared by their common
+    denominator into integers: int64 when twice the largest magnitude
+    fits, so that every difference does, and Python ints otherwise.  F is
+    A / den in float64 when A and den are at most 2^53, and float(c) per
+    coordinate otherwise.  A is read-only.  PreconditionFailed for a float
+    coordinate that is infinite or NaN, and for a coordinate beyond float
+    range.
     """
+    for q in points:
+        if not all(math.isfinite(c) for c in q if isinstance(c, float)):
+            raise PreconditionFailed(f"patch coordinates must be finite, got {q}")
     n, d = len(points), len(points[0]) if points else 0
-    exact = all(not isinstance(c, float) for q in points for c in q)
-    if exact:
-        den, ints = clear_denominators(points)
-        big = max((abs(c) for q in ints for c in q), default=0)
-        a = np.array(ints, dtype=np.int64 if 2 * big <= INT64_MAX else object).reshape(n, d)
-        rows = a / den if max(big, den) <= _FLOAT_INT else _float_rows(points)
-    else:
-        rows = _float_rows(points).reshape(n, d)
-        den, a = 1, rows + 0.0
-    if not np.isfinite(rows).all():
-        bad = next(q for q, row in zip(points, rows) if not np.isfinite(row).all())
-        raise PreconditionFailed(f"patch coordinates must be finite, got {bad}")
+    den, ints = clear_denominators([[Rat(c) if isinstance(c, float) else c for c in q] for q in points])
+    big = max((abs(c) for q in ints for c in q), default=0)
+    a = np.array(ints, dtype=np.int64 if 2 * big <= INT64_MAX else object).reshape(n, d)
+    rows = a / den if max(big, den) <= _FLOAT_INT else _float_rows(points)
     a.flags.writeable = False  # shared by every check of the patch
-    return exact, (den, a), rows
+    return (den, a), rows
 
 
 def _closest(a, i, j, stop) -> float:
@@ -277,27 +264,42 @@ def require_finite(x, name: str = "patch radius", non_negative: bool = False):
         raise PreconditionFailed(f"{name} must be non-negative, got {x}")
 
 
+def _centred_radius(den: int, a) -> float:
+    """The largest |q - c| over the points q = A / den with c their exact
+    centroid, sum(x ** 2 for x in q - c) ** 0.5 with each coordinate of
+    q - c rounded once; 0.0 for no points.  OverflowError for a value
+    beyond float range.  With c = 0, as for a lattice ball, this is the
+    largest |q| on the float64 rows of the patch."""
+    n, rows = len(a), a.tolist()
+    total = [sum(col) for col in zip(*rows)]
+    return max(
+        (sum(((n * x - t) / (n * den)) ** 2 for x, t in zip(q, total)) ** 0.5 for q in rows),
+        default=0.0,
+    )
+
+
 def make_patch(points, window_radius: float | None = None) -> SpectrumPatch:
     """The patch of the given points, each converted once (_patch_forms).
 
-    Without a window radius the patch takes the largest distance of a
-    point from the origin, sum(x ** 2 for x in q) ** 0.5 on the float64
-    rows.  PreconditionFailed for a coordinate that is infinite, NaN or
-    beyond float range, for a default window radius beyond float range,
-    and for a given one that is infinite, NaN or negative.
+    Without a window radius the window is centred at the points' exact
+    centroid c and takes the largest |q - c| (_centred_radius).
+    PreconditionFailed for a coordinate that is infinite, NaN or beyond
+    float range, for a default window radius beyond float range, and for
+    a given one that is infinite, NaN or negative.
     """
     pts = tuple(tuple(p) for p in points)
     forms = _patch_forms(pts)
     if window_radius is None:
         try:
-            window_radius = max((sum(x**2 for x in q) ** 0.5 for q in forms[2].tolist()), default=0.0)
-        except OverflowError:  # a square beyond float range
+            window_radius = _centred_radius(*forms[0])
+        except OverflowError:
             raise PreconditionFailed(
-                "the default window radius, the largest |q| of a patch point, is beyond float range"
+                "the default window radius, the largest |q - c| of a patch point q from the "
+                "patch centroid c, is beyond float range"
             ) from None
     window_radius = float(window_radius)
     require_finite(window_radius, "window radius", non_negative=True)
-    return SpectrumPatch(pts, window_radius, _separation(forms[2]), _forms=forms)
+    return SpectrumPatch(pts, window_radius, _separation(forms[1]), _forms=forms)
 
 
 def dual_lattice(lattice: Lattice) -> Lattice:
@@ -451,54 +453,31 @@ class OrthogonalityReport:
     fallbacks: int
 
 
-def _snap_bounds(p: Polytope, floats, snapped):
-    """Per float difference u and its snapped rational q, an upper bound on
-    |1^_P(u) - 1^_P(q)|: L |u - q| with L = 2 pi |P| max_v |v|, each
-    factor an exact rational upper bound and the product rounded up to a
-    float."""
-    lip = 2 * _PI_UP * p.volume * max(sqrt_upper(norm_sq(v)) for v in p.vertices)
-    return np.array([
-        math.nextafter(float(lip * sqrt_upper(sum((Rat(c) - x) ** 2 for c, x in zip(u, q)))), math.inf)
-        for u, q in zip(floats, snapped)
-    ])
-
-
 def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -> OrthogonalityReport:
     """All pairwise differences must lie in the zero set of the transform.
 
     The distinct differences up to sign (SpectrumPatch._differences, which
-    num_differences counts) go through the float64 batch kernel in one
+    num_differences counts) are exact rationals, the rows of U / den, float
+    patches included.  They go through the float64 batch kernel in one
     call; a difference whose error bound exceeds FALLBACK_FRACTION of
     tol * volume is evaluated again at working precision, and at higher
     precisions while its bound still exceeds that
-    (fourier._indicator_rows_hp).  Float patches are snapped
-    coordinate-wise to rationals with denominators up to 10^9, and the
-    snapping enters the bound: 1^_P is L-Lipschitz with
-    L = 2 pi |P| max_v |v| over the vertices v, so a difference u snapped
-    to X / D adds L |u - X / D|, both factors rounded up.
+    (fourier._indicator_rows_hp).  worst_difference is a tuple of Rat.
     """
     require_finite(tol, "tolerance", non_negative=True)
     if len(s) == 0:
         raise PreconditionFailed("empty patch")
-    exact = s.is_exact
     den, U = s._differences
-    if exact:
-        X, D = U, [den] * len(U)
-    else:
-        floats = U.tolist()
-        snapped = [frequency_from_floats(d, 10**9) for d in floats]
-        X, D = _integer_rows(snapped)
+    D = [den] * len(U)
     limit = tol * float(p.volume)
-    val, err = _indicator_batch(p, X, D)
-    fallbacks = _indicator_rows_hp(p, X, D, val, err, lambda mag, e: e > FALLBACK_FRACTION * limit)
-    if not exact:
-        err = err + _snap_bounds(p, floats, snapped)
+    val, err = _indicator_batch(p, U, D)
+    fallbacks = _indicator_rows_hp(p, U, D, val, err, lambda mag, e: e > FALLBACK_FRACTION * limit)
     mag = np.abs(val)
     max_residual, worst_d, passed = -1.0, None, True
     if len(U):
         i = int(np.argmax(mag))
         max_residual = float(mag[i])
-        worst_d = tuple(Rat(int(c), den) for c in U[i]) if exact else tuple(U[i].tolist())
+        worst_d = tuple(Rat(int(c), den) for c in U[i])
         passed = bool(np.max(mag + err) <= limit)
     return OrthogonalityReport(
         passed=passed,
@@ -577,63 +556,21 @@ def _widest_gap(r, m: int) -> int:
     return int(((z - s) % m).max())
 
 
-# float C2 evaluates this many pair differences at a time, into two
-# preallocated arrays, so that its sums add little to peak memory
-_CHUNK = 1 << 12
-
-
-def _float_distance(a, den: int | None, taus) -> float:
-    """The largest distance of <q_j - q_i, tau> to an integer over every
-    pair i < j of the rows of a and every tau, in float64.
-
-    Each <d, tau> is summed as ((0.0 + d_0 t_0) + d_1 t_1) + ..., with
-    t_k = float(tau_k), and its distance is |v - rint(v)|, or infinite when
-    the sum is not finite.  The pairs come from _pair_blocks unsorted: a
-    repeated difference gives the same value again, and -d gives -v, as far
-    from an integer.  With den given, a holds the integer rows of an exact
-    patch, and each difference u is rounded once to float(u / den), in
-    Python ints.
-    """
-    t = np.array([[float(c) for c in tau] for tau in taus])
-    v, term = np.empty((_CHUNK, len(t))), np.empty((_CHUNK, len(t)))
-    worst = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in _pair_blocks(a):
-            if den is not None:
-                block = (block.astype(object) / den).astype(float)
-            for lo in range(0, len(block), _CHUNK):
-                f = block[lo : lo + _CHUNK]
-                acc, prod = v[: len(f)], term[: len(f)]
-                acc.fill(0.0)
-                for k in range(f.shape[1]):
-                    np.multiply(f[:, k, None], t[:, k], out=prod)
-                    np.add(acc, prod, out=acc)
-                np.rint(acc, out=prod)
-                np.subtract(acc, prod, out=prod)
-                top = float(np.abs(prod, out=prod).max())
-                # a sum that is not finite gives NaN here: it has no
-                # distance to an integer that float64 can tell, so it fails
-                if math.isnan(top):
-                    return math.inf
-                worst = max(worst, top)
-    return worst
-
-
 def condition_C2_check(s: SpectrumPatch, taus, tol: float = 1e-9) -> C2Report:
     """<difference, tau> must be within tol of an integer for every pair
     of patch points and every facet translation tau.
 
-    Equivalently, every point has the same <q, tau> mod 1.  An exact patch
-    with exact taus is checked in integers on one residue per point and
-    tau, with no pairs: with the points A / den and the taus T / tden,
+    Equivalently, every point has the same <q, tau> mod 1.  The check runs
+    in integers on one residue per point and tau, with no pairs: a float
+    tau coordinate is converted exactly, Fraction(x), as the patch points
+    are (SpectrumPatch).  With the points A / den and the taus T / tden,
     r = <a, t> mod M (M = den * tden), and the distance of a pair's
     <q_j - q_i, tau> to the nearest integer is the circular distance of
     their residues, min(r_j - r_i mod M, r_i - r_j mod M) / M.  The largest
     numerator (_widest_gap) is divided by M once, so
     max_distance_to_integer is the correctly rounded float of the exact
-    maximum.  Otherwise every pair of points is evaluated in float64
-    (_float_distance), and an infinite distance fails.  A float tau
-    coordinate that is infinite or NaN raises PreconditionFailed.
+    maximum.  A float tau coordinate that is infinite or NaN raises
+    PreconditionFailed.
     """
     taus = [tuple(t) for t in taus]
     for c in (c for t in taus for c in t):
@@ -641,13 +578,10 @@ def condition_C2_check(s: SpectrumPatch, taus, tol: float = 1e-9) -> C2Report:
     den, a = s._coords
     worst = 0.0
     if len(a) > 1 and taus:
-        if s.is_exact and not any(isinstance(c, float) for t in taus for c in t):
-            tden, T = clear_denominators(taus)
-            m = den * tden
-            r = _matmul_mod(a, list(zip(*T)), m)
-            worst = max(_widest_gap(col, m) for col in r.T) / m
-        else:
-            worst = _float_distance(a, den if s.is_exact else None, taus)
+        tden, T = clear_denominators([[Rat(c) if isinstance(c, float) else c for c in t] for t in taus])
+        m = den * tden
+        r = _matmul_mod(a, list(zip(*T)), m)
+        worst = max(_widest_gap(col, m) for col in r.T) / m
     return C2Report(passed=worst <= tol, max_distance_to_integer=worst, tolerance=tol)
 
 
@@ -659,12 +593,15 @@ def uniqueness_check(p: Polytope, s: SpectrumPatch, tol: float = 1e-9) -> bool:
     PrismExcluded because uniqueness genuinely fails there.
 
     With B the dual basis (rows), q - q_0 is in the lattice iff
-    (q - q_0) B^-1 is integral.  An exact patch tests this for all points
-    at once in integers: with the points A / den and B^-1 = C / cden,
-    (A - A_0) C must vanish mod den * cden.  A float patch takes the
-    float64 coordinates and accepts a distance of tol to the nearest
-    integer.
+    (q - q_0) B^-1 is integral.  The test runs for all points at once in
+    integers, float patches included (SpectrumPatch): with the points
+    A / den and B^-1 = C / cden, the residues r of (A - A_0) C mod
+    M = den * cden give each coefficient's distance to the nearest integer
+    as min(r, M - r) / M.  The patch passes when the largest is at most
+    tol, C2's rule; an exact lattice translate reads 0.  A tol that is
+    negative, infinite or NaN raises PreconditionFailed.
     """
+    require_finite(tol, "tolerance", non_negative=True)
     verdict = decide_spectral(p)
     if not verdict.is_spectral:
         raise PreconditionFailed("uniqueness applies to spectral polytopes")
@@ -678,13 +615,10 @@ def uniqueness_check(p: Polytope, s: SpectrumPatch, tol: float = 1e-9) -> bool:
     if len(s) == 0:
         raise PreconditionFailed("empty patch")
     den, a = s._coords
-    delta = a - a[0]
-    if s.is_exact:
-        cden, c = clear_denominators(inverse(dual.basis))
-        return not _matmul_mod(delta, c, den * cden).any()
-    bt = np.array([[float(c) for c in row] for row in dual.basis]).T
-    k = delta @ np.linalg.inv(bt).T
-    return not (np.abs(k - np.round(k)) > tol).any()
+    cden, c = clear_denominators(inverse(dual.basis))
+    m = den * cden
+    r = _matmul_mod(a - a[0], c, m)
+    return int(np.minimum(r, m - r).max()) / m <= tol
 
 
 @dataclass(frozen=True)

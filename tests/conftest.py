@@ -3,6 +3,7 @@ import random
 import pytest
 
 from spectile import Rat, make, zonotope
+from spectile.linalg import det, vdot
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +84,9 @@ def random_frequency(rng: random.Random, dim: int, span: int = 8, max_den: int =
         xi = tuple(Rat(rng.randint(-span, span), rng.randint(1, max_den)) for _ in range(dim))
         if any(c != 0 for c in xi):
             return xi
+
+
+def gram_det(vectors):
+    """Determinant of the Gram matrix; squared k-volume of the spanned cell."""
+    vs = list(vectors)
+    return det(tuple(tuple(vdot(a, b) for b in vs) for a in vs))

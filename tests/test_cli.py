@@ -5,15 +5,19 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 import spectile
 from spectile.cli import main
-from spectile.report import strip_timings
 
 from conftest import random_generators
+
+
+def strip_timings(report: dict) -> dict:
+    return {k: v for k, v in report.items() if k != "timings"}
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +137,31 @@ def test_verify_roundtrip(capsys, tmp_path):
     assert 0 < rep["orthogonality"]["max_err_bound"] < 1e-12
     assert rep["c2_integrality"]["passed"] is True
     assert rep["uniqueness"]["status"] == "pass"
+
+
+def test_verify_shifted_float_patch_centres_its_window(capsys, tmp_path):
+    # criterion 03's patch, the hexagon's dual ball of radius 4 shifted by
+    # (sqrt 2 / 5, sqrt 3 / 7), written as float reprs: the default window
+    # is centred at the centroid, and uniqueness agrees with the API
+    base = tmp_path / "patch.csv"
+    code, _, _ = run_cli(capsys, "spectrum", "catalog:hexagon", "--radius", "4", "--output", str(base))
+    assert code == 0
+    rows = [[Fraction(c) for c in r] for r in csv.reader(io.StringIO(base.read_text())) if r]
+    shift = (math.sqrt(2) / 5, math.sqrt(3) / 7)
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text("".join(",".join(repr(float(c) + t) for c, t in zip(q, shift)) + "\n" for q in rows))
+    code, out, _ = run_cli(capsys, "verify", "catalog:hexagon", "--patch", str(shifted))
+    rep = json.loads(out)
+    assert code == 0 and rep["patch"]["count"] == len(rows) == 149
+    assert abs(rep["patch"]["window_radius"] - 4.0) < 1e-12
+    assert rep["density"]["passed"] and rep["uniqueness"]["status"] == "pass"
+    code, out, _ = run_cli(capsys, "verify", "catalog:hexagon", "--patch", str(shifted), "--radius", "4.6")
+    rep = json.loads(out)
+    assert rep["patch"]["window_radius"] == 4.6 and rep["uniqueness"]["status"] == "pass"
+    # a lattice ball has centroid 0: its window is the largest |q|
+    code, out, _ = run_cli(capsys, "verify", "catalog:hexagon", "--patch", str(base))
+    largest = max(sum(float(c) ** 2 for c in q) ** 0.5 for q in rows)
+    assert json.loads(out)["patch"]["window_radius"] == largest
 
 
 def test_verify_detects_bad_patch(capsys, tmp_path):
@@ -276,11 +305,11 @@ def test_verify_coordinate_beyond_float_range_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", "catalog:square", "--patch", str(patch_file), *radius)
         assert code == 2 and out == "", radius
         assert "patch coordinate 0 of point 1 is beyond float range" in err
-    # the default window radius, the largest |q|, overflows
+    # the default window radius, the largest |q - c|, overflows
     patch_file.write_text("0,0\n1e200,1\n")
     code, out, err = run_cli(capsys, "verify", "catalog:square", "--patch", str(patch_file))
     assert code == 2 and out == ""
-    assert "default window radius, the largest |q| of a patch point, is beyond float range" in err
+    assert "default window radius, the largest |q - c| of a patch point q from the patch centroid c" in err
 
 
 def test_analyze_zonotope_at_generator_cap(capsys, tmp_path, monkeypatch):

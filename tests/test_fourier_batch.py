@@ -124,6 +124,20 @@ def test_coordinates_near_two_to_the_62_use_python_ints():
         assert abs(v - h) <= e + h_err
 
 
+def test_rows_beyond_float_range_go_to_working_precision():
+    # float64 cannot hold D^2 for D = 10^200 or 2^1074 (a subnormal's
+    # denominator): such rows get 0 with an infinite bound, and the ladder
+    # gives them their working-precision values
+    p = make("hexagon")
+    xis = [(Rat(1, 10**200), Rat(0)), (Rat(1, 3), Rat(5, 2**1074)), (Rat(1, 3), Rat(1, 7))]
+    X, D = _integer_rows(xis)
+    val, err = _indicator_batch(p, X, D)
+    assert list(err[:2]) == [math.inf] * 2 and list(val[:2]) == [0, 0] and err[2] < 1e-12
+    _indicator_rows_hp(p, X, D, val, err, lambda mag, e: e > FALLBACK_FRACTION * TOL_ZERO)
+    for xi, v, e in zip(xis, val, err):
+        assert (v, e) == _hp(p, xi) or xi == xis[2]
+
+
 # the benchmark's analyze radii: the README default 5 where it is fast, the
 # smallest 1/8 step with a passing density window elsewhere
 BENCH_RADII = {

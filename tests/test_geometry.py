@@ -20,7 +20,6 @@ from spectile.linalg import (
     clear_denominators,
     cross3,
     det,
-    gram_det,
     is_zero_vec,
     primitive,
     rank,
@@ -32,7 +31,7 @@ from spectile.linalg import (
     vsub,
 )
 
-from conftest import random_generators
+from conftest import gram_det, random_generators
 
 
 def shoelace(points):

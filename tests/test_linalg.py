@@ -12,11 +12,9 @@ from spectile.linalg import (
     clear_denominators,
     cross3,
     det,
-    gram_det,
     hnf,
     hnf_rational,
     inverse,
-    mat_mul,
     primitive,
     rank,
     rational,
@@ -25,7 +23,10 @@ from spectile.linalg import (
     sqrt_lower,
     sqrt_upper,
     transpose,
+    vdot,
 )
+
+from conftest import gram_det
 
 
 def test_rational_parsing():
@@ -56,6 +57,10 @@ def test_sqrt_bounds(q):
 
 def test_sqrt_exact_square():
     assert sqrt_lower(Rat(9, 4)) == sqrt_upper(Rat(9, 4)) == Rat(3, 2)
+
+
+def mat_mul(a, b):
+    return tuple(tuple(vdot(row, col) for col in transpose(b)) for row in a)
 
 
 def test_solve_and_inverse():

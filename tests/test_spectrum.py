@@ -114,28 +114,23 @@ def _sign_normalized(rows) -> bool:
     return all(next((c for c in row if c != 0), 1) > 0 for row in rows.tolist())
 
 
+def _exact(points):
+    """The points with every coordinate a Fraction, floats converted exactly."""
+    return [tuple(Fraction(c) for c in q) for q in points]
+
+
 def _brute_c2(points, taus):
-    """Largest distance of <q_j - q_i, tau> to an integer: Fraction
-    arithmetic for exact points and taus, else a float sum in vdot order
-    (exact differences are rounded once)."""
+    """Largest distance of <q_j - q_i, tau> to an integer over every pair,
+    in Fraction arithmetic; float points and taus are converted exactly."""
     worst = 0.0
-    exact_pts = all(not isinstance(c, float) for q in points for c in q)
-    exact = exact_pts and all(not isinstance(c, float) for t in taus for c in t)
+    points, taus = _exact(points), _exact(taus)
     for i, a in enumerate(points):
         for b in points[i + 1 :]:
-            if exact_pts:
-                d = [Fraction(y) - Fraction(x) for x, y in zip(a, b)]
-            else:
-                d = [float(y) - float(x) for x, y in zip(a, b)]
+            d = [y - x for x, y in zip(a, b)]
             for t in taus:
-                if exact:
-                    v = sum(x * Fraction(c) for x, c in zip(d, t))
-                    fr = v - math.floor(v)
-                    dist = float(min(fr, 1 - fr))
-                else:
-                    v = sum((float(x) * float(c) for x, c in zip(d, t)), 0.0)
-                    dist = abs(v - round(v))
-                worst = max(worst, dist)
+                v = sum(x * c for x, c in zip(d, t))
+                fr = v - math.floor(v)
+                worst = max(worst, float(min(fr, 1 - fr)))
     return worst
 
 
@@ -194,11 +189,12 @@ def test_difference_set_and_c2_match_brute_force_exact(patch_and_dim, tau_rows, 
     st.lists(st.lists(fractions, min_size=3, max_size=3), min_size=1, max_size=3),
 )
 def test_difference_set_and_c2_match_brute_force_float(pts, tau_rows):
+    # a float patch is its exact binary rationals: -0.0 and 0.0 are one point
     sp = SpectrumPatch(points=tuple(pts), window_radius=1.0, separation=0.0)
     den, rows = sp._differences
-    brute = _brute_differences(pts)  # -0.0 == 0.0 in the set
-    assert den == 1 and {tuple(r) for r in rows.tolist()} == brute and len(rows) == len(brute)
-    assert not np.signbit(rows[rows == 0]).any() and _sign_normalized(rows)
+    brute = _brute_differences(_exact(pts))
+    assert _rat_rows(sp) == brute and len(rows) == len(brute)
+    assert _sign_normalized(rows)
     if pts and pts[0]:
         d = len(pts[0])
         taus = [tuple(Rat(c) for c in t[:d]) for t in tau_rows]
@@ -218,13 +214,13 @@ def test_difference_set_independent_of_point_order(patch_and_dim, rnd):
     pts, _ = patch_and_dim
     shuffled = list(pts)
     rnd.shuffle(shuffled)
-    brute = {tuple(Rat(c) for c in d) for d in _brute_differences(pts)}
+    brute = _brute_differences(_exact(pts))
     forms = []
     for q in (pts, shuffled, shuffled[::-1]):
-        den, rows = SpectrumPatch(points=tuple(q), window_radius=1.0, separation=0.0)._differences
-        assert {tuple(Rat(c) / den for c in r) for r in rows.tolist()} == brute
-        signs = np.signbit(rows).tolist() if rows.dtype == float else None  # -0.0 == 0.0
-        forms.append((den, rows.dtype, rows.tolist(), signs))
+        sp = SpectrumPatch(points=tuple(q), window_radius=1.0, separation=0.0)
+        assert _rat_rows(sp) == brute
+        den, rows = sp._differences
+        forms.append((den, rows.dtype, rows.tolist()))
     assert forms[0] == forms[1] == forms[2]
 
 
@@ -249,6 +245,38 @@ def test_reports_independent_of_point_order(hexagon):
         assert reports[0] == reports[1]
         passed.append((reports[0][0].passed, reports[0][1].passed))
     assert passed == [(True, True), (False, False), (True, True)]
+
+
+_HEXAGON_PATCH = patch(dual_lattice(lattice_T(make("hexagon"))), 2.0)
+
+
+@st.composite
+def hexagon_float_patches(draw):
+    """Float points in the plane: a few drawn ones, or the hexagon's dual
+    patch at radius 2 shifted by a drawn vector, with one point perhaps
+    moved."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.tuples(floats, floats), max_size=9))
+    shift = draw(st.tuples(floats, floats))
+    pts = [tuple(float(c) + s for c, s in zip(q, shift)) for q in _HEXAGON_PATCH.points]
+    i, move = draw(st.integers(0, len(pts) - 1)), draw(st.sampled_from([0.0, 1e-12, 1e-6, 0.1]))
+    pts[i] = (pts[i][0] + move, pts[i][1])
+    return pts
+
+
+@settings(max_examples=25, deadline=None)
+@example(pts=[(0.0, 0.0), (5e-324, 1.0), (1.0, 1e-300)])  # denominators past float range
+@given(hexagon_float_patches())
+def test_float_patch_checks_equal_its_exact_conversion(hexagon, pts):
+    # one arithmetic: the floats and their Fraction values give one result
+    taus = [t.tau for t in tau_vectors(hexagon)]
+    results = []
+    for q in (pts, _exact(pts)):
+        sp = make_patch(q, 2.5)
+        orth = verify_orthogonality(hexagon, sp) if len(sp) else None
+        uniq = uniqueness_check(hexagon, sp) if len(sp) else None
+        results.append((repr(condition_C2_check(sp, taus)), repr(orth), uniq, sp.separation))
+    assert results[0] == results[1]
 
 
 def test_analyze_walks_the_pairs_once(monkeypatch):
@@ -341,8 +369,9 @@ def test_c2_of_a_moved_lattice_point_matches_every_pair(hexagon):
     assert condition_C2_check(base, taus).max_distance_to_integer == 0.0
 
 
-def test_c2_walks_pairs_only_in_float(monkeypatch, hexagon):
-    # exact C2 reads residues; float C2 walks the pairs once, unsorted
+def test_c2_never_walks_pairs(monkeypatch, hexagon):
+    # C2 reads per-point residues, float taus and float patches included;
+    # orthogonality alone walks the pairs, once
     walks, uniques = [], []
     pair_blocks, unique = spectrum._pair_blocks, spectrum._unique
 
@@ -360,11 +389,9 @@ def test_c2_walks_pairs_only_in_float(monkeypatch, hexagon):
     sp = patch(dual_lattice(lattice_T(hexagon)), 3.0)
     floats = make_patch([tuple(float(c) + 0.25 for c in q) for q in sp.points], 3.0)
     float_taus = [tuple(float(c) for c in t) for t in taus]
-    for s, t, walked in ((sp, taus, []), (sp, float_taus, [len(sp)]), (floats, taus, [len(sp)])):
-        walks.clear()
+    for s, t in ((sp, taus), (sp, float_taus), (floats, taus)):
         assert condition_C2_check(s, t).passed
-        assert walks == walked and uniques == []
-    walks.clear()
+        assert walks == [] and uniques == []
     verify_orthogonality(hexagon, sp)
     assert walks == [len(sp)] and uniques
 
@@ -456,7 +483,8 @@ def test_uniqueness_hexagon(hexagon):
     dual = dual_lattice(lattice_T(hexagon))
     sp = patch(dual, 4.0)
     assert uniqueness_check(hexagon, sp)
-    # an irrational translate still passes through the float path
+    # an irrational float translate is exact binary rationals within tol
+    # of a lattice translate
     shift = (math.sqrt(2) / 7, math.sqrt(3) / 9)
     shifted = make_patch(
         [tuple(float(c) + s for c, s in zip(q, shift)) for q in sp.points], 4.5
@@ -480,6 +508,18 @@ def test_uniqueness_exact_with_huge_coordinates(hexagon):
     assert uniqueness_check(hexagon, shifted) is True
     bad = make_patch(pts + [(pts[0][0] + Rat(1, 2), pts[0][1])], 3.5)
     assert uniqueness_check(hexagon, bad) is False
+
+
+def test_uniqueness_tolerance_on_exact_points(hexagon):
+    # C2's rule: a point may lie at most tol (1e-9) off the lattice
+    # translate, in dual-basis coordinates
+    pts = list(patch(dual_lattice(lattice_T(hexagon)), 3.0).points)
+    for off, passed in ((Rat(1, 10**6), False), (Rat(1, 10**12), True)):
+        moved = pts + [(pts[0][0] + off, pts[0][1])]
+        assert uniqueness_check(hexagon, make_patch(moved, 3.5)) is passed
+    for tol in (-1e-9, math.nan):
+        with pytest.raises(PreconditionFailed, match="tolerance"):
+            uniqueness_check(hexagon, make_patch(pts, 3.5), tol)
 
 
 def test_stages_computed_once_per_polytope(hexagonal_prism, interval):
@@ -680,8 +720,7 @@ def test_separation_matches_the_pair_loop(pts):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_make_patch_rejects_non_finite_coordinates(truncated_octahedron, bad):
-    # unchecked, such a point passes uniqueness and C2 (max(0.0, nan) is
-    # 0.0) and breaks the snapping of differences in orthogonality
+    # such a point has no exact value for C2, uniqueness or orthogonality
     sp = patch(dual_lattice(lattice_T(truncated_octahedron)), 2.0)
     pts = [tuple(float(c) for c in q) for q in sp.points]
     pts[3] = (pts[3][0], bad, pts[3][2])
@@ -689,9 +728,9 @@ def test_make_patch_rejects_non_finite_coordinates(truncated_octahedron, bad):
         make_patch(pts, 2.0)
 
 
-def test_float_snapping_enters_the_orthogonality_bound(cube):
-    # the difference 1 + 3e-10 snaps to 1, a zero of the transform, but the
-    # transform at the float difference is 3.0e-10, above tol * volume
+def test_orthogonality_of_a_float_difference_near_a_zero(cube):
+    # the float difference 1 + 3e-10 lies near 1, a zero of the transform,
+    # but the transform at it is 3.0e-10, above tol * volume
     from spectile.fourier import ft_indicator
 
     u = 1 + 3e-10
@@ -731,22 +770,29 @@ def test_patch_rejects_coordinates_beyond_float_range():
 @example(([(Rat(1, 2**53), Rat(2**53 - 1)), (Rat(-3, 2**53 - 1), Rat(0))], 2))  # den past 2^53
 @example(([(Rat(2**53 + 1), Rat(1, 3)), (Rat(0), Rat(0))], 2))  # a numerator past 2^53
 @example(([(Rat(2**53), Rat(1, 3)), (Rat(-(2**53)), Rat(-1, 7))], 2))
-@given(exact_patches())
+@given(st.one_of(exact_patches(), float_patches))
 def test_patch_floats_round_each_coordinate_once(patch_and_dim):
     pts, _ = patch_and_dim
-    exact, (den, a), rows = spectrum._patch_forms(tuple(pts))
-    assert exact and rows.tolist() == [[float(c) for c in q] for q in pts]
+    (den, a), rows = spectrum._patch_forms(tuple(pts))
+    assert rows.tolist() == [[float(c) for c in q] for q in pts]
+    assert {tuple(Rat(int(c), den) for c in r) for r in a.tolist()} == set(_exact(pts))
 
 
 def test_c2_fails_an_overflowing_product():
-    # <d, tau> = 1e300 * 1e10 overflows to inf, and |inf - rint(inf)| is
-    # NaN, which max(worst, nan) dropped: this patch used to pass C2 with
-    # distance 0.0
+    # <d, tau> = 1e300 * 1e10 + 0.5 overflows float64, where this patch once
+    # passed C2 with distance 0.0; in exact arithmetic it is 0.5 off
     sp = SpectrumPatch(points=((0.0, 0.0), (1e300, 0.5)), window_radius=1.0, separation=0.5)
     for taus in ([(1e10, 1)], [(1e10, 1), (0, 1)], [(10**10, 1)]):
         rep = condition_C2_check(sp, taus)
         assert not rep.passed
-        assert rep.max_distance_to_integer == math.inf
+        assert rep.max_distance_to_integer == 0.5
+
+
+def test_c2_of_a_float_tau_on_rows_beyond_float_products():
+    # the difference 2e308 overflows a float; exactly, <d, tau> = 2 * 10^308
+    sp = make_patch([(Rat(10**308), Rat(0)), (Rat(-(10**308)), Rat(0))], 1.0)
+    rep = condition_C2_check(sp, [(1.0, 0.0)])
+    assert rep.passed and rep.max_distance_to_integer == 0.0
 
 
 def test_separation_of_lattice_patches(hexagon, truncated_octahedron):
