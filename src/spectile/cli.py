@@ -23,7 +23,7 @@ from .errors import NotATiler, ParseError, PreconditionFailed, SpectileError
 from .fourier import TOL_ZERO, ft_indicator
 from .linalg import Rat
 from .oracle import SampleConfig, mc_volume, multiplicity_sample, simplex_ft
-from .report import DEFAULT_RADIUS, DEFAULT_SAMPLES, DEFAULT_SEED, analyze, patch_checks_json
+from .report import DEFAULT_RADIUS, DEFAULT_SAMPLES, DEFAULT_SEED, analyze, finite_json, patch_checks_json
 from .spectrum import decide_spectral, make_patch, patch, require_finite
 from .symmetry import symmetry_report
 from .tiling import fedorov_classify, lattice_T, venkov_mcmullen
@@ -39,7 +39,7 @@ def _write_output(text: str, output: str | None):
 
 
 def _emit_json(data, output: str | None):
-    _write_output(json.dumps(data, indent=2, sort_keys=True) + "\n", output)
+    _write_output(json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n", output)
 
 
 def _parse_cell(cell: str, where: str):
@@ -169,7 +169,7 @@ def _cmd_verify(args) -> int:
     pts = _read_patch(args.patch, poly.dim)
     sp = make_patch(pts, args.radius)
     out = {
-        "patch": {"count": len(sp), "window_radius": sp.window_radius, "separation": sp.separation},
+        "patch": {"count": len(sp), "window_radius": sp.window_radius, "separation": finite_json(sp.separation)},
         **patch_checks_json(poly, sp, symmetry_report(poly), args.tolerance),
     }
     _emit_json(out, args.output)

@@ -124,10 +124,15 @@ def centroid(points) -> Vec:
 
 
 def clear_denominators(rows) -> tuple:
-    """(den, ints): rational rows as integer rows over the lcm of all their
-    denominators, so that rows[i][j] == ints[i][j] / den."""
-    den = math.lcm(*(c.denominator for r in rows for c in r))
-    return den, [[c.numerator * (den // c.denominator) for c in r] for r in rows]
+    """(den, ints): rational rows as Python-int rows over the lcm of all
+    their denominators, rows[i][j] == ints[i][j] / den exactly.  A float is
+    read as its binary rational (ValueError for NaN, OverflowError for an
+    infinity), anything else through numerator and denominator, so numpy
+    ints work too."""
+    pairs = [[c.as_integer_ratio() if isinstance(c, (float, Fraction)) else (int(c.numerator), int(c.denominator))
+              for c in r] for r in rows]
+    den = math.lcm(*(b for r in pairs for _, b in r))
+    return den, [[a * (den // b) for a, b in r] for r in pairs]
 
 
 def primitive(v: Vec, canonical_sign: bool = False) -> tuple:

@@ -9,6 +9,7 @@ report.
 
 from __future__ import annotations
 
+import math
 import time
 
 from . import BACKEND, __version__
@@ -43,6 +44,11 @@ def _basis_json(lattice):
     return [_vec_json(row) for row in lattice.basis]
 
 
+def finite_json(x: float) -> float | None:
+    """x, or None (JSON null) for an infinite or NaN x, which JSON lacks."""
+    return x if math.isfinite(x) else None
+
+
 def patch_checks_json(
     p: Polytope, sp, sym: SymmetryReport, tolerance: float, clock=lambda label, fn: fn()
 ) -> dict:
@@ -53,10 +59,10 @@ def patch_checks_json(
     out = {
         "orthogonality": {
             "passed": orth.passed,
-            "max_residual": orth.max_residual,
+            "max_residual": finite_json(orth.max_residual),
             "pairs_checked": orth.num_differences,
             "tolerance": orth.tolerance,
-            "max_err_bound": orth.max_err_bound,
+            "max_err_bound": finite_json(orth.max_err_bound),
             "fallbacks": orth.fallbacks,
         }
     }
@@ -192,7 +198,7 @@ def analyze(
         verification["patch"] = {
             "radius": radius,
             "count": len(sp),
-            "separation": sp.separation,
+            "separation": finite_json(sp.separation),
         }
         verification.update(patch_checks_json(p, sp, sym, tolerance, clock))
     elif vm.vm_centrally_symmetric and vm.vm_facets_symmetric:

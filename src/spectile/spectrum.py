@@ -40,7 +40,7 @@ from .fourier import (
     precision_bits,
 )
 from .geometry import Polytope, facet_widths, memo
-from .linalg import INT64_MAX, Rat, clear_denominators, inverse, norm_sq, primitive, vdot
+from .linalg import INT64_MAX, Rat, clear_denominators, norm_sq, primitive, vdot
 from .tiling import Lattice, TilingReport, is_prism, lattice_T, venkov_mcmullen
 
 __all__ = [
@@ -80,11 +80,11 @@ class SpectrumPatch:
     exact binary rational, and every check reads it as one, so a patch
     gets the same verdicts whichever of the two forms its points arrive in.
     separation is the smallest nonzero distance between two points (see
-    _separation).  The constructor forms the points once with _patch_forms
-    into _coords, (den, A) with the points the exact rows of A / den,
-    read-only; make_patch alone passes the keyword _forms, which must be
-    _patch_forms(points), to skip a second conversion.  C2 reads _coords as
-    per-point residues, and uniqueness tests them against the dual lattice.
+    _separation).  The patch has one form: the constructor converts the
+    points once with _patch_forms into _coords, (den, A) with the points
+    the exact rows of A / den, read-only; make_patch alone passes the
+    keyword _forms, which must be _patch_forms(points), to skip a second
+    conversion.  C2 and uniqueness read _coords as per-point residues.
 
     Every coordinate must be finite and within float range, however the
     patch is built (PreconditionFailed otherwise).  The distinct
@@ -98,8 +98,7 @@ class SpectrumPatch:
     _forms: InitVar[tuple | None] = field(default=None, kw_only=True)
 
     def __post_init__(self, _forms):
-        coords, _ = _forms or _patch_forms(self.points)
-        object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "_coords", _forms or _patch_forms(self.points))
 
     @cached_property
     def _differences(self):
@@ -123,50 +122,35 @@ class SpectrumPatch:
         return len(self.points)
 
 
-# float64 holds every integer up to 2^53, so for int64 a and den both at
-# most this, the float64 quotient a / den is the correctly rounded one,
-# float(Fraction(a, den))
-_FLOAT_INT = 2**53
-
-
-def _float_rows(points):
-    """The points as float64 rows, float(c) for each coordinate c;
-    PreconditionFailed for a coordinate beyond float range."""
-    try:
-        return np.array([[float(c) for c in q] for q in points], dtype=float)
-    except OverflowError:
-        for i, q in enumerate(points):
-            for k, c in enumerate(q):
-                try:
-                    float(c)
-                except OverflowError:
-                    raise PreconditionFailed(f"patch coordinate {k} of point {i} is beyond float range") from None
-        raise
+# a rational x rounds to a finite float exactly when |x| is below this,
+# halfway from the largest finite float, 2^1024 - 2^971, to 2^1024
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 def _patch_forms(points):
-    """((den, A), F) for the points of a patch: the points as the exact
-    rows of A / den, and as float64 rows F, each coordinate rounded once.
+    """(den, A): the points of a patch as the exact rows of A / den.
 
-    A float coordinate is converted exactly, Fraction(x), so its float64
-    row is the float itself.  The points are cleared by their common
-    denominator into integers: int64 when twice the largest magnitude
-    fits, so that every difference does, and Python ints otherwise.  F is
-    A / den in float64 when A and den are at most 2^53, and float(c) per
-    coordinate otherwise.  A is read-only.  PreconditionFailed for a float
-    coordinate that is infinite or NaN, and for a coordinate beyond float
-    range.
+    Each coordinate is read exactly (linalg.clear_denominators), a float as
+    its binary rational.  A is int64 when twice its largest magnitude fits,
+    so that every difference does, and Python ints otherwise; it is
+    read-only.  PreconditionFailed for a coordinate that is infinite or
+    NaN, or beyond float range.
     """
-    for q in points:
-        if not all(math.isfinite(c) for c in q if isinstance(c, float)):
-            raise PreconditionFailed(f"patch coordinates must be finite, got {q}")
     n, d = len(points), len(points[0]) if points else 0
-    den, ints = clear_denominators([[Rat(c) if isinstance(c, float) else c for c in q] for q in points])
+    try:
+        den, ints = clear_denominators(points)
+    except (ValueError, OverflowError):  # a NaN or an infinity
+        for q in points:
+            if not all(math.isfinite(c) for c in q if isinstance(c, float)):
+                raise PreconditionFailed(f"patch coordinates must be finite, got {q}") from None
+        raise
     big = max((abs(c) for q in ints for c in q), default=0)
+    if big >= den * _FLOAT_OVERFLOW:
+        i, k = next((i, k) for i, q in enumerate(ints) for k, c in enumerate(q) if abs(c) >= den * _FLOAT_OVERFLOW)
+        raise PreconditionFailed(f"patch coordinate {k} of point {i} is beyond float range")
     a = np.array(ints, dtype=np.int64 if 2 * big <= INT64_MAX else object).reshape(n, d)
-    rows = a / den if max(big, den) <= _FLOAT_INT else _float_rows(points)
     a.flags.writeable = False  # shared by every check of the patch
-    return (den, a), rows
+    return den, a
 
 
 def _closest(a, i, j, stop) -> float:
@@ -209,6 +193,7 @@ def _grid(a, h2: float):
     return code, [int(np.dot(o, places)) for o in steps if o > (0,) * d]
 
 
+@np.errstate(over="ignore")
 def _separation(a) -> float:
     """The smallest nonzero distance between two rows of the float64 array
     a, inf when there is none.
@@ -216,7 +201,8 @@ def _separation(a) -> float:
     The result equals, bit for bit, the minimum of
     sqrt(np.sum((a_i - a_j)**2, axis=-1)) over all pairs with a nonzero
     value, but only pairs that can be closest are evaluated, each with
-    that same arithmetic.  Every coordinate is finite (make_patch).
+    that same arithmetic.  Every coordinate is finite (make_patch); a
+    difference that overflows is inf apart.
 
     The nearest neighbour of the row closest to the centroid gives h2, the
     computed squared distance of a real pair, so the result is at most
@@ -281,17 +267,20 @@ def _centred_radius(den: int, a) -> float:
 def make_patch(points, window_radius: float | None = None) -> SpectrumPatch:
     """The patch of the given points, each converted once (_patch_forms).
 
-    Without a window radius the window is centred at the points' exact
-    centroid c and takes the largest |q - c| (_centred_radius).
+    separation is read from float64 rows of A / den, each coordinate one
+    correctly rounded division: numpy's when A and den are exact in
+    float64 (at most 2^53), Python's int division otherwise.  Without a
+    window radius the window is centred at the points' exact centroid c
+    and takes the largest |q - c| (_centred_radius).
     PreconditionFailed for a coordinate that is infinite, NaN or beyond
     float range, for a default window radius beyond float range, and for
     a given one that is infinite, NaN or negative.
     """
     pts = tuple(tuple(p) for p in points)
-    forms = _patch_forms(pts)
+    den, a = forms = _patch_forms(pts)
     if window_radius is None:
         try:
-            window_radius = _centred_radius(*forms[0])
+            window_radius = _centred_radius(den, a)
         except OverflowError:
             raise PreconditionFailed(
                 "the default window radius, the largest |q - c| of a patch point q from the "
@@ -299,7 +288,9 @@ def make_patch(points, window_radius: float | None = None) -> SpectrumPatch:
             ) from None
     window_radius = float(window_radius)
     require_finite(window_radius, "window radius", non_negative=True)
-    return SpectrumPatch(pts, window_radius, _separation(forms[1]), _forms=forms)
+    exact = a.dtype == np.int64 and max(_abs_max(a), den) <= 2**53
+    rows = a / den if exact else (a.astype(object) / den).astype(float)
+    return SpectrumPatch(pts, window_radius, _separation(rows), _forms=forms)
 
 
 def dual_lattice(lattice: Lattice) -> Lattice:
@@ -561,24 +552,26 @@ def condition_C2_check(s: SpectrumPatch, taus, tol: float = 1e-9) -> C2Report:
     of patch points and every facet translation tau.
 
     Equivalently, every point has the same <q, tau> mod 1.  The check runs
-    in integers on one residue per point and tau, with no pairs: a float
-    tau coordinate is converted exactly, Fraction(x), as the patch points
-    are (SpectrumPatch).  With the points A / den and the taus T / tden,
-    r = <a, t> mod M (M = den * tden), and the distance of a pair's
-    <q_j - q_i, tau> to the nearest integer is the circular distance of
-    their residues, min(r_j - r_i mod M, r_i - r_j mod M) / M.  The largest
-    numerator (_widest_gap) is divided by M once, so
+    in integers on one residue per point and tau, with no pairs: the taus
+    are cleared exactly, floats included, as the patch points are
+    (linalg.clear_denominators).  With the points A / den and the taus
+    T / tden, r = <a, t> mod M (M = den * tden), and the distance of a
+    pair's <q_j - q_i, tau> to the nearest integer is the circular distance
+    of their residues, min(r_j - r_i mod M, r_i - r_j mod M) / M.  The
+    largest numerator (_widest_gap) is divided by M once, so
     max_distance_to_integer is the correctly rounded float of the exact
-    maximum.  A float tau coordinate that is infinite or NaN raises
-    PreconditionFailed.
+    maximum, whatever the order of the points.  PreconditionFailed for an
+    infinite or NaN tau coordinate, and for a negative, infinite or NaN tol.
     """
+    require_finite(tol, "tolerance", non_negative=True)
     taus = [tuple(t) for t in taus]
-    for c in (c for t in taus for c in t):
-        require_finite(c, "tau coordinate")
+    try:
+        tden, T = clear_denominators(taus)
+    except (ValueError, OverflowError):  # a NaN or an infinity
+        raise PreconditionFailed(f"tau coordinates must be finite, got {taus}") from None
     den, a = s._coords
     worst = 0.0
     if len(a) > 1 and taus:
-        tden, T = clear_denominators([[Rat(c) if isinstance(c, float) else c for c in t] for t in taus])
         m = den * tden
         r = _matmul_mod(a, list(zip(*T)), m)
         worst = max(_widest_gap(col, m) for col in r.T) / m
@@ -592,14 +585,13 @@ def uniqueness_check(p: Polytope, s: SpectrumPatch, tol: float = 1e-9) -> bool:
     prism (not a parallelogram in the plane); for prisms the check raises
     PrismExcluded because uniqueness genuinely fails there.
 
-    With B the dual basis (rows), q - q_0 is in the lattice iff
-    (q - q_0) B^-1 is integral.  The test runs for all points at once in
-    integers, float patches included (SpectrumPatch): with the points
-    A / den and B^-1 = C / cden, the residues r of (A - A_0) C mod
-    M = den * cden give each coefficient's distance to the nearest integer
-    as min(r, M - r) / M.  The patch passes when the largest is at most
-    tol, C2's rule; an exact lattice translate reads 0.  A tol that is
-    negative, infinite or NaN raises PreconditionFailed.
+    The spectrum is T*, the dual of the tiling lattice T, so the patch is
+    a translate of it iff every difference of two points has an integer
+    inner product with each basis vector of T: C2's test against a basis
+    of T (condition_C2_check), with its tol, in integers on per-point
+    residues, float patches included.  An exact lattice translate reads 0,
+    and the verdict does not depend on the order of the points.  A tol
+    that is negative, infinite or NaN raises PreconditionFailed.
     """
     require_finite(tol, "tolerance", non_negative=True)
     verdict = decide_spectral(p)
@@ -611,14 +603,9 @@ def uniqueness_check(p: Polytope, s: SpectrumPatch, tol: float = 1e-9) -> bool:
     else:
         if len(p.facets) == 4:
             raise PrismExcluded("parallelograms admit non-translation-equivalent spectra")
-    dual = verdict.spectrum
     if len(s) == 0:
         raise PreconditionFailed("empty patch")
-    den, a = s._coords
-    cden, c = clear_denominators(inverse(dual.basis))
-    m = den * cden
-    r = _matmul_mod(a - a[0], c, m)
-    return int(np.minimum(r, m - r).max()) / m <= tol
+    return condition_C2_check(s, lattice_T(p).basis, tol).passed
 
 
 @dataclass(frozen=True)

@@ -467,6 +467,41 @@ def test_export_dimension_mismatch(capsys):
     assert code == 2
 
 
+def strict_json(text: str):
+    """json.loads that refuses Infinity and NaN, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_analyze_one_point_patch_separation_is_null(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "catalog:cube", "--radius", "0.5")
+    assert code == 0
+    assert strict_json(out)["verification"]["patch"] == {"radius": 0.5, "count": 1, "separation": None}
+
+
+def test_verify_one_point_patch_separation_is_null(capsys, tmp_path):
+    patch_file = tmp_path / "one.csv"
+    patch_file.write_text("0,0,0\n")
+    code, out, _ = run_cli(capsys, "verify", "catalog:cube", "--patch", str(patch_file))
+    assert code == 0
+    assert strict_json(out)["patch"]["separation"] is None
+
+
+def test_verify_residual_without_a_finite_value_is_null(capsys, tmp_path):
+    # the difference (1e-200, 0) lies too close to a face-parallel direction
+    # for the transform to have a finite value or bound at any precision
+    patch_file = tmp_path / "tiny.csv"
+    patch_file.write_text("0,0\n1e-200,0\n1,0\n")
+    code, out, _ = run_cli(capsys, "verify", "catalog:hexagon", "--patch", str(patch_file), "--radius", "2")
+    assert code == 0
+    orth = strict_json(out)["orthogonality"]
+    assert orth["passed"] is False
+    assert orth["max_residual"] is None and orth["max_err_bound"] is None
+
+
 def test_report_json_roundtrip(capsys):
     # re-parsing the serialized report reproduces the dict (schema completeness)
     code, out, _ = run_cli(capsys, "analyze", "catalog:square")

@@ -1,6 +1,8 @@
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -98,6 +100,35 @@ def test_clear_denominators_is_the_lcm(rows):
     assert den == math.lcm(*(c.denominator for r in rows for c in r))
     assert all(type(x) is int for r in ints for x in r)
     assert [[Rat(x, den) for x in r] for r in ints] == rows
+
+
+_entries = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.builds(Rat, st.integers(-(2**70), 2**70), st.integers(1, 10**6)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@example([[np.int64(2**62), Rat(1, 3)]])  # a numpy int times the lcm leaves int64
+@example([[5e-324, -0.0, 1e308], [Rat(1, 3), 7, np.int64(-5)]])
+@given(st.lists(st.lists(_entries, min_size=1, max_size=3), min_size=1, max_size=5))
+def test_clear_denominators_reads_every_entry_exactly(rows):
+    ref = [[Fraction(int(c)) if isinstance(c, np.integer) else Fraction(c) for c in r] for r in rows]
+    den, ints = clear_denominators(rows)
+    assert den == math.lcm(*(c.denominator for r in ref for c in r))
+    assert all(type(x) is int for r in ints for x in r)
+    assert [[Fraction(x, den) for x in r] for r in ints] == ref
+
+
+def test_clear_denominators_rejects_non_finite_floats():
+    with pytest.raises(ValueError):
+        clear_denominators([[Rat(1, 3), math.nan]])
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(OverflowError):
+            clear_denominators([[0.5], [bad]])
 
 
 def test_primitive():

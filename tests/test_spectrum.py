@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +17,10 @@ from spectile.errors import (
     UnsupportedDimension,
     WindowTooSmall,
 )
-from spectile.linalg import clear_denominators, det
+from spectile.linalg import clear_denominators, det, inverse
 from spectile.spectrum import (
     PrismSpectrumSpec,
     SpectrumPatch,
-    _float_rows,
     _separation,
     chi_estimate,
     condition_C2_check,
@@ -117,6 +117,11 @@ def _sign_normalized(rows) -> bool:
 def _exact(points):
     """The points with every coordinate a Fraction, floats converted exactly."""
     return [tuple(Fraction(c) for c in q) for q in points]
+
+
+def _float_rows(points):
+    """The points as float64 rows, float(c) for each coordinate c."""
+    return np.array([[float(c) for c in q] for q in points], dtype=float)
 
 
 def _brute_c2(points, taus):
@@ -461,6 +466,16 @@ def test_c2_exact_and_translation_invariant(hexagon):
     assert rep.passed  # differences are unchanged by translation
 
 
+def test_c2_rejects_a_bad_tolerance(hexagon):
+    # a NaN tol once failed every patch silently; uniqueness shares the check
+    taus = [t.tau for t in tau_vectors(hexagon)]
+    sp = patch(dual_lattice(lattice_T(hexagon)), 3.0)
+    for tol in (math.nan, math.inf, -math.inf, -1e-9):
+        with pytest.raises(PreconditionFailed, match="tolerance"):
+            condition_C2_check(sp, taus, tol)
+    assert condition_C2_check(sp, taus, 0.0).passed
+
+
 def test_c2_detects_perturbation(hexagon):
     taus = [t.tau for t in tau_vectors(hexagon)]
     dual = dual_lattice(lattice_T(hexagon))
@@ -520,6 +535,60 @@ def test_uniqueness_tolerance_on_exact_points(hexagon):
     for tol in (-1e-9, math.nan):
         with pytest.raises(PreconditionFailed, match="tolerance"):
             uniqueness_check(hexagon, make_patch(pts, 3.5), tol)
+
+
+def _uniqueness_reference(p, s, tol=1e-9):
+    """The dual-basis rule: with B the spectrum's basis (rows) and q_0 the
+    first point, every coefficient of (q - q_0) B^-1 lies within tol of an
+    integer; in Fraction arithmetic, floats converted exactly."""
+    binv = inverse(decide_spectral(p).spectrum.basis)
+    pts = _exact(s.points)
+    worst = 0
+    for q in pts:
+        d = [x - y for x, y in zip(q, pts[0])]
+        for col in zip(*binv):
+            v = sum(x * c for x, c in zip(d, col))
+            worst = max(worst, min(v - math.floor(v), math.ceil(v) - v))
+    return worst <= tol
+
+
+_UNIQUE_SHIFTS = [(math.sqrt(2) / 7, math.sqrt(3) / 9, math.sqrt(5) / 11), (0.37, -1 / 3, 2.5e-8), (1e6 / 3, math.pi, -math.e)]
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [("hexagon", 3.0), ("rhombic-dodecahedron", 1.5), ("elongated-dodecahedron", 1.5), ("truncated-octahedron", 1.5)],
+)
+def test_uniqueness_matches_the_dual_basis_rule(name, radius):
+    # each non-prism tiler: its exact patch, three irrationally shifted float
+    # copies, and one point moved by 1/1000 or by 1e-12
+    p = make(name)
+    pts = list(patch(decide_spectral(p).spectrum, radius).points)
+    copies = [pts] + [[tuple(float(c) + s for c, s in zip(q, shift)) for q in pts] for shift in _UNIQUE_SHIFTS]
+    i = len(pts) // 3
+    for move in (Rat(1, 1000), 1e-12):
+        copies.append(pts[:i] + [(pts[i][0] + move, *pts[i][1:])] + pts[i + 1 :])
+    verdicts = []
+    for q in copies:
+        sp = make_patch(q, radius + 0.5)
+        verdicts.append(uniqueness_check(p, sp))
+        assert verdicts[-1] is _uniqueness_reference(p, sp)
+    assert verdicts == [True, True, True, True, False, True]
+
+
+def test_uniqueness_independent_of_point_order(hexagon):
+    # two points moved by +-x along a basis vector of the spectrum: relative
+    # to the first point the dual-basis rule passes or fails with the order
+    # (x or 2x off against tol = 1e-9), C2 against the tiling lattice fails
+    # in every order
+    b = decide_spectral(hexagon).spectrum.basis[0]
+    x = Rat(6, 10**10)
+    pts = list(patch(decide_spectral(hexagon).spectrum, 3.0).points)
+    pts[1] = tuple(c + x * e for c, e in zip(pts[1], b))
+    pts[2] = tuple(c - x * e for c, e in zip(pts[2], b))
+    orders = [pts, pts[1:] + pts[:1], pts[::-1]]  # an unmoved point first, a moved one, an unmoved one
+    assert [_uniqueness_reference(hexagon, make_patch(q, 3.5)) for q in orders] == [True, False, True]
+    assert [uniqueness_check(hexagon, make_patch(q, 3.5)) for q in orders] == [False] * 3
 
 
 def test_stages_computed_once_per_polytope(hexagonal_prism, interval):
@@ -770,12 +839,17 @@ def test_patch_rejects_coordinates_beyond_float_range():
 @example(([(Rat(1, 2**53), Rat(2**53 - 1)), (Rat(-3, 2**53 - 1), Rat(0))], 2))  # den past 2^53
 @example(([(Rat(2**53 + 1), Rat(1, 3)), (Rat(0), Rat(0))], 2))  # a numerator past 2^53
 @example(([(Rat(2**53), Rat(1, 3)), (Rat(-(2**53)), Rat(-1, 7))], 2))
+@example(([(Rat(10**400 + 1, 10**399), 1e-300), (0.5, Rat(1, 3))], 2))  # mixed, den past float range
 @given(st.one_of(exact_patches(), float_patches))
 def test_patch_floats_round_each_coordinate_once(patch_and_dim):
+    # one exact form; the rows separation reads are float(c) per coordinate
     pts, _ = patch_and_dim
-    (den, a), rows = spectrum._patch_forms(tuple(pts))
-    assert rows.tolist() == [[float(c) for c in q] for q in pts]
+    den, a = spectrum._patch_forms(tuple(pts))
     assert {tuple(Rat(int(c), den) for c in r) for r in a.tolist()} == set(_exact(pts))
+    seen = []
+    with mock.patch.object(spectrum, "_separation", lambda rows: seen.append(rows) or 0.0):
+        make_patch(pts, 1.0)
+    assert seen[0].dtype == np.float64 and seen[0].tolist() == _float_rows(pts).tolist()
 
 
 def test_c2_fails_an_overflowing_product():
