@@ -1,16 +1,22 @@
+import json
 import math
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spectile
 from spectile import Rat, from_vertices, oracle, zonotope
 from spectile.errors import RankDeficient
 from spectile.fourier import ft_indicator
 from spectile.linalg import hnf_rational, norm_sq, sqrt_upper
-from spectile.oracle import MultiplicityHistogram, SampleConfig, mc_volume, multiplicity_sample, simplex_ft
+from spectile.oracle import MultiplicityHistogram, SampleConfig, _times, mc_volume, multiplicity_sample, simplex_ft
 from spectile.symmetry import tau_vectors
 from spectile.tiling import Lattice, covering_verify
 
@@ -33,6 +39,105 @@ def test_mc_volume_truncated_octahedron(truncated_octahedron):
     mv = mc_volume(truncated_octahedron, SampleConfig(count=2 * 10**5, seed=3))
     assert abs(mv.estimate - 32.0) <= 3 * mv.stderr
     assert mv.stderr < 0.32  # within 1%
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_times_is_the_fixed_order_elementwise_product(data):
+    d = data.draw(st.sampled_from((2, 3)))
+    k = data.draw(st.integers(1, 5))
+    row = st.lists(st.floats(-1e300, 1e300), min_size=d, max_size=d)
+    x = np.array(data.draw(st.lists(row, min_size=1, max_size=6)), dtype=float)
+    rat = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+    m = np.array([[float(data.draw(rat)) for _ in range(k)] for _ in range(d)])
+    out = _times(x, m)
+    assert out.shape == (len(x), k) and out.flags.f_contiguous
+    gamma = Fraction(d, 2**53 - d)  # d·u / (1 − d·u), u = 2⁻⁵³
+    for r in range(len(x)):
+        xs, exact_x = [float(c) for c in x[r]], [Fraction(c) for c in x[r]]
+        for j in range(k):
+            acc = xs[0] * float(m[0, j])
+            for i in range(1, d):
+                acc = acc + xs[i] * float(m[i, j])
+            assert out[r, j].tobytes() == np.float64(acc).tobytes()
+            terms = [exact_x[i] * Fraction(m[i, j]) for i in range(d)]
+            bound = gamma * sum(abs(t) for t in terms) + Fraction(d, 2**1074)
+            assert abs(Fraction(out[r, j]) - sum(terms)) <= bound
+
+
+def test_mc_volume_blocks_draw_the_samples_of_one_draw(monkeypatch):
+    # the blocked inside test must count the hits of testing every sample
+    # of one draw at once, with the same products
+    p = zonotope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, Rat(1, 2))])
+    cfg = SampleConfig(count=10**4 + 17, seed=5)
+    lo = np.array([min(float(v[i]) for v in p.vertices) for i in range(3)])
+    hi = np.array([max(float(v[i]) for v in p.vertices) for i in range(3)])
+    pts = np.random.default_rng(cfg.seed).random((cfg.count, 3)) * (hi - lo) + lo
+    a = np.array([[float(c) for c in f.normal] for f in p.facets])
+    b = np.array([float(f.offset) for f in p.facets])
+    hits = int(np.count_nonzero(np.all(_times(pts, a.T) <= b + 1e-12, axis=1)))
+    monkeypatch.setattr(oracle, "_VOLUME_BLOCK", 999)
+    mv = mc_volume(p, cfg)
+    assert mv.hits == hits
+    assert mv.estimate == float(np.prod(hi - lo)) * (hits / cfg.count)
+
+
+_THREAD_TICKS = """
+import json, os, sys, time
+from pathlib import Path
+from spectile.cli import main
+
+def ticks():
+    out = {}
+    for task in Path("/proc/self/task").iterdir():
+        try:
+            fields = (task / "stat").read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the thread has ended
+            continue
+        out[int(task.name)] = int(fields[11]) + int(fields[12])  # utime + stime
+    return out
+
+# numpy's BLAS workers spin for a while after the pool starts at import;
+# measure from the moment no other thread gains ticks
+before = ticks()
+for _ in range(20):
+    time.sleep(0.2)
+    now = ticks()
+    if all(t == before.get(tid) for tid, t in now.items() if tid != os.getpid()):
+        break
+    before = now
+shape, samples, out = "catalog:rhombic-icosahedron", "200000", sys.argv[1]
+for argv in (
+    ["analyze", shape, "--samples", samples, "--output", out],
+    ["oracle", shape, "--op", "volume", "--samples", samples, "--output", out],
+    ["oracle", shape, "--op", "multiplicity", "--samples", samples, "--output", out],
+):
+    assert main(argv) == 0, argv
+after = ticks()
+gained = {tid: t - before.get(tid, 0) for tid, t in after.items() if tid != os.getpid()}
+print(json.dumps({"threads": len(after), "gained": gained}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task for per-thread CPU ticks")
+def test_oracles_leave_every_other_thread_idle(tmp_path):
+    # the covering and volume oracles form their products on the calling
+    # thread; a BLAS product of this size wakes numpy's BLAS pool, whose
+    # workers then spin.  The child's environment sets no thread count
+    # (no OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS), as a
+    # user's shell need not.
+    src_root = Path(spectile.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _THREAD_TICKS, str(tmp_path / "out.json")],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_root)},
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    if result["threads"] == 1:
+        pytest.skip("numpy started no thread besides the main one here")
+    assert all(t == 0 for t in result["gained"].values()), result
 
 
 def test_multiplicity_cube_unit_lattice(cube):
@@ -65,7 +170,9 @@ def test_multiplicity_rhombic_icosahedron(rhombic_icosahedron):
 def _dense_histogram(p, generators, cfg, max_box=None):
     """Reference for multiplicity_sample: the same samples and the same
     translates, every translate tested against every sample, one at a time.
-    None when the translate box would exceed max_box candidates, if given."""
+    None when the translate box would exceed max_box candidates, if given.
+    Its products are BLAS `@` on purpose: an arithmetic independent of
+    oracle._times, which may differ from it in the last bit."""
     basis = hnf_rational([tuple(Rat(c) for c in g) for g in generators])
     bmat = np.array([[float(c) for c in row] for row in basis])
     samples = np.random.default_rng(cfg.seed).random((cfg.count, p.dim)) @ bmat
