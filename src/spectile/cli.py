@@ -24,9 +24,9 @@ from .fourier import TOL_ZERO, ft_indicator
 from .linalg import Rat
 from .oracle import SampleConfig, mc_volume, multiplicity_sample, simplex_ft
 from .report import DEFAULT_RADIUS, DEFAULT_SAMPLES, DEFAULT_SEED, analyze, finite_json, patch_checks_json
-from .spectrum import decide_spectral, make_patch, patch, require_finite
+from .spectrum import decide_spectral, make_patch, patch_rows, require_finite
 from .symmetry import symmetry_report
-from .tiling import fedorov_classify, lattice_T, venkov_mcmullen
+from .tiling import fedorov_classify, lattice_T, per_entry, venkov_mcmullen
 from .export import export_obj, export_svg
 
 
@@ -95,11 +95,11 @@ def _read_patch(path: str, dim: int):
     return pts
 
 
-def _patch_csv(points) -> str:
+def _patch_csv(den: int, a) -> str:
+    """One CSV row per row of the integer array a over den, each entry
+    written as str(Rat(v, den)), formed once per distinct v."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    for q in points:
-        writer.writerow([str(c) for c in q])
+    csv.writer(buf).writerows(per_entry(a, lambda v: str(Rat(v, den))))
     return buf.getvalue()
 
 
@@ -157,10 +157,10 @@ def _cmd_spectrum(args) -> int:
         if verdict.spectrum
         else None,
     }
-    sp = patch(verdict.spectrum, args.radius) if verdict.spectrum is not None else None
+    rows = patch_rows(verdict.spectrum, args.radius) if verdict.spectrum is not None else None
     sys.stdout.write(json.dumps(head, indent=2, sort_keys=True) + "\n")
-    if sp is not None:
-        _write_output(_patch_csv(sp.points), args.output)
+    if rows is not None:
+        _write_output(_patch_csv(*rows), args.output)
     return 0
 
 

@@ -123,15 +123,28 @@ def centroid(points) -> Vec:
     return tuple(c / n for c in acc)
 
 
+def _ratio_of(c) -> tuple:
+    """(numerator, denominator) of one exact entry: a float or a Fraction
+    by its ratio, anything else through numerator and denominator."""
+    if isinstance(c, (float, Fraction)):
+        return c.as_integer_ratio()
+    return int(c.numerator), int(c.denominator)
+
+
 def clear_denominators(rows) -> tuple:
     """(den, ints): rational rows as Python-int rows over the lcm of all
-    their denominators, rows[i][j] == ints[i][j] / den exactly.  A float is
-    read as its binary rational (ValueError for NaN, OverflowError for an
-    infinity), anything else through numerator and denominator, so numpy
-    ints work too."""
-    pairs = [[c.as_integer_ratio() if isinstance(c, (float, Fraction)) else (int(c.numerator), int(c.denominator))
-              for c in r] for r in rows]
-    den = math.lcm(*(b for r in pairs for _, b in r))
+    their denominators, rows[i][j] == ints[i][j] / den exactly.  Rows may
+    differ in length.  A float is read as its binary rational (ValueError
+    for NaN, OverflowError for an infinity), anything else through
+    numerator and denominator, so numpy ints work too.
+
+    One pass reads every entry's ratio (as_integer_ratio, which numpy ints
+    lack), and the lcm is taken over the distinct denominators."""
+    try:
+        pairs = [[c.as_integer_ratio() for c in r] for r in rows]
+    except AttributeError:  # a numpy int
+        pairs = [[_ratio_of(c) for c in r] for r in rows]
+    den = math.lcm(*{b for r in pairs for _, b in r})
     return den, [[a * (den // b) for a, b in r] for r in pairs]
 
 

@@ -38,9 +38,9 @@ from .tiling import coefficient_box
 __all__ = ["MAX_SAMPLES", "SampleConfig", "MCVolume", "MultiplicityHistogram", "mc_volume", "multiplicity_sample", "simplex_ft"]
 
 
-# the most samples one oracle run may draw (--samples); a multiplicity run
-# holds arrays of count x d and count x (number of facets) floats, a volume
-# run blocks of _VOLUME_BLOCK samples
+# the most samples one oracle run may draw (--samples); both sampling
+# oracles draw and test them in blocks of _VOLUME_BLOCK samples, so they
+# hold one count of multiplicities and a block's projections at a time
 MAX_SAMPLES = 10**6
 _VOLUME_BLOCK = 2**14
 
@@ -131,15 +131,17 @@ def multiplicity_sample(p: Polytope, generators, cfg: SampleConfig) -> Multiplic
     Translates are truncated to |tau| <= diam(P) + diam(cell), beyond
     which they cannot meet the cell.
 
-    Sample s lies in P + tau when <n_f, s> <= offset(tau, f) for every
-    facet f, and two exact shortcuts skip comparisons whose outcome the
-    extremes of <n_f, s> over the samples already decide.  A translate
-    with an offset below the smallest projection on some facet contains no
-    sample and is dropped; a facet whose offset is at or above the largest
-    projection holds at every sample and is not compared, so a translate
-    with no other facet contains every sample.  Every comparison that
-    remains is the one the dense test makes, so the counts are those of
-    testing every translate at every sample.  The products are _times's,
+    The samples are drawn and counted one block of _VOLUME_BLOCK at a time,
+    in the order of one draw.  Sample s lies in P + tau when
+    <n_f, s> <= offset(tau, f) for every facet f, and two exact shortcuts
+    skip comparisons whose outcome the extremes of <n_f, s> over the
+    block's samples already decide.  A translate with an offset below the
+    smallest projection on some facet contains no sample of the block and
+    is dropped; a facet whose offset is at or above the largest projection
+    holds at every sample of the block and is not compared, so a translate
+    with no other facet contains every one.  Every comparison that remains
+    is the one the dense test makes, so the counts are those of testing
+    every translate at every sample.  The products are _times's,
     so samples and counts are the same on every CPU.
     """
     gens = [tuple(rational(c) for c in g) for g in generators]
@@ -148,7 +150,6 @@ def multiplicity_sample(p: Polytope, generators, cfg: SampleConfig) -> Multiplic
     basis = hnf_rational(gens)
     rng = np.random.default_rng(cfg.seed)
     bmat = np.array([[float(c) for c in row] for row in basis])
-    samples = _times(rng.random((cfg.count, p.dim)), bmat)
 
     diam_p = float(sqrt_upper(p.diameter_sq))
     diam_cell = float(sum((sqrt_upper(norm_sq(row)) for row in basis), ZERO))
@@ -175,23 +176,26 @@ def multiplicity_sample(p: Polytope, generators, cfg: SampleConfig) -> Multiplic
     translates = translates[near]
 
     counts = np.zeros(cfg.count, dtype=np.int64)
-    projected = _times(samples, a.T)  # reused across translates
     used = len(translates)
-    offsets = b[None, :] + _times(translates, a.T) + 1e-12
-    offsets = offsets[np.all(offsets >= projected.min(axis=0), axis=1)]
-    binding = offsets < projected.max(axis=0)
-    full = ~binding.any(axis=1)
-    counts += int(full.sum())
-    offsets, binding = offsets[~full], binding[~full]
-    chunk = max(1, int(2e6 // cfg.count))
-    for i in range(0, len(offsets), chunk):
-        block, bind = offsets[i : i + chunk], binding[i : i + chunk]
-        inside = np.ones((len(block), cfg.count), dtype=bool)
-        for f in range(len(b)):
-            rows = np.flatnonzero(bind[:, f])
-            if rows.size:
-                inside[rows] &= projected[:, f] <= block[rows, f, None]
-        counts += inside.sum(axis=0)
+    for start in range(0, cfg.count, _VOLUME_BLOCK):
+        m = min(_VOLUME_BLOCK, cfg.count - start)
+        projected = _times(_times(rng.random((m, p.dim)), bmat), a.T)  # reused across translates
+        offsets = b[None, :] + _times(translates, a.T) + 1e-12
+        offsets = offsets[np.all(offsets >= projected.min(axis=0), axis=1)]
+        binding = offsets < projected.max(axis=0)
+        full = ~binding.any(axis=1)
+        block_counts = counts[start : start + m]
+        block_counts += int(full.sum())
+        offsets, binding = offsets[~full], binding[~full]
+        chunk = max(1, int(2e6 // m))
+        for i in range(0, len(offsets), chunk):
+            block, bind = offsets[i : i + chunk], binding[i : i + chunk]
+            inside = np.ones((len(block), m), dtype=bool)
+            for f in range(len(b)):
+                rows = np.flatnonzero(bind[:, f])
+                if rows.size:
+                    inside[rows] &= projected[:, f] <= block[rows, f, None]
+            block_counts += inside.sum(axis=0)
     hist: dict = {}
     binc = np.bincount(counts)
     for mult, n in enumerate(binc):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import mpmath
@@ -41,7 +41,7 @@ from .fourier import (
 )
 from .geometry import Polytope, facet_widths, memo
 from .linalg import INT64_MAX, Rat, clear_denominators, norm_sq, primitive, vdot
-from .tiling import Lattice, TilingReport, is_prism, lattice_T, venkov_mcmullen
+from .tiling import Lattice, TilingReport, is_prism, lattice_T, rat_rows, venkov_mcmullen
 
 __all__ = [
     "SpectrumPatch",
@@ -71,20 +71,24 @@ def _abs_max(a) -> int:
     return int(np.abs(a).max()) if a.size else 0
 
 
-@dataclass(frozen=True)
 class SpectrumPatch:
     """Finite window of a candidate spectrum.
 
-    points are kept as the caller gave them: exact rationals when
-    lattice-derived, and possibly floats in a user patch.  A float is an
-    exact binary rational, and every check reads it as one, so a patch
-    gets the same verdicts whichever of the two forms its points arrive in.
+    The patch has one exact form, _coords: (den, A) with the points the
+    rows of A / den, A read-only, int64 when twice its largest magnitude
+    fits (so that every difference does) and Python ints otherwise.  Every
+    check reads _coords; C2 and uniqueness read it as per-point residues.
+    A patch built from points keeps them as the caller gave them: exact
+    rationals, or floats in a user patch.  A float is an exact binary
+    rational, and every check reads it as one, so a patch gets the same
+    verdicts whichever of the two forms its points arrive in.  The
+    constructor converts such points once with _patch_forms; make_patch
+    passes the keyword _forms, which must be _patch_forms(points), to skip
+    a second conversion.  A lattice patch (patch) is built from its
+    enumerated rows alone, points None and _forms its (den, A); its points,
+    tuples of Rat in lexicographic order, are formed on first use.
     separation is the smallest nonzero distance between two points (see
-    _separation).  The patch has one form: the constructor converts the
-    points once with _patch_forms into _coords, (den, A) with the points
-    the exact rows of A / den, read-only; make_patch alone passes the
-    keyword _forms, which must be _patch_forms(points), to skip a second
-    conversion.  C2 and uniqueness read _coords as per-point residues.
+    _separation).
 
     Every coordinate must be finite and within float range, however the
     patch is built (PreconditionFailed otherwise).  The distinct
@@ -92,13 +96,22 @@ class SpectrumPatch:
     orthogonality alone.
     """
 
-    points: tuple
-    window_radius: float
-    separation: float
-    _forms: InitVar[tuple | None] = field(default=None, kw_only=True)
+    def __init__(self, points, window_radius: float, separation: float, *, _forms=None):
+        if points is not None:
+            self.points = points
+        self.window_radius = window_radius
+        self.separation = separation
+        self._coords = _forms or _patch_forms(points)
 
-    def __post_init__(self, _forms):
-        object.__setattr__(self, "_coords", _forms or _patch_forms(self.points))
+    @cached_property
+    def points(self) -> tuple:
+        return rat_rows(*self._coords)
+
+    def __repr__(self):
+        return (
+            f"SpectrumPatch(points={self.points!r}, window_radius={self.window_radius!r}, "
+            f"separation={self.separation!r})"
+        )
 
     @cached_property
     def _differences(self):
@@ -119,7 +132,7 @@ class SpectrumPatch:
         return den, u
 
     def __len__(self):
-        return len(self.points)
+        return len(self._coords[1])
 
 
 # a rational x rounds to a finite float exactly when |x| is below this,
@@ -127,14 +140,27 @@ class SpectrumPatch:
 _FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
+def _integer_form(den: int, a):
+    """(den, A) for the rows of the integer array a over den, A int64 when
+    twice its largest magnitude fits, so that every difference does, and
+    Python ints otherwise; A is read-only.  PreconditionFailed for an entry
+    beyond float range."""
+    big = max(int(a.max()), -int(a.min())) if a.size else 0
+    if big >= den * _FLOAT_OVERFLOW:
+        i, k = np.argwhere(abs(a) >= den * _FLOAT_OVERFLOW)[0]
+        raise PreconditionFailed(f"patch coordinate {k} of point {i} is beyond float range")
+    a = a.astype(np.int64 if 2 * big <= INT64_MAX else object, copy=False)
+    a.flags.writeable = False  # shared by every check of the patch
+    return den, a
+
+
 def _patch_forms(points):
-    """(den, A): the points of a patch as the exact rows of A / den.
+    """(den, A): the points of a patch as the exact rows of A / den
+    (_integer_form).
 
     Each coordinate is read exactly (linalg.clear_denominators), a float as
-    its binary rational.  A is int64 when twice its largest magnitude fits,
-    so that every difference does, and Python ints otherwise; it is
-    read-only.  PreconditionFailed for a coordinate that is infinite or
-    NaN, or beyond float range.
+    its binary rational.  PreconditionFailed for a coordinate that is
+    infinite or NaN, or beyond float range.
     """
     n, d = len(points), len(points[0]) if points else 0
     try:
@@ -144,13 +170,11 @@ def _patch_forms(points):
             if not all(math.isfinite(c) for c in q if isinstance(c, float)):
                 raise PreconditionFailed(f"patch coordinates must be finite, got {q}") from None
         raise
-    big = max((abs(c) for q in ints for c in q), default=0)
-    if big >= den * _FLOAT_OVERFLOW:
-        i, k = next((i, k) for i, q in enumerate(ints) for k, c in enumerate(q) if abs(c) >= den * _FLOAT_OVERFLOW)
-        raise PreconditionFailed(f"patch coordinate {k} of point {i} is beyond float range")
-    a = np.array(ints, dtype=np.int64 if 2 * big <= INT64_MAX else object).reshape(n, d)
-    a.flags.writeable = False  # shared by every check of the patch
-    return den, a
+    try:
+        a = np.array(ints, dtype=np.int64)
+    except OverflowError:
+        a = np.array(ints, dtype=object)
+    return _integer_form(den, a.reshape(n, d))
 
 
 def _closest(a, i, j, stop) -> float:
@@ -264,23 +288,30 @@ def _centred_radius(den: int, a) -> float:
     )
 
 
+def _float64_rows(den: int, a):
+    """The float64 rows of A / den, each coordinate one correctly rounded
+    division: numpy's when A and den are exact in float64 (at most 2^53),
+    Python's int division otherwise."""
+    if a.dtype == np.int64 and max(_abs_max(a), den) <= 2**53:
+        return a / den
+    return (a.astype(object) / den).astype(float)
+
+
 def make_patch(points, window_radius: float | None = None) -> SpectrumPatch:
     """The patch of the given points, each converted once (_patch_forms).
 
-    separation is read from float64 rows of A / den, each coordinate one
-    correctly rounded division: numpy's when A and den are exact in
-    float64 (at most 2^53), Python's int division otherwise.  Without a
-    window radius the window is centred at the points' exact centroid c
-    and takes the largest |q - c| (_centred_radius).
+    separation is read from the float64 rows of A / den (_float64_rows).
+    Without a window radius the window is centred at the points' exact
+    centroid c and takes the largest |q - c| (_centred_radius).
     PreconditionFailed for a coordinate that is infinite, NaN or beyond
     float range, for a default window radius beyond float range, and for
     a given one that is infinite, NaN or negative.
     """
     pts = tuple(tuple(p) for p in points)
-    den, a = forms = _patch_forms(pts)
+    forms = _patch_forms(pts)
     if window_radius is None:
         try:
-            window_radius = _centred_radius(den, a)
+            window_radius = _centred_radius(*forms)
         except OverflowError:
             raise PreconditionFailed(
                 "the default window radius, the largest |q - c| of a patch point q from the "
@@ -288,9 +319,7 @@ def make_patch(points, window_radius: float | None = None) -> SpectrumPatch:
             ) from None
     window_radius = float(window_radius)
     require_finite(window_radius, "window radius", non_negative=True)
-    exact = a.dtype == np.int64 and max(_abs_max(a), den) <= 2**53
-    rows = a / den if exact else (a.astype(object) / den).astype(float)
-    return SpectrumPatch(pts, window_radius, _separation(rows), _forms=forms)
+    return SpectrumPatch(pts, window_radius, _separation(_float64_rows(*forms)), _forms=forms)
 
 
 def dual_lattice(lattice: Lattice) -> Lattice:
@@ -325,13 +354,23 @@ def decide_spectral(p: Polytope) -> SpectralVerdict:
     return SpectralVerdict(False, reason, None, rep)
 
 
-def patch(lattice: Lattice, radius: float) -> SpectrumPatch:
-    """All lattice points in the closed ball of the given radius."""
+def patch_rows(lattice: Lattice, radius: float) -> tuple:
+    """(den, A): all lattice points in the closed ball of the given radius,
+    as the exact rows of A / den in lexicographic order (Lattice.ball_rows,
+    in the form of _integer_form); the forms of patch(lattice, radius)."""
     require_finite(radius)
     if radius <= 0:
         raise PreconditionFailed("patch radius must be positive")
     r = Rat(radius)  # exact, a float included
-    return make_patch(lattice.points_in_ball(r * r), float(radius))
+    return _integer_form(*lattice.ball_rows(r * r))
+
+
+def patch(lattice: Lattice, radius: float) -> SpectrumPatch:
+    """All lattice points in the closed ball of the given radius, as a
+    lattice patch built from patch_rows; its forms equal _patch_forms of
+    Lattice.points_in_ball, which its points equal."""
+    forms = patch_rows(lattice, radius)
+    return SpectrumPatch(None, float(radius), _separation(_float64_rows(*forms)), _forms=forms)
 
 
 def _unique(a):
@@ -474,7 +513,7 @@ def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -
         passed=passed,
         max_residual=max_residual,
         worst_difference=worst_d,
-        num_points=len(s.points),
+        num_points=len(s),
         num_differences=len(U),
         tolerance=tol,
         max_err_bound=float(np.max(err, initial=0.0)),

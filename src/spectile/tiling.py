@@ -64,19 +64,45 @@ __all__ = [
 # --- lattices ---------------------------------------------------------------
 
 # the most integer coefficient vectors one enumeration may form, shared by
-# Lattice.points_in_ball and oracle.multiplicity_sample
+# Lattice.ball_rows and oracle.multiplicity_sample
 MAX_BOX_CANDIDATES = 2 * 10**7
+
+# Lattice.ball_rows tests the coefficient box in slabs of whole layers along
+# its first axis, each of at most this many candidates (or one layer)
+_BALL_SLAB = 1 << 16
+
+
+def _box_size(bounds, what: str) -> int:
+    """The number of integer vectors k with |k_i| <= bounds[i];
+    PreconditionFailed when there are more than MAX_BOX_CANDIDATES."""
+    total = math.prod(2 * b + 1 for b in bounds)
+    if total > MAX_BOX_CANDIDATES:
+        raise PreconditionFailed(f"{what} too large ({total} candidates)")
+    return total
 
 
 def coefficient_box(bounds, what: str):
     """All integer vectors k with |k_i| <= bounds[i], as the rows of one
-    array; PreconditionFailed, before anything is allocated, when there
-    would be more than MAX_BOX_CANDIDATES of them."""
-    total = math.prod(2 * b + 1 for b in bounds)
-    if total > MAX_BOX_CANDIDATES:
-        raise PreconditionFailed(f"{what} too large ({total} candidates)")
-    grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    array in lexicographic order; PreconditionFailed, before anything is
+    allocated, when there would be more than MAX_BOX_CANDIDATES of them."""
+    total = _box_size(bounds, what)
+    layers = np.indices([2 * b + 1 for b in bounds]).reshape(len(bounds), total).T
+    return layers - np.array(bounds, dtype=layers.dtype)
+
+
+def per_entry(x, fn) -> list:
+    """fn(v) for every entry v of the integer array x, as nested lists of
+    the shape of x.  fn is called once per distinct entry, with a Python
+    int, and its result is shared by every place that holds the entry."""
+    values, where = np.unique(x, return_inverse=True)
+    out = np.empty(len(values), dtype=object)
+    out[:] = [fn(int(v)) for v in values]
+    return out[where.reshape(x.shape)].tolist()
+
+
+def rat_rows(den: int, x) -> tuple:
+    """The rows of the integer array x over den as tuples of Rat."""
+    return tuple(map(tuple, per_entry(x, lambda v: Rat(v, den))))
 
 
 @dataclass(frozen=True)
@@ -122,25 +148,28 @@ class Lattice:
         k = self.coords(point)
         return k is not None and all(c.denominator == 1 for c in k)
 
-    def points_in_ball(self, radius_sq, strict: bool = False) -> tuple:
-        """All lattice points x with |x|^2 <= radius_sq (< when strict), as
-        tuples of Rat in lexicographic order.
+    def ball_rows(self, radius_sq, strict: bool = False) -> tuple:
+        """(den, X): all lattice points x with |x|^2 <= radius_sq (< when
+        strict), as the rows of X / den in lexicographic order, with den
+        the least common denominator of their coordinates.
 
         The test is exact on the integer Gram form (Fincke-Pohst, without
         the pruning).  With the basis cleared to integer rows Bi / den
         (linalg.clear_denominators), a point is x = k Bi / den for an
         integer coefficient vector k, and |x|^2 <= R^2 reads
         k G k^T <= R^2 den^2 with G = Bi Bi^T.  The left side is an integer,
-        so each k of the coefficient box (coefficient_box, bounded by the
-        dual row norms) is kept when k G k^T <= floor(R^2 den^2), or
-        < ceil(R^2 den^2) when strict; no float prefilter is involved.
-        Integer rows over one positive den sort as the points do, so
-        np.lexsort orders X = k Bi.  The arithmetic is int64 when
-        (sum b_i)^2 d max|Bi|^2, which bounds every k G k^T, every entry
-        of X and every partial sum formed, fits, and on Python ints
-        otherwise: slower on an adversarial basis, never wrong.  Each
-        distinct entry of X becomes one Rat, shared by every point that
-        holds it.
+        so each k of the coefficient box (bounded by the dual row norms;
+        PreconditionFailed past MAX_BOX_CANDIDATES) is kept when
+        k G k^T <= floor(R^2 den^2), or < ceil(R^2 den^2) when strict; no
+        float prefilter is involved.  The box is tested in slabs of whole
+        layers along its first axis, _BALL_SLAB candidates at most, so the
+        temporaries stay small whatever the radius.  Integer rows over one
+        positive den sort as the points do, so np.lexsort orders X = k Bi;
+        dividing X and den by the gcd of den and every entry leaves the
+        least common denominator.  X is int64 when
+        (sum b_i)^2 d max|Bi|^2, which bounds every k G k^T, every entry of
+        X and every partial sum formed, fits, and holds Python ints
+        otherwise: slower on an adversarial basis, never wrong.
         """
         d = self.dim
         inv_t = transpose(inverse(self.basis))
@@ -150,21 +179,32 @@ class Lattice:
         for row in inv_t:
             b = sqrt_upper(norm_sq(row)) * r_upper
             bounds.append(b.numerator // b.denominator + 1)
-        coeffs = coefficient_box(bounds, "lattice ball enumeration")
+        _box_size(bounds, "lattice ball enumeration")
         den, bi = clear_denominators(self.basis)
         big = max(abs(c) for row in bi for c in row)
         dtype = np.int64 if sum(bounds) ** 2 * d * big * big <= INT64_MAX else object
         basis = np.array(bi, dtype=dtype)
-        k = coeffs.astype(dtype)
-        norms = ((k @ (basis @ basis.T)) * k).sum(axis=1)
+        gram = basis @ basis.T
         limit = r_sq * den * den
-        keep = norms < math.ceil(limit) if strict else norms <= math.floor(limit)
-        x = k[keep] @ basis
+        limit = math.ceil(limit) - 1 if strict else math.floor(limit)
+        rest = coefficient_box(bounds[1:], "lattice ball enumeration").astype(dtype)
+        step = max(1, _BALL_SLAB // len(rest))
+        parts = []
+        for first in range(-bounds[0], bounds[0] + 1, step):
+            heads = np.arange(first, min(first + step, bounds[0] + 1)).astype(dtype)
+            k = np.column_stack([np.repeat(heads, len(rest)), np.tile(rest, (len(heads), 1))])
+            k = k[((k @ gram) * k).sum(axis=1) <= limit]
+            parts.append(k @ basis)
+        x = np.concatenate(parts)
         x = x[np.lexsort(x.T[::-1])]
-        values, where = np.unique(x, return_inverse=True)
-        rats = np.empty(len(values), dtype=object)
-        rats[:] = [Rat(int(v), den) for v in values]
-        return tuple(map(tuple, rats[where.reshape(x.shape)].tolist()))
+        g = math.gcd(den, int(np.gcd.reduce(x, axis=None)))
+        return (den, x) if g == 1 else (den // g, x // g)
+
+    def points_in_ball(self, radius_sq, strict: bool = False) -> tuple:
+        """The points of ball_rows as tuples of Rat, in lexicographic order;
+        each distinct coordinate becomes one Rat, shared by every point
+        that holds it."""
+        return rat_rows(*self.ball_rows(radius_sq, strict))
 
 
 # --- belts ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -9,9 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import spectile
+from spectile import Rat, make, spectrum
 from spectile.cli import main
+from spectile.spectrum import decide_spectral, patch
 
 from conftest import random_generators
 
@@ -619,3 +623,111 @@ def test_imports_leave_scipy_out():
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
     assert len(names) > 10  # every module was imported
+
+
+# the lattice-patches and analyze-catalog shapes and radii of perfbench
+PATCH_RADII = (
+    ("square", "14.0"),
+    ("hexagon", "8.0"),
+    ("cube", "5.0"),
+    ("hexagonal-prism", "3.5"),
+    ("rhombic-dodecahedron", "2.0"),
+    ("elongated-dodecahedron", "1.625"),
+    ("truncated-octahedron", "1.625"),
+)
+ANALYZE_RADII = (
+    ("square", "5.0"),
+    ("hexagon", "5.0"),
+    ("cube", "5.0"),
+    ("hexagonal-prism", "2.0"),
+    ("rhombic-dodecahedron", "1.25"),
+    ("elongated-dodecahedron", "1.125"),
+    ("truncated-octahedron", "1.25"),
+    ("triangle", "5.0"),
+    ("rhombic-icosahedron", "5.0"),
+)
+
+
+def _reference_patch_csv(points) -> bytes:
+    """The patch CSV as it was first written: csv.writer over str(c) of
+    the points' Rat tuples."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for q in points:
+        writer.writerow([str(c) for c in q])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("name, radius", PATCH_RADII + (("hexagon", "40.0"),))
+def test_spectrum_csv_is_the_text_of_the_rat_points(capsys, tmp_path, name, radius):
+    out_file = tmp_path / "patch.csv"
+    code, _, _ = run_cli(capsys, "spectrum", f"catalog:{name}", "--radius", radius, "--output", str(out_file))
+    assert code == 0
+    lattice = decide_spectral(make(name)).spectrum
+    r = Rat(float(radius))
+    points = lattice.points_in_ball(r * r)
+    assert out_file.read_bytes() == _reference_patch_csv(points)
+    assert patch(lattice, float(radius)).points == points
+
+
+def test_analyze_of_a_tiler_builds_no_patch_points(capsys, monkeypatch):
+    def refuse(den, a):
+        raise AssertionError("the points of a lattice patch were built")
+
+    monkeypatch.setattr(spectrum, "rat_rows", refuse)
+    for name in ("hexagon", "truncated-octahedron", "hexagonal-prism"):
+        code, out, err = run_cli(capsys, "analyze", f"catalog:{name}", "--radius", "1.5")
+        assert code == 0, err
+        assert json.loads(out)["verification"]["patch"]["count"] > 1
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _pinned_outputs(capsys, tmp_path) -> dict:
+    """sha256 of the spectrum CSV and stdout at the lattice-patches radii,
+    and of the analyze report without timings at the analyze-catalog radii
+    (dumped as the CLI dumps it)."""
+    out = {}
+    for name, radius in PATCH_RADII:
+        out_file = tmp_path / f"{name}.csv"
+        code, stdout, _ = run_cli(capsys, "spectrum", f"catalog:{name}", "--radius", radius, "--output", str(out_file))
+        assert code == 0
+        out[f"spectrum {name} {radius}"] = (_sha256(out_file.read_bytes()), _sha256(stdout.encode()))
+    for name, radius in ANALYZE_RADII:
+        code, stdout, _ = run_cli(capsys, "analyze", f"catalog:{name}", "--radius", radius)
+        assert code == 0
+        report = json.dumps(strip_timings(json.loads(stdout)), indent=2, sort_keys=True, allow_nan=False)
+        out[f"analyze {name} {radius}"] = _sha256(report.encode())
+    return out
+
+
+# recorded at f827408; a change here is a change of the output contract
+_PINNED_SHA256 = {'analyze cube 5.0': '4b37eaa92a1dad999a0975947370c2ec6171c41d47b7a9e37b61663846f23d96',
+ 'analyze elongated-dodecahedron 1.125': '82311bf6453c21e9a31406b121696ca4c8d574fd747727df8f7cc5ff254138c3',
+ 'analyze hexagon 5.0': '1ed20ee4f2712ecaa71d58f6902a73f3d7eca0b67c0168e52f70cd03a44d157d',
+ 'analyze hexagonal-prism 2.0': 'e5c5d1022deacd5382327739ab54813d34029cc2f4a1aefee5fc815087d65e58',
+ 'analyze rhombic-dodecahedron 1.25': '6d62795b257f408f8c46a39846b0e1c5980363ee7a87d7beb1cd65fe51adb41c',
+ 'analyze rhombic-icosahedron 5.0': '51a8be2e877b51a293ebfb637f2e0236a83ed934251fe7fdba02fdf665fc88b8',
+ 'analyze square 5.0': 'f38620285fd18a91919355372977e457e356da5e923d260fc1190c46418f4a45',
+ 'analyze triangle 5.0': '10c71ea81a29decbd9cd87ec85b5f767b9e662935686d4a2ddf02e75199edb5f',
+ 'analyze truncated-octahedron 1.25': '83d63d471376f66f4630f007f4ab59672149012c441e5bf4ac3014f769f14f38',
+ 'spectrum cube 5.0': ('9f69637e7f0a333aff13990266b31ddae55370d682e15779f90d6b817210a9f0',
+                       '4dd2c87f5714e866ae18bf8ea5be044129c2ae0563bc4439d88ef1e663a22548'),
+ 'spectrum elongated-dodecahedron 1.625': ('1bc2428cf0cba880c61269059723b5edce358445973a9409a3d767efe70e0453',
+                                           'd4756aefadbfb6bb1ee87c624b6e93d45a81a37f02b3d744231b5c93161268d3'),
+ 'spectrum hexagon 8.0': ('e0734ce96ea3fb084d0ab13ec988864d436a147e17bcc69ed4cfbbcdd87cab49',
+                          'dfb979b1a1615b070dc4b1f30fc3183db26e49206a883c900562ac1f9053bb08'),
+ 'spectrum hexagonal-prism 3.5': ('db17b0dde055e8d9c2d5e8a8c32c7b230844d016cf1ce8d861612769fa393e81',
+                                  '6ded6f9e6d3a56ea9aa5e5cd4cfcf87b91dcfe6c44847ecb6f152c745054ab0d'),
+ 'spectrum rhombic-dodecahedron 2.0': ('c180690797150fa08d9b6ccff7c00d5336dfcc6240977b48ab24f7a9031423d6',
+                                       '0681935c6708b79f25d3e345b6b3cd433a1580663e6bed088efef75f071714fa'),
+ 'spectrum square 14.0': ('49e3899f986556d77e2dad81cd337b1656bae44310db4ed6b09b9406bacad7f1',
+                          '187b92e82cec9bcaea2bfff51f33d03ac356c1b233d9bae1ef75620dc197d74f'),
+ 'spectrum truncated-octahedron 1.625': ('8f543fcecebc5bab70af64ce4ec8d8662f96cf08a15e8ffbb0a07e86a605171d',
+                                         '51aae447c83423e50bd51d5edf668db77a82859c19d8443d2b8467a4e99f2239')}
+
+
+def test_spectrum_and_analyze_outputs_are_byte_identical(capsys, tmp_path):
+    assert _pinned_outputs(capsys, tmp_path) == _PINNED_SHA256

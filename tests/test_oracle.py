@@ -82,6 +82,18 @@ def test_mc_volume_blocks_draw_the_samples_of_one_draw(monkeypatch):
     assert mv.estimate == float(np.prod(hi - lo)) * (hits / cfg.count)
 
 
+
+def test_multiplicity_blocks_count_the_samples_of_one_draw(monkeypatch):
+    # blocks of 333 samples, each with its own extremes for the exact
+    # shortcuts, must count what one block of every sample counts
+    p = zonotope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, Rat(1, 2))])
+    taus = [t.tau for t in tau_vectors(p)]
+    cfg = SampleConfig(count=2000 + 17, seed=5)
+    whole = multiplicity_sample(p, taus, cfg)
+    assert whole == _dense_histogram(p, taus, cfg)
+    monkeypatch.setattr(oracle, "_VOLUME_BLOCK", 333)
+    assert multiplicity_sample(p, taus, cfg) == whole
+
 _THREAD_TICKS = """
 import json, os, sys, time
 from pathlib import Path

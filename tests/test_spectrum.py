@@ -882,3 +882,16 @@ def test_separation_of_lattice_patches(hexagon, truncated_octahedron):
     cluster = np.vstack([rng.random((300, 3)) * 1e-6, rng.random((500, 3))])
     assert _separation(cluster) == _separation_reference(cluster.tolist())
 
+
+
+def test_patch_repr_is_the_dataclass_text():
+    # a lattice patch forms its points for the repr; both texts are the
+    # ones the patch had as a frozen dataclass
+    assert repr(make_patch([(Rat(1, 2), 0), (0, 1.5)], 2.0)) == (
+        "SpectrumPatch(points=((Fraction(1, 2), 0), (0, 1.5)), window_radius=2.0, separation=1.5811388300841898)"
+    )
+    lattice = Lattice.from_generators([(Rat(1, 2), 0), (0, 1)])
+    assert repr(patch(lattice, 0.6)) == (
+        "SpectrumPatch(points=((Fraction(-1, 2), Fraction(0, 1)), (Fraction(0, 1), Fraction(0, 1)), "
+        "(Fraction(1, 2), Fraction(0, 1))), window_radius=0.6, separation=0.5)"
+    )

@@ -3,6 +3,7 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -175,7 +176,21 @@ def test_points_in_ball_match_fraction_brute_force_on_catalog_duals(name):
 def test_points_in_ball_match_fraction_brute_force_random_bases(gens, radius_sq, strict):
     assume(det(gens) != 0)
     lattice = Lattice.from_generators(gens)
-    assert lattice.points_in_ball(radius_sq, strict) == _ball_brute_force(lattice, radius_sq, strict)
+    expected = _ball_brute_force(lattice, radius_sq, strict)
+    assert lattice.points_in_ball(radius_sq, strict) == expected
+    # the integer rows over the least common denominator, in the same order
+    den, x = lattice.ball_rows(radius_sq, strict)
+    assert x.dtype == np.int64 and x.shape == (len(expected), len(gens))
+    assert den == math.lcm(*(c.denominator for q in expected for c in q))
+    assert [tuple(Rat(c, den) for c in row) for row in x.tolist()] == list(expected)
+
+
+def test_ball_rows_in_slabs_of_one_layer(monkeypatch):
+    dual = lattice_T(make("truncated-octahedron")).dual()
+    den, x = dual.ball_rows(Rat(9, 4))
+    monkeypatch.setattr(tiling, "_BALL_SLAB", 1)
+    slab_den, slab_x = dual.ball_rows(Rat(9, 4))
+    assert slab_den == den and slab_x.dtype == x.dtype and np.array_equal(slab_x, x)
 
 
 def test_points_in_ball_on_the_sphere_strict_and_not():
