@@ -11,6 +11,7 @@ difference while its error bound is too coarse to decide.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -95,12 +96,19 @@ def _read_patch(path: str, dim: int):
     return pts
 
 
-def _patch_csv(den: int, a) -> str:
+# rows of the patch CSV rendered at a time
+_CSV_BLOCK = 2**14
+
+
+def _write_patch_csv(den: int, a, output: str | None):
     """One CSV row per row of the integer array a over den, each entry
-    written as str(Rat(v, den)), formed once per distinct v."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows(per_entry(a, lambda v: str(Rat(v, den))))
-    return buf.getvalue()
+    written as str(Rat(v, den)), formed once per distinct v of a block.
+    Blocks of _CSV_BLOCK rows go straight to the output, so the text of
+    the whole patch is never held at once."""
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        for lo in range(0, len(a), _CSV_BLOCK):
+            writer.writerows(per_entry(a[lo : lo + _CSV_BLOCK], lambda v: str(Rat(v, den))))
 
 
 # --- subcommands --------------------------------------------------------------
@@ -160,7 +168,7 @@ def _cmd_spectrum(args) -> int:
     rows = patch_rows(verdict.spectrum, args.radius) if verdict.spectrum is not None else None
     sys.stdout.write(json.dumps(head, indent=2, sort_keys=True) + "\n")
     if rows is not None:
-        _write_output(_patch_csv(*rows), args.output)
+        _write_patch_csv(*rows, args.output)
     return 0
 
 

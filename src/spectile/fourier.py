@@ -24,8 +24,13 @@ at a working precision of 128 bits (precision_bits()); it runs on
 mpmath's libmp tuples, with the precision and rounding (to nearest) that
 mpmath's mpf and mpc objects would use, so its values are theirs.  One
 walk evaluates every face: its facet level is the surface transforms and
-its body the indicator.  Decisions over many
-frequencies (spectrum.verify_orthogonality, decay_bound_check) go
+its body the indicator.  It forms each weight <xi, m> / |m| once per
+class of children whose integer m agree up to sign (_hp_classes: a
+zonotope's edges have one class per generator direction), each child
+taking the weight or its exact negation, and it divides by
+-2 pi i |xi_par|^2 with mpc_div's own steps minus the terms of the
+divisor's zero real part (_div_imag).  Decisions over many frequencies
+(spectrum.verify_orthogonality, decay_bound_check) go
 through the float64 batch kernel on integer-scaled frequencies, a
 floating-point filter: a frequency whose float64 bound is too coarse to
 decide is walked again at working precision, and again at 256, 512 and
@@ -45,16 +50,17 @@ from mpmath.libmp import (
     from_int,
     mpc_abs,
     mpc_add,
-    mpc_div,
     mpc_mul_mpf,
     mpf_cos_sin,
     mpf_div,
     mpf_mul,
     mpf_mul_int,
+    mpf_neg,
     mpf_pi,
     mpf_sqrt,
     to_float,
 )
+from mpmath.libmp.libmpf import round_fast
 
 from .errors import DimensionMismatch, NotStandardPosition, ZeroFrequency
 from .geometry import Polytope, memo
@@ -234,7 +240,8 @@ def _batch_level(kind, children, scale, normals, centroids, measure_sq):
     and each face's normal, centroid (scale, integer rows) and squared
     measure."""
     flat = [c for group in children for c in group]
-    m = _primitive_rows([vec for _, vec in flat])
+    gcds = [math.gcd(*vec) for _, vec in flat]
+    m = np.array([[c // g for c in vec] for (_, vec), g in zip(flat, gcds)], dtype=object)
     sizes = np.array([len(group) for group in children])
     lv = {
         "child": np.array([i for i, _ in flat]),
@@ -242,7 +249,7 @@ def _batch_level(kind, children, scale, normals, centroids, measure_sq):
         "m_norm": _norms(m),
         "m_sq": [Rat(idot(vec, vec), scale * scale) for _, vec in flat],
         # the exact scale lam of m = lam * primitive(m)
-        "lam": [next(Rat(c, r * scale) for c, r in zip(vec, row) if r) for (_, vec), row in zip(flat, m)],
+        "lam": [Rat(g, scale) for g in gcds],
         "starts": np.concatenate(([0], np.cumsum(sizes)[:-1])),
         "bounds": [0] + np.cumsum(sizes).tolist(),
         # relative rounding of the weights, the products and the sum
@@ -297,7 +304,7 @@ def _batch_geometry(p: Polytope):
         "v_scale": v_scale,
         "levels": levels,
         # magnitude bounds for _fits_int64
-        "l1": max(sum(abs(c) for c in row) for mat in ints for row in mat),
+        "l1": max(np.abs(mat).sum(axis=1).max() for mat in ints),
         "scale": max([v_scale] + [lv["c_scale"] for lv in faces]),
         "normal_sq": max([1] + [x for lv in faces for x in lv["normal_sq"]]),
     }
@@ -307,24 +314,71 @@ def _batch_geometry(p: Polytope):
 
 
 @memo
-def _hp_roots(p: Polytope, bits: int):
-    """-2 pi, -2 pi i, and per level the square roots of the face measures
-    (with their floats) and of the children's |m|^2, as libmp values at
-    `bits` of precision."""
-    pi = mpf_pi(bits, _RND)
+def _hp_classes(p: Polytope):
+    """Per level, the weight classes of the walk and each face's children.
+
+    Children whose integer m agree up to sign have weights that agree up to
+    sign: a class keeps one row (its primitive m, first nonzero entry
+    positive), its exact lam as (numerator, denominator) and its |m|^2.
+    A face lists its children as (child, class, flip), flip 1 where the
+    child's primitive m is minus the class row."""
     levels = []
     for lv in _batch_geometry(p)["levels"]:
-        measures = [mpf_sqrt(_ratio_t(q.numerator, q.denominator, bits), bits, _RND) for q in lv["measure_sq"]]
-        wdens = [mpf_sqrt(_ratio_t(q.numerator, q.denominator, bits), bits, _RND) for q in lv["m_sq"]]
-        lams = [(q.numerator, q.denominator) for q in lv["lam"]]
-        levels.append((measures, [to_float(m, rnd=_RND) for m in measures], wdens, lams))
+        index, rows, lams, m_sq, klass = {}, [], [], [], []
+        for row, lam, q in zip(lv["m"].tolist(), lv["lam"], lv["m_sq"]):
+            flip = int(next(c for c in row if c) < 0)
+            if flip:
+                row = [-c for c in row]
+            key = (lam.numerator, lam.denominator, *row)
+            k = index.setdefault(key, len(rows))
+            if k == len(rows):
+                rows.append(row)
+                lams.append(key[:2])
+                m_sq.append(q)
+            klass.append((k, flip))
+        child, bounds = lv["child"].tolist(), lv["bounds"]
+        terms = [[(child[j], *klass[j]) for j in range(a, b)] for a, b in zip(bounds, bounds[1:])]
+        levels.append({"rows": np.array(rows, dtype=object), "lams": lams, "m_sq": m_sq, "terms": terms})
+    return levels
+
+
+@memo
+def _hp_roots(p: Polytope, bits: int):
+    """-2 pi, and per level the square roots of the face measures (with
+    their floats) and of the classes' |m|^2, as libmp values at `bits` of
+    precision.  Each distinct square is rooted once."""
+    roots = {}
+
+    def root(q):
+        if q not in roots:
+            roots[q] = mpf_sqrt(_ratio_t(q.numerator, q.denominator, bits), bits, _RND)
+        return roots[q]
+
+    levels = []
+    for lv, cl in zip(_batch_geometry(p)["levels"], _hp_classes(p)):
+        measures = [root(q) for q in lv["measure_sq"]]
+        levels.append((measures, [to_float(m, rnd=_RND) for m in measures], [root(q) for q in cl["m_sq"]]))
     return {
         "eps": _phase_eps(bits),
-        "pi_f": to_float(pi, rnd=_RND),
+        "pi_f": to_float(mpf_pi(bits, _RND), rnd=_RND),
         "m2pi": _minus_two_pi(bits),
-        "m2pi_i": mpc_mul_mpf((fzero, from_int(-2)), pi, bits, _RND),
         "levels": levels,
     }
+
+
+def _div_imag(z, d, bits: int):
+    """z / (i d) for a complex z and a nonzero real d, bit for bit
+    mpc_div(z, (fzero, d), bits, _RND): mpc_div's own steps, with the
+    products of its zero real part dropped.  Its squared modulus d^2 and
+    its numerators b d and -a d are rounded at bits + 10 with its default
+    rounding, the quotients at bits to nearest."""
+    a, b = z
+    wp = bits + 10
+    mag = mpf_mul(d, d, wp, round_fast)
+    return (
+        mpf_div(mpf_mul(b, d, wp, round_fast), mag, bits, _RND),
+        mpf_div(mpf_mul(mpf_neg(a), d, wp, round_fast), mag, bits, _RND),
+    )
 
 
 def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
@@ -337,9 +391,13 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
     Every operand reaches mpmath as integers: a phase as its numerator
     modulo den * scale, |xi_par|^2 as its integer numerator over
     den^2 |n|^2, and a weight <xi, m> / |m| as lam <x, primitive(m)> / den
-    over sqrt(|m|^2).  A child of weight zero is skipped.  The error bound
-    of a combination is the children's bounds through the weights plus
-    3 eps per term and 2 eps for the division.
+    over sqrt(|m|^2).  A weight is formed once per class of _hp_classes
+    (children whose m agree up to sign), and a child takes it or its exact
+    negation: rounding to nearest is symmetric, so that is the value the
+    child's own division gives.  A child of weight zero is skipped.  The
+    error bound of a combination is the children's bounds through the
+    weights plus 3 eps per term and 2 eps for the division by
+    -2 pi i |xi_par|^2, which _div_imag performs as mpc_div would.
 
     The arithmetic is mpmath's own libmp layer on raw (sign, man, exp, bc)
     tuples, one call per operation at `bits` and rounding to nearest, so
@@ -351,8 +409,8 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
     x = np.array([int(c) for c in x], dtype=object)
     den = int(den)
     x_sq = int(x @ x)
-    # per level: the weight numerators <x, primitive(m)>, and the numerators
-    # of |xi_par|^2 over den^2 |n|^2, zero exactly on the flat branch
+    # per level: the numerators of |xi_par|^2 over den^2 |n|^2, zero exactly
+    # on the flat branch
     ints = []
     for lv in g["levels"]:
         if lv["kind"] == "body":  # |xi|^2
@@ -365,10 +423,10 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
                 nums = [ci * ci for ci in c]
             else:  # a facet: |xi|^2 - <xi, n>^2 / |n|^2
                 nums = [x_sq * q - ci * ci for ci, q in zip(c, n_sq)]
-        ints.append(((lv["m"] @ x).tolist(), lv["child"].tolist(), nums, par_dens))
+        ints.append((nums, par_dens))
 
     hp = _hp_roots(p, bits)
-    eps, m2pi, m2pi_i, two_pi_f = hp["eps"], hp["m2pi"], hp["m2pi_i"], 2 * hp["pi_f"]
+    eps, m2pi, two_pi_f = hp["eps"], hp["m2pi"], 2 * hp["pi_f"]
 
     def magnitude(z):
         return to_float(mpc_abs(z, bits, _RND), rnd=_RND)
@@ -379,12 +437,20 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
         z = _phase_t(r, mod, m2pi, bits)
         below.append((z, eps, magnitude(z)))
     levels = [below]
-    for lv, (measures, measures_f, wdens, lams), (coeffs, child, nums, par_dens) in zip(
-        g["levels"], hp["levels"], ints
+    for lv, cl, (measures, measures_f, roots), (nums, par_dens) in zip(
+        g["levels"], _hp_classes(p), hp["levels"], ints
     ):
+        # per class: (the weight, its negation) and the float of |weight|,
+        # or None for weight zero
+        weights = []
+        for c, (num, dnm), w_den in zip((cl["rows"] @ x).tolist(), cl["lams"], roots):
+            if c == 0:
+                weights.append(None)
+                continue
+            w = mpf_div(_ratio_t(num * c, dnm * den, bits), w_den, bits, _RND)
+            weights.append(((w, mpf_neg(w)), abs(to_float(w, rnd=_RND))))
         out = []
-        bounds = lv["bounds"]
-        for f in range(len(nums)):
+        for f, terms in enumerate(cl["terms"]):
             if nums[f] == 0:
                 phase = _phase_t(int(lv["centroid"][f] @ x), den * lv["c_scale"], m2pi, bits)
                 z = mpc_mul_mpf(phase, measures[f], bits, _RND)
@@ -392,17 +458,15 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
                 out.append((z, 2 * eps * measures_f[f], magnitude(z)))
                 continue
             acc, err = (fzero, fzero), 0.0
-            for j in range(bounds[f], bounds[f + 1]):
-                if coeffs[j] == 0:
+            for j, k, flip in terms:
+                weight = weights[k]
+                if weight is None:
                     continue
-                num, dnm = lams[j]
-                w = mpf_div(_ratio_t(num * coeffs[j], dnm * den, bits), wdens[j], bits, _RND)
-                z, e, mag = below[child[j]]
+                (w, aw), (z, e, mag) = (weight[0][flip], weight[1]), below[j]
                 acc = mpc_add(acc, mpc_mul_mpf(z, w, bits, _RND), bits, _RND)
-                aw = abs(to_float(w, rnd=_RND))
                 err += aw * e + aw * (mag + 1) * 3 * eps
             s = _ratio_t(nums[f], par_dens[f], bits)
-            val = mpc_div(acc, mpc_mul_mpf(m2pi_i, s, bits, _RND), bits, _RND)
+            val = _div_imag(acc, mpf_mul(m2pi, s, bits, _RND), bits)
             mag = magnitude(val)
             # an |xi_par|^2 below the normal floats leaves no finite bound
             scale = two_pi_f * to_float(s, rnd=_RND)

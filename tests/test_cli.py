@@ -17,7 +17,7 @@ from spectile import Rat, make, spectrum
 from spectile.cli import main
 from spectile.spectrum import decide_spectral, patch
 
-from conftest import random_generators
+from conftest import random_frequency, random_generators
 
 
 def strip_timings(report: dict) -> dict:
@@ -670,6 +670,19 @@ def test_spectrum_csv_is_the_text_of_the_rat_points(capsys, tmp_path, name, radi
     assert patch(lattice, float(radius)).points == points
 
 
+def test_spectrum_csv_blocks_write_the_same_text(capsys, tmp_path, monkeypatch):
+    # blocks of 7 rows, to a file and to stdout after the JSON head
+    monkeypatch.setattr(spectile.cli, "_CSV_BLOCK", 7)
+    out_file = tmp_path / "patch.csv"
+    code, head, _ = run_cli(capsys, "spectrum", "catalog:hexagon", "--radius", "8", "--output", str(out_file))
+    assert code == 0
+    lattice = decide_spectral(make("hexagon")).spectrum
+    expected = _reference_patch_csv(lattice.points_in_ball(Rat(64)))
+    assert expected.count(b"\n") > 100 and out_file.read_bytes() == expected
+    code, out, _ = run_cli(capsys, "spectrum", "catalog:hexagon", "--radius", "8")
+    assert code == 0 and out.encode() == head.encode() + expected
+
+
 def test_analyze_of_a_tiler_builds_no_patch_points(capsys, monkeypatch):
     def refuse(den, a):
         raise AssertionError("the points of a lattice patch were built")
@@ -687,8 +700,9 @@ def _sha256(data: bytes) -> str:
 
 def _pinned_outputs(capsys, tmp_path) -> dict:
     """sha256 of the spectrum CSV and stdout at the lattice-patches radii,
-    and of the analyze report without timings at the analyze-catalog radii
-    (dumped as the CLI dumps it)."""
+    of the analyze report without timings at the analyze-catalog radii
+    (dumped as the CLI dumps it), and of the fourier CSVs of
+    _fourier_cases."""
     out = {}
     for name, radius in PATCH_RADII:
         out_file = tmp_path / f"{name}.csv"
@@ -700,10 +714,41 @@ def _pinned_outputs(capsys, tmp_path) -> dict:
         assert code == 0
         report = json.dumps(strip_timings(json.loads(stdout)), indent=2, sort_keys=True, allow_nan=False)
         out[f"analyze {name} {radius}"] = _sha256(report.encode())
+    for key, source, xis in _fourier_cases(tmp_path):
+        freq_file, out_file = tmp_path / f"{key}-xi.csv", tmp_path / f"{key}.csv"
+        freq_file.write_text("".join(",".join(str(c) for c in xi) + "\n" for xi in xis))
+        code, _, _ = run_cli(capsys, "fourier", source, "--frequencies", str(freq_file), "--output", str(out_file))
+        assert code == 0
+        out[f"fourier {key}"] = _sha256(out_file.read_bytes())
     return out
 
 
-# recorded at f827408; a change here is a change of the output contract
+def _fourier_cases(tmp_path):
+    """Seeded 2D and 3D zonotopes (as JSON inputs) and one catalog shape,
+    each with random frequencies, 0, a large denominator, and frequencies
+    on the flat branch: along an axis, along a facet normal and orthogonal
+    to a generator."""
+    rng = random.Random(22)
+    for key, count, dim in (("zonotope-2d", 5, 2), ("zonotope-3d", 7, 3), ("truncated-octahedron", None, 3)):
+        if count is None:
+            source, poly = f"catalog:{key}", make(key)
+            gens = [(1, 1, 0), (0, 1, 1)]
+        else:
+            gens = random_generators(rng, count, dim)
+            source = str(tmp_path / f"{key}.json")
+            Path(source).write_text(json.dumps({"zonotope": {"generators": [[str(c) for c in g] for g in gens]}}))
+            poly = spectile.zonotope(gens)
+        xis = [random_frequency(rng, dim) for _ in range(4)] + [(0,) * dim]
+        xis.append(tuple(Rat(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(dim)))
+        xis.append((Rat(rng.randint(1, 9), rng.randint(1, 9)),) + (0,) * (dim - 1))
+        xis += [tuple(Rat(c, 3) for c in poly.facets[f].normal) for f in (0, len(poly.facets) // 2)]
+        g = gens[0]
+        xis.append((-g[1], g[0]) if dim == 2 else (g[1] - g[2], g[2] - g[0], g[0] - g[1]))
+        yield key, source, xis
+
+
+# recorded at f827408 (spectrum, analyze) and cba86e2 (fourier); a change
+# here is a change of the output contract
 _PINNED_SHA256 = {'analyze cube 5.0': '4b37eaa92a1dad999a0975947370c2ec6171c41d47b7a9e37b61663846f23d96',
  'analyze elongated-dodecahedron 1.125': '82311bf6453c21e9a31406b121696ca4c8d574fd747727df8f7cc5ff254138c3',
  'analyze hexagon 5.0': '1ed20ee4f2712ecaa71d58f6902a73f3d7eca0b67c0168e52f70cd03a44d157d',
@@ -726,7 +771,10 @@ _PINNED_SHA256 = {'analyze cube 5.0': '4b37eaa92a1dad999a0975947370c2ec6171c41d4
  'spectrum square 14.0': ('49e3899f986556d77e2dad81cd337b1656bae44310db4ed6b09b9406bacad7f1',
                           '187b92e82cec9bcaea2bfff51f33d03ac356c1b233d9bae1ef75620dc197d74f'),
  'spectrum truncated-octahedron 1.625': ('8f543fcecebc5bab70af64ce4ec8d8662f96cf08a15e8ffbb0a07e86a605171d',
-                                         '51aae447c83423e50bd51d5edf668db77a82859c19d8443d2b8467a4e99f2239')}
+                                         '51aae447c83423e50bd51d5edf668db77a82859c19d8443d2b8467a4e99f2239'),
+ 'fourier zonotope-2d': 'e831b5277099702d749ddc117b722046f18156d9bd022ab3f9fa7cdbf3df19c0',
+ 'fourier zonotope-3d': 'f04330f6f224ca153a101a38a0dcef4b7cb248ba0bd60fe15d0d3621fe45002d',
+ 'fourier truncated-octahedron': '7d77ddba9a750edb1deb7d5f8add2e2e8ecc4712832cb3fdfbb2a828deffa058'}
 
 
 def test_spectrum_and_analyze_outputs_are_byte_identical(capsys, tmp_path):

@@ -5,10 +5,16 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, fzero, mpc_div
 
 from spectile import AffineMap, Rat, zonotope
 from spectile.errors import NotStandardPosition, ZeroFrequency
 from spectile.fourier import (
+    _batch_geometry,
+    _div_imag,
+    _hp_classes,
     _indicator_rows_hp,
     _integer_rows,
     _phase,
@@ -324,14 +330,21 @@ def _walk_reference(p, x, den, bits):
         return levels
 
 
+# two parallel generators: edges and facet children that share a direction
+# but not a length, so their weights fall into different classes
+_PARALLEL_GENERATORS = ((1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+
+
 def _walk_cases():
     """Seeded zonotopes and catalog shapes, each with small, flat-branch and
     10^9-denominator frequencies."""
     from spectile import make
 
     rng = random.Random(23)
-    shapes = [make(n) for n in ("interval", "triangle", "hexagon", "cube", "truncated-octahedron", "rhombic-icosahedron")]
+    names = ("interval", "triangle", "hexagon", "cube", "truncated-octahedron", "rhombic-icosahedron")
+    shapes = [make(n) for n in names + ("rhombic-dodecahedron", "elongated-dodecahedron")]
     shapes += [random_zonotope(rng, k, d) for k, d in ((4, 2), (5, 3), (6, 3))]
+    shapes.append(zonotope(_PARALLEL_GENERATORS))
     for p in shapes:
         d = p.dim
         xis = [random_frequency(rng, d), random_frequency(rng, d, span=50, max_den=97)]
@@ -341,6 +354,60 @@ def _walk_cases():
         xis.append(tuple(Rat(c, 3) for c in p.facets[0].normal))
         xis.append(tuple(Rat(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(d)))
         yield p, xis
+
+
+@pytest.mark.parametrize(
+    "shape, counts",
+    [
+        ("cube", (3, 3, 3)),
+        ("hexagon", (3, 3)),
+        ("triangle", (3, 3)),
+        ("truncated-octahedron", (6, 18, 7)),
+        ("rhombic-dodecahedron", (4, 12, 6)),
+        ("parallel", (4, 11, 6)),
+    ],
+)
+def test_walk_weight_classes(shape, counts):
+    from spectile import make
+
+    p = zonotope(_PARALLEL_GENERATORS) if shape == "parallel" else make(shape)
+    classes = _hp_classes(p)
+    assert tuple(len(cl["lams"]) for cl in classes) == counts
+    # every child is its class row up to the sign flip, with the class's
+    # lam and |m|^2, and each face lists its own children in order
+    for lv, cl in zip(_batch_geometry(p)["levels"], classes):
+        terms = [t for face in cl["terms"] for t in face]
+        assert [j for j, _, _ in terms] == lv["child"].tolist()
+        assert [len(face) for face in cl["terms"]] == np.diff(lv["bounds"]).tolist()
+        for (_, k, flip), row, lam, m_sq in zip(terms, lv["m"].tolist(), lv["lam"], lv["m_sq"]):
+            assert row == [-c if flip else c for c in cl["rows"][k]]
+            assert (lam.numerator, lam.denominator) == cl["lams"][k] and m_sq == cl["m_sq"][k]
+
+
+def _mpf_values(max_exp):
+    """libmp values: zero, or a signed mantissa of up to 1100 bits times a
+    power of two within max_exp."""
+    return st.builds(from_man_exp, st.integers(-(2**1100), 2**1100), st.integers(-max_exp, max_exp))
+
+
+def _m(man, exp):
+    return from_man_exp(man, exp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mpf_values(3000), _mpf_values(3000), _mpf_values(3000).filter(lambda d: d != fzero), st.sampled_from((128, 1024)))
+@example(fzero, fzero, _m(-3, 7), 128)
+@example(_m(-1, -2000), _m(2**1099 + 1, 2000), _m(-(2**129) - 1, 0), 1024)
+# where rounding d^2, b d and -a d at bits + 10 down, not to nearest,
+# decides a last bit of the quotient
+@example(_m(-385146510133324782401896648653, 31), _m(-1086745460028270916204215323121, 15),
+         _m(1090898229246782695580982706883, 17), 128)
+@example(_m(1103542326219654135272654659983, 25), _m(-311070817717476855905068669397, -38),
+         _m(528683260623541898106053758785, 22), 128)
+@example(_m(-1198906774789709922826386307411, 39), _m(-306740908208401733628789465853, -37),
+         _m(872826821621529105614707129043, -49), 128)
+def test_div_imag_is_mpc_div(a, b, d, bits):
+    assert _div_imag((a, b), d, bits) == mpc_div((a, b), (fzero, d), bits, "n")
 
 
 def _flat_faces(p, x):
