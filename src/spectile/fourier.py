@@ -48,11 +48,11 @@ import numpy as np
 from mpmath.libmp import (
     fzero,
     from_int,
-    mpc_abs,
-    mpc_add,
     mpc_mul_mpf,
+    mpf_add,
     mpf_cos_sin,
     mpf_div,
+    mpf_hypot,
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
@@ -403,7 +403,8 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
     tuples, one call per operation at `bits` and rounding to nearest, so
     the values are those of the same expressions on mpmath.mpf and
     mpmath.mpc, without their wrapper objects.  Each face keeps the float
-    of its magnitude, formed once, for the bounds of its parents.
+    of its magnitude, formed once, for the bounds of its parents; a
+    vertex's is 1.0.
     """
     g = _batch_geometry(p)
     x = np.array([int(c) for c in x], dtype=object)
@@ -429,26 +430,26 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
     eps, m2pi, two_pi_f = hp["eps"], hp["m2pi"], 2 * hp["pi_f"]
 
     def magnitude(z):
-        return to_float(mpc_abs(z, bits, _RND), rnd=_RND)
+        return to_float(mpf_hypot(*z, bits, _RND), rnd=_RND)
 
+    # a vertex value is a phase, cos and sin each within an ulp at `bits`:
+    # its modulus, as mpc_abs rounds it, is 1 within a few 2^-bits, far
+    # inside the 2^-54 around 1 that rounds to the float 1.0
     mod = den * g["v_scale"]
-    below = []
-    for r in (g["verts"] @ x).tolist():
-        z = _phase_t(r, mod, m2pi, bits)
-        below.append((z, eps, magnitude(z)))
+    below = [(_phase_t(r, mod, m2pi, bits), eps, 1.0) for r in (g["verts"] @ x).tolist()]
     levels = [below]
     for lv, cl, (measures, measures_f, roots), (nums, par_dens) in zip(
         g["levels"], _hp_classes(p), hp["levels"], ints
     ):
-        # per class: (the weight, its negation) and the float of |weight|,
-        # or None for weight zero
+        # per class: the weight, its negation and the float of |weight|, or
+        # None for weight zero
         weights = []
         for c, (num, dnm), w_den in zip((cl["rows"] @ x).tolist(), cl["lams"], roots):
             if c == 0:
                 weights.append(None)
                 continue
             w = mpf_div(_ratio_t(num * c, dnm * den, bits), w_den, bits, _RND)
-            weights.append(((w, mpf_neg(w)), abs(to_float(w, rnd=_RND))))
+            weights.append((w, mpf_neg(w), abs(to_float(w, rnd=_RND))))
         out = []
         for f, terms in enumerate(cl["terms"]):
             if nums[f] == 0:
@@ -457,16 +458,19 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
                 # the phase costs eps, the rounded measure and product far less
                 out.append((z, 2 * eps * measures_f[f], magnitude(z)))
                 continue
-            acc, err = (fzero, fzero), 0.0
+            # the sum of weight * value, as mpc_add of mpc_mul_mpf would form it
+            re, im, err = fzero, fzero, 0.0
             for j, k, flip in terms:
                 weight = weights[k]
                 if weight is None:
                     continue
-                (w, aw), (z, e, mag) = (weight[0][flip], weight[1]), below[j]
-                acc = mpc_add(acc, mpc_mul_mpf(z, w, bits, _RND), bits, _RND)
+                (zr, zi), e, mag = below[j]
+                w, aw = weight[flip], weight[2]
+                re = mpf_add(re, mpf_mul(zr, w, bits, _RND), bits, _RND)
+                im = mpf_add(im, mpf_mul(zi, w, bits, _RND), bits, _RND)
                 err += aw * e + aw * (mag + 1) * 3 * eps
             s = _ratio_t(nums[f], par_dens[f], bits)
-            val = _div_imag(acc, mpf_mul(m2pi, s, bits, _RND), bits)
+            val = _div_imag((re, im), mpf_mul(m2pi, s, bits, _RND), bits)
             mag = magnitude(val)
             # an |xi_par|^2 below the normal floats leaves no finite bound
             scale = two_pi_f * to_float(s, rnd=_RND)
