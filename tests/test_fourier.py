@@ -55,6 +55,17 @@ def test_phase_beyond_two_to_the_128():
             assert abs(got - ref) <= _phase_eps(128)
 
 
+def test_phase_magnitude_is_the_float_one():
+    # the walk takes 1.0 as the magnitude float of every vertex phase
+    rng = random.Random(12)
+    for bits in (128, 256, 512, 1024):
+        for _ in range(300):
+            mod = rng.randrange(1, 10 ** rng.randint(1, 40))
+            num = rng.randrange(-(10**45), 10**45)
+            with mpmath.workprec(bits):
+                assert float(abs(_phase(num, mod))) == 1.0
+
+
 def test_sin_pi_exact_reduction():
     # the cone check's sin(pi q) = -Im e^{-2 pi i q / 2}, reduced modulo 2 in integers
     def sin_pi(q):
