@@ -366,15 +366,20 @@ def _hp_roots(p: Polytope, bits: int):
     }
 
 
-def _div_imag(z, d, bits: int):
-    """z / (i d) for a complex z and a nonzero real d, bit for bit
-    mpc_div(z, (fzero, d), bits, _RND): mpc_div's own steps, with the
-    products of its zero real part dropped.  Its squared modulus d^2 and
-    its numerators b d and -a d are rounded at bits + 10 with its default
-    rounding, the quotients at bits to nearest."""
-    a, b = z
+def _imag_divisor(d, bits: int):
+    """For a nonzero real d, the divisor i d of _div_imag: d and its square
+    as mpc_div forms it, at bits + 10 with its default rounding."""
+    return d, mpf_mul(d, d, bits + 10, round_fast)
+
+
+def _div_imag(z, divisor, bits: int):
+    """z / (i d) for a complex z and divisor = _imag_divisor(d, bits), bit
+    for bit mpc_div(z, (fzero, d), bits, _RND): mpc_div's own steps, with
+    the products of its zero real part dropped.  Its numerators b d and
+    -a d are rounded at bits + 10 with its default rounding, as d^2 is,
+    and the quotients at bits to nearest."""
+    (a, b), (d, mag) = z, divisor
     wp = bits + 10
-    mag = mpf_mul(d, d, wp, round_fast)
     return (
         mpf_div(mpf_mul(b, d, wp, round_fast), mag, bits, _RND),
         mpf_div(mpf_mul(mpf_neg(a), d, wp, round_fast), mag, bits, _RND),
@@ -397,7 +402,8 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
     child's own division gives.  A child of weight zero is skipped.  The
     error bound of a combination is the children's bounds through the
     weights plus 3 eps per term and 2 eps for the division by
-    -2 pi i |xi_par|^2, which _div_imag performs as mpc_div would.
+    -2 pi i |xi_par|^2, which _div_imag performs as mpc_div would; faces
+    with equal |xi_par|^2 share its divisor.
 
     The arithmetic is mpmath's own libmp layer on raw (sign, man, exp, bc)
     tuples, one call per operation at `bits` and rounding to nearest, so
@@ -428,6 +434,9 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
 
     hp = _hp_roots(p, bits)
     eps, m2pi, two_pi_f = hp["eps"], hp["m2pi"], 2 * hp["pi_f"]
+    # per distinct |xi_par|^2 (parallel edges and opposite facets share
+    # one): the divisor of _div_imag and the float 2 pi |xi_par|^2
+    divisors = {}
 
     def magnitude(z):
         return to_float(mpf_hypot(*z, bits, _RND), rnd=_RND)
@@ -469,11 +478,14 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
                 re = mpf_add(re, mpf_mul(zr, w, bits, _RND), bits, _RND)
                 im = mpf_add(im, mpf_mul(zi, w, bits, _RND), bits, _RND)
                 err += aw * e + aw * (mag + 1) * 3 * eps
-            s = _ratio_t(nums[f], par_dens[f], bits)
-            val = _div_imag((re, im), mpf_mul(m2pi, s, bits, _RND), bits)
+            key = (nums[f], par_dens[f])
+            if key not in divisors:
+                s = _ratio_t(*key, bits)
+                divisors[key] = (_imag_divisor(mpf_mul(m2pi, s, bits, _RND), bits), two_pi_f * to_float(s, rnd=_RND))
+            divisor, scale = divisors[key]
+            val = _div_imag((re, im), divisor, bits)
             mag = magnitude(val)
             # an |xi_par|^2 below the normal floats leaves no finite bound
-            scale = two_pi_f * to_float(s, rnd=_RND)
             err = err / scale if scale >= sys.float_info.min else math.inf
             out.append((val, err + (mag + 1) * 2 * eps, mag))
         levels.append(out)

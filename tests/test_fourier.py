@@ -15,6 +15,7 @@ from spectile.fourier import (
     _batch_geometry,
     _div_imag,
     _hp_classes,
+    _imag_divisor,
     _indicator_rows_hp,
     _integer_rows,
     _phase,
@@ -405,7 +406,7 @@ def _m(man, exp):
     return from_man_exp(man, exp)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(_mpf_values(3000), _mpf_values(3000), _mpf_values(3000).filter(lambda d: d != fzero), st.sampled_from((128, 1024)))
 @example(fzero, fzero, _m(-3, 7), 128)
 @example(_m(-1, -2000), _m(2**1099 + 1, 2000), _m(-(2**129) - 1, 0), 1024)
@@ -418,7 +419,7 @@ def _m(man, exp):
 @example(_m(-1198906774789709922826386307411, 39), _m(-306740908208401733628789465853, -37),
          _m(872826821621529105614707129043, -49), 128)
 def test_div_imag_is_mpc_div(a, b, d, bits):
-    assert _div_imag((a, b), d, bits) == mpc_div((a, b), (fzero, d), bits, "n")
+    assert _div_imag((a, b), _imag_divisor(d, bits), bits) == mpc_div((a, b), (fzero, d), bits, "n")
 
 
 def _flat_faces(p, x):
