@@ -402,22 +402,30 @@ def _mpf_values(max_exp):
     return st.builds(from_man_exp, st.integers(-(2**1100), 2**1100), st.integers(-max_exp, max_exp))
 
 
-def _m(man, exp):
-    return from_man_exp(man, exp)
-
-
 @settings(max_examples=60, deadline=None)
 @given(_mpf_values(3000), _mpf_values(3000), _mpf_values(3000).filter(lambda d: d != fzero), st.sampled_from((128, 1024)))
-@example(fzero, fzero, _m(-3, 7), 128)
-@example(_m(-1, -2000), _m(2**1099 + 1, 2000), _m(-(2**129) - 1, 0), 1024)
+@example(fzero, fzero, from_man_exp(-3, 7), 128)
+@example(from_man_exp(-1, -2000), from_man_exp(2**1099 + 1, 2000), from_man_exp(-(2**129) - 1, 0), 1024)
 # where rounding d^2, b d and -a d at bits + 10 down, not to nearest,
 # decides a last bit of the quotient
-@example(_m(-385146510133324782401896648653, 31), _m(-1086745460028270916204215323121, 15),
-         _m(1090898229246782695580982706883, 17), 128)
-@example(_m(1103542326219654135272654659983, 25), _m(-311070817717476855905068669397, -38),
-         _m(528683260623541898106053758785, 22), 128)
-@example(_m(-1198906774789709922826386307411, 39), _m(-306740908208401733628789465853, -37),
-         _m(872826821621529105614707129043, -49), 128)
+@example(
+    from_man_exp(-385146510133324782401896648653, 31),
+    from_man_exp(-1086745460028270916204215323121, 15),
+    from_man_exp(1090898229246782695580982706883, 17),
+    128,
+)
+@example(
+    from_man_exp(1103542326219654135272654659983, 25),
+    from_man_exp(-311070817717476855905068669397, -38),
+    from_man_exp(528683260623541898106053758785, 22),
+    128,
+)
+@example(
+    from_man_exp(-1198906774789709922826386307411, 39),
+    from_man_exp(-306740908208401733628789465853, -37),
+    from_man_exp(872826821621529105614707129043, -49),
+    128,
+)
 def test_div_imag_is_mpc_div(a, b, d, bits):
     assert _div_imag((a, b), _imag_divisor(d, bits), bits) == mpc_div((a, b), (fzero, d), bits, "n")
 
