@@ -18,19 +18,19 @@ each value carries an a-posteriori bound for the rounding.
 The recursion runs as a level walk over one memoized integer face
 geometry, built from the polytope's integer vertex array: vertices, then
 edges (3D), facets and the body, each level combining the values of the
-one below.  The walk has two arithmetics.  Values (ft_indicator,
-ft_surface, ft_with_boundary, asymptotic_cone_check) come from _walk_hp
-at a working precision of 128 bits (precision_bits()); it runs on
-mpmath's libmp tuples, with the precision and rounding (to nearest) that
-mpmath's mpf and mpc objects would use, so its values are theirs.  One
-walk evaluates every face: its facet level is the surface transforms and
-its body the indicator.  It forms each weight <xi, m> / |m| once per
-class of children whose integer m agree up to sign (_hp_classes: a
-zonotope's edges have one class per generator direction), each child
-taking the weight or its exact negation, and it divides by
--2 pi i |xi_par|^2 with mpc_div's own steps minus the terms of the
-divisor's zero real part (_div_imag).  Decisions over many frequencies
-(spectrum.verify_orthogonality, decay_bound_check) go
+one below.  Each level groups its children into weight classes, those
+whose integer m agree up to sign (a zonotope's edges have one class per
+generator direction); the walk forms each weight <xi, m> / |m| once per
+class, and each child takes the weight or its exact negation.  The walk
+has two arithmetics.  Values (ft_indicator, ft_surface, ft_with_boundary,
+asymptotic_cone_check) come from _walk_hp at a working precision of 128
+bits (precision_bits()); it runs on mpmath's libmp tuples, with the
+precision and rounding (to nearest) that mpmath's mpf and mpc objects
+would use, so its values are theirs.  One walk evaluates every face: its
+facet level is the surface transforms and its body the indicator.  It
+divides by -2 pi i |xi_par|^2 with mpc_div's own steps minus the terms of
+the divisor's zero real part (_div_imag).  Decisions over many
+frequencies (spectrum.verify_orthogonality, decay_bound_check) go
 through the float64 batch kernel on integer-scaled frequencies, a
 floating-point filter: a frequency whose float64 bound is too coarse to
 decide is walked again at working precision, and again at 256, 512 and
@@ -202,12 +202,17 @@ def _phase_eps(bits: int) -> float:
 # One memoized integer geometry serves both evaluators.  It has the vertices
 # and one level per face dimension above them (edges in 3D, the facets, the
 # body), each face in Polytope.faces order.  A level lists the children of
-# every parent contiguously, each with its (unnormalized) relative outward
-# normal m = lam * primitive(m), and each face's normal (an edge's
-# direction), centroid and exact squared measure.  Points are integer rows
-# over one scale per level.  A frequency is a row X over a denominator D,
-# so every phase, weight numerator and projects-to-zero test below is an
-# exact integer product.
+# every parent contiguously, and each face's normal (an edge's direction),
+# centroid and exact squared measure.  A child's (unnormalized) relative
+# outward normal is m = +-lam * row for the row and lam > 0 of its weight
+# class, the row primitive with its first nonzero entry positive: children
+# whose m agree up to sign have weights <xi, m> / |m| that agree up to sign,
+# so both evaluators form a weight once per class.  A class keeps its row,
+# the row's float norm, lam as (numerator, denominator) and |m|^2; a child
+# keeps its class and its sign, -1 where m is -lam * row (flip 1 in its
+# face's terms).  Points are integer rows over one scale per level.  A
+# frequency is a row X over a denominator D, so every phase, weight
+# numerator and projects-to-zero test below is an exact integer product.
 
 _UNIT = 2.0**-53  # float64 unit roundoff
 
@@ -235,23 +240,32 @@ def _least_form(scale, rows):
 
 
 def _batch_level(kind, children, scale, normals, centroids, measure_sq):
-    """One level: the children (index, m) of every parent, contiguous so that
-    np.add.reduceat sums them, with each integer m standing for m / scale;
-    and each face's normal, centroid (scale, integer rows) and squared
-    measure."""
-    flat = [c for group in children for c in group]
-    gcds = [math.gcd(*vec) for _, vec in flat]
-    m = np.array([[c // g for c in vec] for (_, vec), g in zip(flat, gcds)], dtype=object)
-    sizes = np.array([len(group) for group in children])
+    """One level: the children (index, m) of every parent as (child, class,
+    flip) terms, contiguous so that np.add.reduceat sums them, with each
+    integer m standing for m / scale; its weight classes; and each face's
+    normal, centroid (scale, integer rows) and squared measure."""
+    index, terms = {}, []
+    for group in children:
+        face = []
+        for j, vec in group:
+            g = math.gcd(*vec)
+            flip = int(next(c for c in vec if c) < 0)
+            key = (g, tuple(c // (-g if flip else g) for c in vec))
+            face.append((j, index.setdefault(key, len(index)), flip))
+        terms.append(face)
+    sizes = np.array([len(face) for face in terms])
+    child, klass, flip = np.array([t for face in terms for t in face]).T
+    rows = np.array([row for _, row in index], dtype=object)
     lv = {
-        "child": np.array([i for i, _ in flat]),
-        "m": m,
-        "m_norm": _norms(m),
-        "m_sq": [Rat(idot(vec, vec), scale * scale) for _, vec in flat],
-        # the exact scale lam of m = lam * primitive(m)
-        "lam": [Rat(g, scale) for g in gcds],
+        "child": child,
+        "klass": klass,
+        "sign": 1.0 - 2.0 * flip,
+        "terms": terms,
+        "rows": rows,
+        "row_norm": _norms(rows),
+        "lams": [(g // math.gcd(g, scale), scale // math.gcd(g, scale)) for g, _ in index],
+        "m_sq": [Rat(g * g * idot(row, row), scale * scale) for g, row in index],
         "starts": np.concatenate(([0], np.cumsum(sizes)[:-1])),
-        "bounds": [0] + np.cumsum(sizes).tolist(),
         # relative rounding of the weights, the products and the sum
         "rho": (sizes + 8) * _UNIT,
         "kind": kind,
@@ -298,7 +312,7 @@ def _batch_geometry(p: Polytope):
     body["measure"] = np.array([float(p.volume)])
     levels.append(body)
     faces = levels[:-1]
-    ints = [verts] + [lv["m"] for lv in levels] + [lv[n] for lv in faces for n in ("normal", "centroid")]
+    ints = [verts] + [lv["rows"] for lv in levels] + [lv[n] for lv in faces for n in ("normal", "centroid")]
     return {
         "verts": verts,
         "v_scale": v_scale,
@@ -314,39 +328,10 @@ def _batch_geometry(p: Polytope):
 
 
 @memo
-def _hp_classes(p: Polytope):
-    """Per level, the weight classes of the walk and each face's children.
-
-    Children whose integer m agree up to sign have weights that agree up to
-    sign: a class keeps one row (its primitive m, first nonzero entry
-    positive), its exact lam as (numerator, denominator) and its |m|^2.
-    A face lists its children as (child, class, flip), flip 1 where the
-    child's primitive m is minus the class row."""
-    levels = []
-    for lv in _batch_geometry(p)["levels"]:
-        index, rows, lams, m_sq, klass = {}, [], [], [], []
-        for row, lam, q in zip(lv["m"].tolist(), lv["lam"], lv["m_sq"]):
-            flip = int(next(c for c in row if c) < 0)
-            if flip:
-                row = [-c for c in row]
-            key = (lam.numerator, lam.denominator, *row)
-            k = index.setdefault(key, len(rows))
-            if k == len(rows):
-                rows.append(row)
-                lams.append(key[:2])
-                m_sq.append(q)
-            klass.append((k, flip))
-        child, bounds = lv["child"].tolist(), lv["bounds"]
-        terms = [[(child[j], *klass[j]) for j in range(a, b)] for a, b in zip(bounds, bounds[1:])]
-        levels.append({"rows": np.array(rows, dtype=object), "lams": lams, "m_sq": m_sq, "terms": terms})
-    return levels
-
-
-@memo
 def _hp_roots(p: Polytope, bits: int):
     """-2 pi, and per level the square roots of the face measures (with
-    their floats) and of the classes' |m|^2, as libmp values at `bits` of
-    precision.  Each distinct square is rooted once."""
+    their floats) and of the weight classes' |m|^2, as libmp values at
+    `bits` of precision.  Each distinct square is rooted once."""
     roots = {}
 
     def root(q):
@@ -355,9 +340,9 @@ def _hp_roots(p: Polytope, bits: int):
         return roots[q]
 
     levels = []
-    for lv, cl in zip(_batch_geometry(p)["levels"], _hp_classes(p)):
+    for lv in _batch_geometry(p)["levels"]:
         measures = [root(q) for q in lv["measure_sq"]]
-        levels.append((measures, [to_float(m, rnd=_RND) for m in measures], [root(q) for q in cl["m_sq"]]))
+        levels.append((measures, [to_float(m, rnd=_RND) for m in measures], [root(q) for q in lv["m_sq"]]))
     return {
         "eps": _phase_eps(bits),
         "pi_f": to_float(mpf_pi(bits, _RND), rnd=_RND),
@@ -395,9 +380,9 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
 
     Every operand reaches mpmath as integers: a phase as its numerator
     modulo den * scale, |xi_par|^2 as its integer numerator over
-    den^2 |n|^2, and a weight <xi, m> / |m| as lam <x, primitive(m)> / den
-    over sqrt(|m|^2).  A weight is formed once per class of _hp_classes
-    (children whose m agree up to sign), and a child takes it or its exact
+    den^2 |n|^2, and a weight <xi, m> / |m| as lam <x, row> / den over
+    sqrt(|m|^2) for the row and lam of its weight class (_batch_level).  A
+    weight is formed once per class, and a child takes it or its exact
     negation: rounding to nearest is symmetric, so that is the value the
     child's own division gives.  A child of weight zero is skipped.  The
     error bound of a combination is the children's bounds through the
@@ -447,20 +432,18 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
     mod = den * g["v_scale"]
     below = [(_phase_t(r, mod, m2pi, bits), eps, 1.0) for r in (g["verts"] @ x).tolist()]
     levels = [below]
-    for lv, cl, (measures, measures_f, roots), (nums, par_dens) in zip(
-        g["levels"], _hp_classes(p), hp["levels"], ints
-    ):
+    for lv, (measures, measures_f, roots), (nums, par_dens) in zip(g["levels"], hp["levels"], ints):
         # per class: the weight, its negation and the float of |weight|, or
         # None for weight zero
         weights = []
-        for c, (num, dnm), w_den in zip((cl["rows"] @ x).tolist(), cl["lams"], roots):
+        for c, (num, dnm), w_den in zip((lv["rows"] @ x).tolist(), lv["lams"], roots):
             if c == 0:
                 weights.append(None)
                 continue
             w = mpf_div(_ratio_t(num * c, dnm * den, bits), w_den, bits, _RND)
             weights.append((w, mpf_neg(w), abs(to_float(w, rnd=_RND))))
         out = []
-        for f, terms in enumerate(cl["terms"]):
+        for f, terms in enumerate(lv["terms"]):
             if nums[f] == 0:
                 phase = _phase_t(int(lv["centroid"][f] @ x), den * lv["c_scale"], m2pi, bits)
                 z = mpc_mul_mpf(phase, measures[f], bits, _RND)
@@ -562,7 +545,12 @@ def _cis(num, mod):
 def _batch_combine(lv, x, den, den_f, x_sq, z, e):
     """One level of _walk_hp for every row and every parent, given the
     children's values z and error bounds e."""
-    w = (x @ lv["m"].astype(x.dtype).T).astype(float) / (den_f[:, None] * lv["m_norm"])
+    # the weights per class, then per child: the int -> float conversion and
+    # the division are sign-symmetric and the product with -1.0 is exact, so
+    # a flipped child gets what its own division gives, once adding 0.0 has
+    # made a flipped zero weight +0.0 again
+    w = (x @ lv["rows"].astype(x.dtype).T).astype(float) / (den_f[:, None] * lv["row_norm"])
+    w = w[:, lv["klass"]] * lv["sign"] + 0.0
     zc, ec = z[:, lv["child"]], e[:, lv["child"]]
     aw = np.abs(w)
     acc = np.add.reduceat(w * zc, lv["starts"], axis=1)
@@ -602,6 +590,14 @@ def _batch_combine(lv, x, den, den_f, x_sq, z, e):
     return val, err
 
 
+def _int_array(a):
+    """An integer array as numpy holds it when that is int64, else as exact
+    Python ints: numpy reads ints beyond int64 as uint64, or as float64
+    when some are negative."""
+    arr = np.asarray(a)
+    return arr if arr.dtype == np.int64 else np.array(a, dtype=object)
+
+
 def _indicator_batch(p: Polytope, X, D):
     """float64 values of 1^_P(X[i] / D[i]) and their error bounds, as two
     arrays, for integer rows X and positive integer denominators D.
@@ -612,20 +608,22 @@ def _indicator_batch(p: Polytope, X, D):
     sends to working precision (_indicator_rows_hp).
     """
     g = _batch_geometry(p)
-    X = np.array(X, dtype=object).reshape(-1, p.dim)
-    D = np.array(D, dtype=object)
+    X = _int_array(X).reshape(-1, p.dim)
+    D = _int_array(D)
     val = np.zeros(len(D), dtype=complex)
     err = np.full(len(D), math.inf)
     for lo in range(0, len(D), _CHUNK):
         x, den = X[lo : lo + _CHUNK], D[lo : lo + _CHUNK]
         rows = slice(lo, lo + len(den))
-        if _fits_int64(g, p.dim, max(abs(c) for c in x.flat), max(den)):
+        # exact at INT64_MIN, where np.abs wraps
+        if _fits_int64(g, p.dim, max(int(x.max()), -int(x.min())), int(den.max())):
             x, den = x.astype(np.int64), den.astype(np.int64)
         else:
-            rows = lo + np.flatnonzero([_fits_float(g, p.dim, max(map(abs, r)), d) for r, d in zip(x, den)])
-            x, den = X[rows], D[rows]
-            if not len(den):
+            x, den = x.astype(object), den.astype(object)
+            keep = np.flatnonzero([_fits_float(g, p.dim, max(map(abs, r)), d) for r, d in zip(x, den)])
+            if not len(keep):
                 continue
+            rows, x, den = lo + keep, x[keep], den[keep]
         den_f = den.astype(float)
         x_sq = (x * x).sum(axis=1)
         z = _cis(x @ g["verts"].astype(x.dtype).T, (den * g["v_scale"])[:, None])

@@ -163,10 +163,11 @@ class Lattice:
         k G k^T <= floor(R^2 den^2), or < ceil(R^2 den^2) when strict; no
         float prefilter is involved.  The box is tested in slabs of whole
         layers along its first axis, _BALL_SLAB candidates at most, so the
-        temporaries stay small whatever the radius.  Integer rows over one
-        positive den sort as the points do, so np.lexsort orders X = k Bi;
-        dividing X and den by the gcd of den and every entry leaves the
-        least common denominator.  X is int64 when
+        temporaries stay small whatever the radius.  The rows need no sort:
+        Bi is a Hermite normal form, upper triangular with positive pivots,
+        so X = k Bi orders lexicographically as k does, and the slabs give
+        k in lexicographic order.  Dividing X and den by the gcd of den and
+        every entry leaves the least common denominator.  X is int64 when
         (sum b_i)^2 d max|Bi|^2, which bounds every k G k^T, every entry of
         X and every partial sum formed, fits, and holds Python ints
         otherwise: slower on an adversarial basis, never wrong.
@@ -196,7 +197,6 @@ class Lattice:
             k = k[((k @ gram) * k).sum(axis=1) <= limit]
             parts.append(k @ basis)
         x = np.concatenate(parts)
-        x = x[np.lexsort(x.T[::-1])]
         g = math.gcd(den, int(np.gcd.reduce(x, axis=None)))
         return (den, x) if g == 1 else (den // g, x // g)
 

@@ -14,7 +14,6 @@ from spectile.errors import NotStandardPosition, ZeroFrequency
 from spectile.fourier import (
     _batch_geometry,
     _div_imag,
-    _hp_classes,
     _imag_divisor,
     _indicator_rows_hp,
     _integer_rows,
@@ -29,7 +28,7 @@ from spectile.fourier import (
     surface_area_upper,
     surface_decay_bound,
 )
-from spectile.linalg import det, norm_sq, transpose, vdot
+from spectile.linalg import cross3, det, idot, norm_sq, transpose, vdot, vsub
 from spectile.oracle import simplex_ft
 
 from conftest import random_frequency, random_generators, random_zonotope
@@ -272,11 +271,34 @@ def test_zero_frequency_guard(cube, square):
 # --- the working-precision walk against its mpmath-object form ---------------
 
 
+def _level_children(p):
+    """Per level of the face geometry (the edges in 3D, the facets, the
+    body), each face's children as (index, m) with m an integer vector over
+    the level's scale, recomputed from the polytope: an edge's endpoints
+    take +-(V[j] - V[i]), a facet's edges cross3(edge, normal) around its
+    cycle, the body's facets their normals."""
+    v_scale, V = p.integer_vertices
+    edges = p.faces(1) if p.dim >= 2 else []
+    levels = []
+    if edges:
+        levels.append(([[(j, vsub(V[j], V[i])), (i, vsub(V[i], V[j]))] for i, j in edges], v_scale))
+    if p.dim == 3:
+        index = {e: k for k, e in enumerate(edges)}
+        faces = []
+        for f in p.facets:
+            cycle = list(zip(f.indices, f.indices[1:] + f.indices[:1]))
+            faces.append([(index[tuple(sorted(e))], cross3(vsub(V[e[1]], V[e[0]]), f.normal)) for e in cycle])
+        levels.append((faces, v_scale))
+    levels.append(([list(enumerate(f.normal for f in p.facets))], 1))
+    return levels
+
+
 def _walk_reference(p, x, den, bits):
     """The level walk written on mpmath.mpf / mpmath.mpc objects, with cos
-    and sin taken separately: the form _walk_hp had before it moved to libmp
-    tuples, kept as the reference its values and bounds must equal bit for
-    bit."""
+    and sin taken separately and one weight <xi, m> / |m| per child from
+    _level_children: the form _walk_hp had before it moved to libmp tuples
+    and weight classes, kept as the reference its values and bounds must
+    equal bit for bit."""
     from spectile.fourier import _batch_geometry
 
     def ratio(num, den):
@@ -302,35 +324,30 @@ def _walk_reference(p, x, den, bits):
                 nums = [ci * ci for ci in c]
             else:
                 nums = [x_sq * q - ci * ci for ci, q in zip(c, n_sq)]
-        ints.append(((lv["m"] @ x).tolist(), lv["child"].tolist(), nums, par_dens))
+        ints.append((nums, par_dens))
     with mpmath.workprec(bits):
         eps = _phase_eps(bits)
         pi = +mpmath.pi
         pi_f, m2pi_i = float(pi), mpmath.mpc(0, -2) * pi
-        roots = [
-            (
-                [mpmath.sqrt(ratio(q.numerator, q.denominator)) for q in lv["measure_sq"]],
-                [mpmath.sqrt(ratio(q.numerator, q.denominator)) for q in lv["m_sq"]],
-            )
-            for lv in g["levels"]
-        ]
         mod = den * g["v_scale"]
         below = [(phase(r, mod), eps) for r in (g["verts"] @ x).tolist()]
         levels = [below]
-        for lv, (measures, wdens), (coeffs, child, nums, par_dens) in zip(g["levels"], roots, ints):
+        for lv, (faces, scale), (nums, par_dens) in zip(g["levels"], _level_children(p), ints):
+            measures = [mpmath.sqrt(ratio(q.numerator, q.denominator)) for q in lv["measure_sq"]]
             out = []
-            for f in range(len(nums)):
+            for f, children in enumerate(faces):
                 if nums[f] == 0:
                     ph = phase(int(lv["centroid"][f] @ x), den * lv["c_scale"])
                     out.append((measures[f] * ph, 2 * eps * float(measures[f])))
                     continue
                 acc, err = mpmath.mpc(0), 0.0
-                for j in range(lv["bounds"][f], lv["bounds"][f + 1]):
-                    if coeffs[j] == 0:
+                for j, m in children:
+                    coeff = idot(x.tolist(), m)
+                    if coeff == 0:
                         continue
-                    lam = lv["lam"][j]
-                    w = ratio(lam.numerator * coeffs[j], lam.denominator * den) / wdens[j]
-                    z, e = below[child[j]]
+                    # <x / den, m / scale> over |m / scale|
+                    w = ratio(coeff, scale * den) / mpmath.sqrt(ratio(idot(m, m), scale * scale))
+                    z, e = below[j]
                     acc = acc + w * z
                     aw = abs(float(w))
                     err += aw * e + aw * (float(abs(z)) + 1) * 3 * eps
@@ -383,17 +400,17 @@ def test_walk_weight_classes(shape, counts):
     from spectile import make
 
     p = zonotope(_PARALLEL_GENERATORS) if shape == "parallel" else make(shape)
-    classes = _hp_classes(p)
-    assert tuple(len(cl["lams"]) for cl in classes) == counts
-    # every child is its class row up to the sign flip, with the class's
-    # lam and |m|^2, and each face lists its own children in order
-    for lv, cl in zip(_batch_geometry(p)["levels"], classes):
-        terms = [t for face in cl["terms"] for t in face]
-        assert [j for j, _, _ in terms] == lv["child"].tolist()
-        assert [len(face) for face in cl["terms"]] == np.diff(lv["bounds"]).tolist()
-        for (_, k, flip), row, lam, m_sq in zip(terms, lv["m"].tolist(), lv["lam"], lv["m_sq"]):
-            assert row == [-c if flip else c for c in cl["rows"][k]]
-            assert (lam.numerator, lam.denominator) == cl["lams"][k] and m_sq == cl["m_sq"][k]
+    levels = _batch_geometry(p)["levels"]
+    assert tuple(len(lv["lams"]) for lv in levels) == counts
+    # every child is +-lam times its class row, with the class's |m|^2, and
+    # each face lists its own children in order
+    for lv, (faces, scale) in zip(levels, _level_children(p)):
+        assert [[j for j, _, _ in face] for face in lv["terms"]] == [[j for j, _ in face] for face in faces]
+        for face, children in zip(lv["terms"], faces):
+            for (_, k, flip), (_, m) in zip(face, children):
+                (num, dnm), row = lv["lams"][k], lv["rows"][k]
+                assert [Rat(c, scale) for c in m] == [Rat((-num if flip else num) * c, dnm) for c in row]
+                assert lv["m_sq"][k] == Rat(idot(m, m), scale * scale)
 
 
 def _mpf_values(max_exp):

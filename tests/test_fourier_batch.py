@@ -2,6 +2,7 @@
 and the simplex oracle within its own bounds, the cancellation branch and
 its fallback, the int64/object-int paths, and the certified reports."""
 
+import hashlib
 import math
 import random
 
@@ -30,7 +31,7 @@ from spectile.linalg import cross3, vsub
 from spectile.oracle import simplex_ft
 from spectile.spectrum import decide_spectral, make_patch, patch, verify_orthogonality
 
-from conftest import random_generators
+from conftest import random_frequency, random_generators, random_zonotope
 
 rationals = st.builds(Rat, st.integers(-40, 40), st.integers(1, 12))
 
@@ -149,6 +150,49 @@ BENCH_RADII = {
     "elongated-dodecahedron": 1.125,
     "truncated-octahedron": 1.25,
 }
+
+
+def _kernel_pin_inputs():
+    """Batches for the kernel pin: the differences of the benchmark's seven
+    patches, a seeded zonotope's decay samples, rows of Python ints beyond
+    int64 (one beyond float64 range), and int64 rows at its extremes."""
+    for name in sorted(BENCH_RADII):
+        p = make(name)
+        den, U = patch(decide_spectral(p).spectrum, BENCH_RADII[name])._differences
+        yield "bench patches", p, U, [den] * len(U)
+    rng = random.Random(29)
+    p = random_zonotope(rng, 6, 3)
+    yield "zonotope decay samples", p, *_integer_rows([random_frequency(rng, 3) for _ in range(1000)])
+    X = [[rng.randint(-(2**70), 2**70) >> rng.randrange(0, 72) for _ in range(3)] for _ in range(600)]
+    D = [rng.randint(1, 2**66) >> rng.randrange(0, 66) or 1 for _ in range(600)]
+    X += [[-(2**63), 5, 7], [2**63, -1, 0], [2**62 - 57, 3 * 2**62, -(2**62)], [1, 2, 3]]
+    D += [3, 2**63 + 1, 2**61 + 1, 10**200]
+    yield "rows beyond int64", make("truncated-octahedron"), X, D
+    # ints in [2^63, 2^64) beside negative ones, which numpy reads as float64
+    yield "rows beyond int64", make("cube"), [[2**63, -1, 0], [3, -4, 5]], [7, 2**63 + 3]
+    # int64 arrays at its extremes: INT64_MIN's magnitude does not fit
+    cube = make("cube")
+    yield "int64 extremes", cube, np.array([[-(2**63), 5, 7], [4, -9, 2]]), np.array([3, 7])
+    yield "int64 extremes", cube, np.array([[2**63 - 1, -3, 1]]), np.array([2**62 + 1])
+
+
+# sha256 of val.tobytes() + err.tobytes() per batch, recorded before the
+# kernel's weights were grouped by class: each value and bound is pinned
+# bit for bit, not only the maxima that reach the reports
+_KERNEL_SHA256 = {
+    "bench patches": "11e604a3f1deab0bd8309617ed16b5c8ccea625a884def6819ee2f1654416bbf",
+    "zonotope decay samples": "a81549c26cddbf1e8863865704c7866d47827bca2ba3198cbfde18e048c57296",
+    "rows beyond int64": "ed670a7492e1f9e7eec8de244dd775e779c9c97c4c296c555bef8b8e5028f9f6",
+    "int64 extremes": "30fcbc39d1104d6d1499f53f8053106f57c75ebdc3f8ec0788a6a73e822a4843",
+}
+
+
+def test_float64_kernel_values_and_bounds_pinned():
+    digests = {}
+    for key, p, X, D in _kernel_pin_inputs():
+        val, err = _indicator_batch(p, X, D)
+        digests.setdefault(key, hashlib.sha256()).update(val.tobytes() + err.tobytes())
+    assert {key: h.hexdigest() for key, h in digests.items()} == _KERNEL_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_RADII))
