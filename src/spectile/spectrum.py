@@ -63,7 +63,8 @@ __all__ = [
 ]
 
 
-# pair differences are formed this many rows at a time (_pair_blocks)
+# pair differences (_pair_blocks) and _separation's index pairs are formed
+# about this many at a time
 _BLOCK = 1 << 15
 
 
@@ -87,8 +88,9 @@ class SpectrumPatch:
     a second conversion.  A lattice patch (patch) is built from its
     enumerated rows alone, points None and _forms its (den, A); its points,
     tuples of Rat in lexicographic order, are formed on first use.
-    separation is the smallest nonzero distance between two points (see
-    _separation).
+    separation is the smallest nonzero distance between two points, taken
+    on their float64 rows (_separation): two distinct points closer than
+    about 1e-162 count as coincident, their squared distance being 0.0.
 
     Every coordinate must be finite and within float range, however the
     patch is built (PreconditionFailed otherwise).  The distinct
@@ -154,14 +156,34 @@ def _integer_form(den: int, a):
     return den, a
 
 
-def _patch_forms(points):
-    """(den, A): the points of a patch as the exact rows of A / den
-    (_integer_form).
+def _all_floats(points) -> bool:
+    return bool(points) and all(type(c) is float for q in points for c in q)
 
-    Each coordinate is read exactly (linalg.clear_denominators), a float as
-    its binary rational.  PreconditionFailed for a coordinate that is
-    infinite or NaN, or beyond float range.
+
+def _patch_forms(points, floats=None):
+    """(den, A): the points of a patch as the exact rows of A / den
+    (_integer_form), a float read as its binary rational.
+
+    All-float input x (floats: np.array(points, dtype=float), if formed)
+    converts at once: np.frexp gives x = M 2^(e - 53) with M an integer
+    whose lowest set bit 2^(t - 1) makes x's denominator 2^(54 - e - t);
+    den = 2^K for the largest, and A = np.ldexp(x, K) fits int64 when
+    e + K <= 63 for every nonzero x, as |x| < 2^e.  Anything else (other
+    types, a non-finite float, an A past int64) goes through
+    linalg.clear_denominators, which gives the same (den, A) for floats.
+    PreconditionFailed for a coordinate that is infinite, NaN or beyond
+    float range.
     """
+    if floats is None and _all_floats(points):
+        floats = np.array(points, dtype=float)
+    if floats is not None and np.isfinite(floats).all():
+        mant, e = np.frexp(floats)
+        mant = np.ldexp(mant, 53).astype(np.int64)
+        _, t = np.frexp(mant & -mant)
+        nonzero = floats != 0
+        k = int(np.max(54 - e - t, where=nonzero, initial=0))
+        if np.max(e, where=nonzero, initial=-k) + k <= 63:
+            return _integer_form(1 << k, np.ldexp(floats, k).astype(np.int64))
     n, d = len(points), len(points[0]) if points else 0
     try:
         den, ints = clear_denominators(points)
@@ -177,23 +199,6 @@ def _patch_forms(points):
     return _integer_form(den, a.reshape(n, d))
 
 
-def _closest(a, i, j, stop) -> float:
-    """The smallest nonzero squared distance sum((a[i] - a[k])**2) over the
-    pairs i, k with j <= k < stop, inf when there is none; i, j and stop
-    are index arrays, walked one step of k at a time."""
-    best = math.inf
-    while True:
-        live = j < stop
-        i, j, stop = i[live], j[live], stop[live]
-        if not len(i):
-            return best
-        d2 = np.sum((a[i] - a[j]) ** 2, axis=-1)
-        d2 = d2[d2 > 0]
-        if d2.size:
-            best = min(best, float(d2.min()))
-        j = j + 1
-
-
 # cells per axis of the _separation grid: the rounding in the cell indices
 # of two rows then adds up to at most 2^19 * 2^-51 = 2.4e-10 of a cell,
 # well inside the 1e-9 margin, and three indices code into one int64
@@ -201,20 +206,23 @@ _GRID = 2**19
 
 
 def _grid(a, h2: float):
-    """(code, forward): one int64 code per row of a, for its cell in the
+    """(code, columns): one int64 code per row of a, for its cell in the
     grid of side sqrt(h2) (1 + 1e-9), widened where needed to keep _GRID
-    cells per axis, and the code steps to the (3^d - 1)/2 forward
-    neighbour cells.  Without such a grid (more than three coordinates, or
-    an infinite side) every row gets one code and there are no steps."""
+    cells per axis, and the code offsets P of the (3^(d-1) + 1)/2 columns
+    of three cells along the last axis, codes code + P - 1 to code + P + 1,
+    that hold a row's own cell and its (3^d - 1)/2 forward neighbour cells
+    (the own column also holds the backward cell code - 1).  Without such
+    a grid (more than three coordinates, or an infinite side) every row
+    gets one code and there is one column, P = 0."""
     n, d = a.shape
     low = a.min(axis=0)
     side = max(math.sqrt(h2) * (1 + 1e-9), float((a.max(axis=0) - low).max()) / (_GRID - 3))
     if d > 3 or not math.isfinite(side):
-        return np.zeros(n, dtype=np.int64), []
-    places = _GRID ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    code = (np.floor((a - low) / side).astype(np.int64) + 1) @ places
-    steps = itertools.product((-1, 0, 1), repeat=d)
-    return code, [int(np.dot(o, places)) for o in steps if o > (0,) * d]
+        return np.zeros(n, dtype=np.int64), [0]
+    places = [_GRID**k for k in range(d - 1, -1, -1)]
+    code = (np.floor((a - low) / side).astype(np.int64) + 1) @ np.array(places)
+    heads = itertools.product((-1, 0, 1), repeat=d - 1)
+    return code, [sum(x * p for x, p in zip(o, places)) for o in heads if o >= (0,) * (d - 1)]
 
 
 @np.errstate(over="ignore")
@@ -225,8 +233,10 @@ def _separation(a) -> float:
     The result equals, bit for bit, the minimum of
     sqrt(np.sum((a_i - a_j)**2, axis=-1)) over all pairs with a nonzero
     value, but only pairs that can be closest are evaluated, each with
-    that same arithmetic.  Every coordinate is finite (make_patch); a
-    difference that overflows is inf apart.
+    that same arithmetic: np.sum adds up to seven columns from left to
+    right, as the loop over at most three here does (wider rows take
+    np.sum).  Every coordinate is finite (make_patch); a difference that
+    overflows is inf apart.
 
     The nearest neighbour of the row closest to the centroid gives h2, the
     computed squared distance of a real pair, so the result is at most
@@ -237,31 +247,49 @@ def _separation(a) -> float:
     is below h2 has every computed squared coordinate difference below
     h2, subnormals included; its two cells then differ by at most one in
     every index.  Each row is paired with the later rows of its own cell
-    and with every row of the (3^d - 1)/2 forward neighbour cells, whose
-    rows searchsorted finds; the loop runs over the cell occupancy.  Rows
-    of more than three coordinates, and point sets with no finite h2 or an
+    and with every row of the (3^d - 1)/2 forward neighbour cells.  These
+    are the rows after it in its own column of three consecutive codes
+    and all rows of the forward columns (_grid): one searchsorted pair
+    finds the row range of every column of a chunk of rows, and np.repeat
+    expands the ranges into index pairs about _BLOCK at a time, which
+    bounds memory however many rows share a cell.  Rows of
+    more than three coordinates, and point sets with no finite h2 or an
     overflowing range, share one cell, so that every pair is evaluated; so
-    does, in effect, a cluster much smaller than the grid's cells, which
-    is correct but walks the cluster's pairs.
+    does, in effect, a cluster much smaller than the grid's cells.
 
     scipy.spatial.cKDTree would find the pairs too, but importing it adds
     about 37 MB of resident memory and 0.57 s to every run.
     """
     if len(a) < 2 or a.shape[1] == 0:
         return math.inf
-    n, d = a.shape
+    n = len(a)
     centre = np.argmin(np.sum((a - a.mean(axis=0)) ** 2, axis=-1))
     near = np.sum((a - a[centre]) ** 2, axis=-1)
-    h2 = float(near[near > 0].min(initial=math.inf))
-    code, forward = _grid(a, h2)
+    best = float(near[near > 0].min(initial=math.inf))
+    code, columns = _grid(a, best)
     order = np.argsort(code)
-    a, code = a[order], code[order]
-    rows = np.arange(n)
-    best = min(h2, _closest(a, rows, rows + 1, np.searchsorted(code, code, "right")))
-    for offset in forward:
-        target = code + offset
-        lo, hi = np.searchsorted(code, target, "left"), np.searchsorted(code, target, "right")
-        best = min(best, _closest(a, rows, lo, hi))
+    code, a = code[order], a[order]
+    cols, columns = a.T.copy(), np.array(columns)[:, None]
+    chunk = _BLOCK // len(columns)
+    for first in range(0, n, chunk):
+        rows = np.arange(first, min(first + chunk, n))
+        lo = np.searchsorted(code, (code[rows] + (columns - 1)).ravel(), "left")
+        hi = np.searchsorted(code, (code[rows] + (columns + 1)).ravel(), "right")
+        lo[: len(rows)] = rows + 1  # in its own column, a row meets the later rows only
+        count, row = hi - lo, np.tile(rows, len(columns))
+        ends = np.cumsum(count)
+        cuts = np.flatnonzero(np.diff(ends // _BLOCK)) + 1
+        for s, t in zip((0, *cuts), (*cuts, len(ends))):
+            c = count[s:t]
+            i = np.repeat(row[s:t], c)
+            k = np.repeat(lo[s:t] - (ends[s:t] - c), c) + np.arange(ends[s] - c[0], ends[t - 1])
+            if len(cols) > 3:  # np.sum's own order, pairwise from eight columns on
+                d2 = np.sum((a[i] - a[k]) ** 2, axis=-1)
+            else:
+                d2 = (cols[0][i] - cols[0][k]) ** 2
+                for col in cols[1:]:
+                    d2 += (col[i] - col[k]) ** 2
+            best = min(best, float(np.min(d2, where=d2 > 0, initial=math.inf)))
     return math.sqrt(best)
 
 
@@ -300,7 +328,8 @@ def _float64_rows(den: int, a):
 def make_patch(points, window_radius: float | None = None) -> SpectrumPatch:
     """The patch of the given points, each converted once (_patch_forms).
 
-    separation is read from the float64 rows of A / den (_float64_rows).
+    separation is read from the float64 rows: the points themselves when
+    all are Python floats, else those of A / den (_float64_rows).
     Without a window radius the window is centred at the points' exact
     centroid c and takes the largest |q - c| (_centred_radius).
     PreconditionFailed for a coordinate that is infinite, NaN or beyond
@@ -308,7 +337,8 @@ def make_patch(points, window_radius: float | None = None) -> SpectrumPatch:
     a given one that is infinite, NaN or negative.
     """
     pts = tuple(tuple(p) for p in points)
-    forms = _patch_forms(pts)
+    floats = np.array(pts, dtype=float) if _all_floats(pts) else None
+    forms = _patch_forms(pts, floats)
     if window_radius is None:
         try:
             window_radius = _centred_radius(*forms)
@@ -319,7 +349,8 @@ def make_patch(points, window_radius: float | None = None) -> SpectrumPatch:
             ) from None
     window_radius = float(window_radius)
     require_finite(window_radius, "window radius", non_negative=True)
-    return SpectrumPatch(pts, window_radius, _separation(_float64_rows(*forms)), _forms=forms)
+    rows = _float64_rows(*forms) if floats is None else floats
+    return SpectrumPatch(pts, window_radius, _separation(rows), _forms=forms)
 
 
 def dual_lattice(lattice: Lattice) -> Lattice:

@@ -163,11 +163,14 @@ class Lattice:
         k G k^T <= floor(R^2 den^2), or < ceil(R^2 den^2) when strict; no
         float prefilter is involved.  The box is tested in slabs of whole
         layers along its first axis, _BALL_SLAB candidates at most, so the
-        temporaries stay small whatever the radius.  The rows need no sort:
-        Bi is a Hermite normal form, upper triangular with positive pivots,
-        so X = k Bi orders lexicographically as k does, and the slabs give
-        k in lexicographic order.  Dividing X and den by the gcd of den and
-        every entry leaves the least common denominator.  X is int64 when
+        temporaries stay small whatever the radius.  Each slab keeps its k in
+        the smallest integer dtype that holds the box bounds; X is allocated
+        once and filled slab by slab, so the peak stays near X itself.  The
+        rows need no sort: Bi is a Hermite normal form, upper triangular
+        with positive pivots, so X = k Bi orders lexicographically as k
+        does, and the slabs give k in lexicographic order.  Dividing X (in
+        place) and den by the gcd of den and every entry leaves the least
+        common denominator.  X is int64 when
         (sum b_i)^2 d max|Bi|^2, which bounds every k G k^T, every entry of
         X and every partial sum formed, fits, and holds Python ints
         otherwise: slower on an adversarial basis, never wrong.
@@ -188,17 +191,20 @@ class Lattice:
         gram = basis @ basis.T
         limit = r_sq * den * den
         limit = math.ceil(limit) - 1 if strict else math.floor(limit)
-        rest = coefficient_box(bounds[1:], "lattice ball enumeration").astype(dtype)
+        small = np.min_scalar_type(-max(bounds))
+        rest = coefficient_box(bounds[1:], "lattice ball enumeration").astype(small)
         step = max(1, _BALL_SLAB // len(rest))
-        parts = []
+        kept = []
         for first in range(-bounds[0], bounds[0] + 1, step):
-            heads = np.arange(first, min(first + step, bounds[0] + 1)).astype(dtype)
+            heads = np.arange(first, min(first + step, bounds[0] + 1), dtype=small)
             k = np.column_stack([np.repeat(heads, len(rest)), np.tile(rest, (len(heads), 1))])
-            k = k[((k @ gram) * k).sum(axis=1) <= limit]
-            parts.append(k @ basis)
-        x = np.concatenate(parts)
+            kept.append(k[((k @ gram) * k).sum(axis=1) <= limit])
+        x, end = np.empty((sum(map(len, kept)), d), dtype=dtype), 0
+        for k in kept:
+            x[end : end + len(k)] = k @ basis
+            end += len(k)
         g = math.gcd(den, int(np.gcd.reduce(x, axis=None)))
-        return (den, x) if g == 1 else (den // g, x // g)
+        return (den, x) if g == 1 else (den // g, np.floor_divide(x, g, out=x))
 
     def points_in_ball(self, radius_sq, strict: bool = False) -> tuple:
         """The points of ball_rows as tuples of Rat, in lexicographic order;

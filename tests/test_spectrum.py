@@ -776,6 +776,12 @@ def separation_inputs(draw):
 @example([(0.0, 0.0), (1e200, 0.0), (1e200, 1e185)])  # squares that overflow
 @example([(1e308, 0.0), (-1e308, 0.0), (0.0, 1.0)])  # a range that overflows
 @example([(math.nan, 0.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, 0.0), (0.0, 0.5)])  # rejected
+# the range overflows, so all 302 points share one cell: 45,451 pairs, two blocks of _BLOCK
+@example([(1e308, 0.0), (-1e308, 0.0)] + [(i % 19 / 19, (i * 0.618034) % 1.0) for i in range(300)])
+@example([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (10.0, 10.0, 10.0)])  # a row with empty forward cells
+# eight coordinates, which np.sum adds pairwise: the closest pair is the last two
+@example([(0.0,) * 8, (-120.56, -3.85, -7.17, 3.0, -5.45, -10.43, 2.07, 8.14), (64.0,) + (0.0,) * 7,
+          (56.56, 3.85, 7.17, -3.0, 5.45, 10.43, -2.07, -8.14)])
 @given(separation_inputs())
 def test_separation_matches_the_pair_loop(pts):
     if not np.isfinite(_float_rows(pts)).all():
@@ -850,6 +856,55 @@ def test_patch_floats_round_each_coordinate_once(patch_and_dim):
     with mock.patch.object(spectrum, "_separation", lambda rows: seen.append(rows) or 0.0):
         make_patch(pts, 1.0)
     assert seen[0].dtype == np.float64 and seen[0].tolist() == _float_rows(pts).tolist()
+
+
+def _generic_forms(pts):
+    """The (den, A) that clear_denominators and _integer_form give."""
+    den, ints = clear_denominators(pts)
+    try:
+        a = np.array(ints, dtype=np.int64)
+    except OverflowError:
+        a = np.array(ints, dtype=object)
+    return spectrum._integer_form(den, a.reshape(len(pts), len(pts[0])))
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@example([(-0.0, 0.0), (0.0, -0.0)])
+@example([(5e-324,)])  # a subnormal: den 2^1074
+@example([(5e-324, 0.0), (-5e-324, 1e-300)])
+@example([(3.0, -7.0), (2.0**62, 0.0)])  # integral floats: den 1, A past twice int64
+@example([(0.1, 0.2, 0.3)])  # one point
+@example([(0.5, 1.5e-302)])  # A far past int64
+@example([(1e300, 0.1)])  # the scaled entries pass int64: Python ints
+@example([(-(2.0**63), 0.0)])  # A = INT64_MIN
+@example([(2.0**63, 0.0)])  # A one bit past int64
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(st.tuples(*[finite_floats] * d), min_size=1, max_size=12)))
+def test_float_patch_forms_equal_clear_denominators(pts):
+    # the whole-array conversion of a float patch gives the exact form
+    den, a = spectrum._patch_forms(tuple(pts))
+    ref_den, ref = _generic_forms(pts)
+    assert den == ref_den and a.dtype == ref.dtype and a.tolist() == ref.tolist()
+    assert not a.flags.writeable
+
+
+def test_patch_forms_take_clear_denominators_for_other_input():
+    seen = []
+    with mock.patch.object(spectrum, "clear_denominators", lambda rows: seen.append(rows) or clear_denominators(rows)):
+        assert spectrum._patch_forms(((0.5, -0.25), (3.0, 0.0)))[0] == 4  # all floats: numpy
+        assert not seen
+        for pts in (((0.5, Rat(1, 3)), (0.25, 1.0)), ((0.5, 1),), ((1e300, 0.1),), (), ((np.float64(0.5),),)):
+            seen.clear()
+            den, a = spectrum._patch_forms(pts)
+            assert seen == [pts]
+            if pts:
+                ref_den, ref = _generic_forms(pts)
+                assert den == ref_den and a.dtype == ref.dtype and a.tolist() == ref.tolist()
+        with pytest.raises(PreconditionFailed, match="finite"):
+            spectrum._patch_forms(((0.5, math.inf),))
+        assert seen[-1] == ((0.5, math.inf),)
 
 
 def test_c2_fails_an_overflowing_product():
