@@ -131,6 +131,14 @@ def _ratio_of(c) -> tuple:
     return int(c.numerator), int(c.denominator)
 
 
+def integer_ratios(entries) -> list:
+    """(numerator, denominator) of each entry of a list (clear_denominators)."""
+    try:
+        return [c.as_integer_ratio() for c in entries]
+    except AttributeError:  # a numpy int
+        return [_ratio_of(c) for c in entries]
+
+
 def clear_denominators(rows) -> tuple:
     """(den, ints): rational rows as Python-int rows over the lcm of all
     their denominators, rows[i][j] == ints[i][j] / den exactly.  Rows may
@@ -138,12 +146,9 @@ def clear_denominators(rows) -> tuple:
     for NaN, OverflowError for an infinity), anything else through
     numerator and denominator, so numpy ints work too.
 
-    One pass reads every entry's ratio (as_integer_ratio, which numpy ints
-    lack), and the lcm is taken over the distinct denominators."""
-    try:
-        pairs = [[c.as_integer_ratio() for c in r] for r in rows]
-    except AttributeError:  # a numpy int
-        pairs = [[_ratio_of(c) for c in r] for r in rows]
+    One pass reads every entry's ratio (integer_ratios), and the lcm is
+    taken over the distinct denominators."""
+    pairs = [integer_ratios(r) for r in rows]
     den = math.lcm(*{b for r in pairs for _, b in r})
     return den, [[a * (den // b) for a, b in r] for r in pairs]
 
@@ -213,38 +218,39 @@ def solve(m: Mat, b: Vec) -> Vec | None:
     return tuple(aug[i][n] for i in range(n))
 
 
+def _exact_rows(rows) -> list:
+    """rows with every entry coerced as rational() does, ints and Rats as they are."""
+    return [[x if isinstance(x, (int, Rat)) else rational(x) for x in r] for r in rows]
+
+
+def adjugate_rows(b) -> tuple:
+    """(det, C) for a square integer matrix b of size <= 3 (as det): the
+    rows C_j of its transposed adjugate, <b_i, C_j> = det [i == j].  A
+    smaller b is padded with an identity block, which changes neither."""
+    n = len(b)
+    if n > 3:
+        raise ValueError("determinant implemented for n <= 3")
+    m = [tuple(r) + (0,) * (3 - n) for r in b] + [tuple(int(i == k) for i in range(3)) for k in range(n, 3)]
+    c = (cross3(m[1], m[2]), cross3(m[2], m[0]), cross3(m[0], m[1]))
+    return idot(m[0], c[0]), [r[:n] for r in c[:n]]
+
+
 def inverse(m: Mat) -> Mat:
-    n = len(m)
-    cols = [solve(m, tuple(Rat(1) if i == j else ZERO for i in range(n))) for j in range(n)]
-    if any(c is None for c in cols):
+    """Exact inverse of a rational matrix of size <= 3, entries coerced as
+    rational() does; ValueError when singular.  With m cleared once to
+    integer rows B / den, it is den adj(B) / det(B), from Python ints."""
+    den, b = clear_denominators(_exact_rows(m))
+    d, c = adjugate_rows(b)
+    if d == 0:
         raise ValueError("singular matrix")
-    return transpose(tuple(cols))
+    return tuple(tuple(Rat(den * x, d) for x in col) for col in zip(*c))
 
 
 def rank(rows) -> int:
-    """Rank of a list of rational row vectors.
-
-    Entries are coerced with rational(), so integer rows are eliminated
-    exactly rather than by float division; floats are refused.
-    """
-    work = [[rational(x) for x in r] for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col] / work[r][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
+    """Rank of a list of rational row vectors, entries coerced as rational()
+    does: the length of the Hermite normal form (hnf) of the rows cleared
+    once to integer rows, in Python ints alone."""
+    return len(hnf(clear_denominators(_exact_rows(rows))[1]))
 
 
 def affine_rank(points) -> int:
@@ -305,11 +311,12 @@ def hnf_rational(generators) -> tuple:
     Clears denominators by their lcm D, runs the integer HNF, and scales
     back by 1/D; the result is the canonical basis of the same group.
     """
-    gens = [g for g in generators if not is_zero_vec(g)]
-    if not gens:
-        return ()
-    den, int_rows = clear_denominators(gens)
-    return tuple(tuple(Rat(x, den) for x in row) for row in hnf(int_rows))
+    return rat_hnf(*clear_denominators(generators))
+
+
+def rat_hnf(den: int, rows) -> tuple:
+    """hnf_rational of the integer rows over den, for any common denominator."""
+    return tuple(tuple(Rat(x, den) for x in row) for row in hnf(rows))
 
 
 def angular_sort(items, plane_vectors) -> list:

@@ -28,7 +28,6 @@ from .linalg import (
     hnf_rational,
     idot,
     norm_sq,
-    rank,
     rational,
     sqrt_upper,
     vsub,
@@ -144,10 +143,9 @@ def multiplicity_sample(p: Polytope, generators, cfg: SampleConfig) -> Multiplic
     every translate at every sample.  The products are _times's,
     so samples and counts are the same on every CPU.
     """
-    gens = [tuple(rational(c) for c in g) for g in generators]
-    if not gens or rank(gens) < p.dim:
+    basis = hnf_rational([tuple(rational(c) for c in g) for g in generators])
+    if len(basis) < p.dim:
         raise RankDeficient("generators do not span the space")
-    basis = hnf_rational(gens)
     rng = np.random.default_rng(cfg.seed)
     bmat = np.array([[float(c) for c in row] for row in basis])
 

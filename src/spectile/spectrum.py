@@ -40,7 +40,7 @@ from .fourier import (
     precision_bits,
 )
 from .geometry import Polytope, facet_widths, memo
-from .linalg import INT64_MAX, Rat, clear_denominators, norm_sq, primitive, vdot
+from .linalg import INT64_MAX, Rat, clear_denominators, integer_ratios, norm_sq, primitive, vdot
 from .tiling import Lattice, TilingReport, is_prism, lattice_T, rat_rows, venkov_mcmullen
 
 __all__ = [
@@ -68,8 +68,8 @@ __all__ = [
 _BLOCK = 1 << 15
 
 
-def _abs_max(a) -> int:
-    return int(np.abs(a).max()) if a.size else 0
+def _abs_max(a) -> int:  # exact at INT64_MIN
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 class SpectrumPatch:
@@ -147,7 +147,7 @@ def _integer_form(den: int, a):
     twice its largest magnitude fits, so that every difference does, and
     Python ints otherwise; A is read-only.  PreconditionFailed for an entry
     beyond float range."""
-    big = max(int(a.max()), -int(a.min())) if a.size else 0
+    big = _abs_max(a)
     if big >= den * _FLOAT_OVERFLOW:
         i, k = np.argwhere(abs(a) >= den * _FLOAT_OVERFLOW)[0]
         raise PreconditionFailed(f"patch coordinate {k} of point {i} is beyond float range")
@@ -169,10 +169,11 @@ def _patch_forms(points, floats=None):
     whose lowest set bit 2^(t - 1) makes x's denominator 2^(54 - e - t);
     den = 2^K for the largest, and A = np.ldexp(x, K) fits int64 when
     e + K <= 63 for every nonzero x, as |x| < 2^e.  Anything else (other
-    types, a non-finite float, an A past int64) goes through
-    linalg.clear_denominators, which gives the same (den, A) for floats.
-    PreconditionFailed for a coordinate that is infinite, NaN or beyond
-    float range.
+    types, a non-finite float, an A past int64) reads each entry's p / q
+    once (linalg.integer_ratios), den = lcm(q), and A = p (den / q) in
+    int64 when den and max|p| max(den / q) fit, Python ints otherwise:
+    the (den, A) of linalg.clear_denominators.  PreconditionFailed for a
+    coordinate that is infinite, NaN or beyond float range.
     """
     if floats is None and _all_floats(points):
         floats = np.array(points, dtype=float)
@@ -185,17 +186,26 @@ def _patch_forms(points, floats=None):
         if np.max(e, where=nonzero, initial=-k) + k <= 63:
             return _integer_form(1 << k, np.ldexp(floats, k).astype(np.int64))
     n, d = len(points), len(points[0]) if points else 0
+    if len(set(map(len, points))) > 1:
+        raise ValueError("patch points differ in length")
     try:
-        den, ints = clear_denominators(points)
+        pairs = integer_ratios([c for q in points for c in q])
     except (ValueError, OverflowError):  # a NaN or an infinity
         for q in points:
             if not all(math.isfinite(c) for c in q if isinstance(c, float)):
                 raise PreconditionFailed(f"patch coordinates must be finite, got {q}") from None
         raise
-    try:
-        a = np.array(ints, dtype=np.int64)
+    nums, dens = zip(*pairs) if pairs else ((), ())
+    den = math.lcm(*set(dens))
+    try:  # OverflowError for a numerator past int64
+        num = np.array(nums, dtype=np.int64)
+        fits = den <= INT64_MAX and _abs_max(num) * (den // min(dens, default=1)) <= INT64_MAX
     except OverflowError:
-        a = np.array(ints, dtype=object)
+        fits = False
+    if fits:
+        a = num * (den // np.array(dens, dtype=np.int64))
+    else:
+        a = np.array([x * (den // q) for x, q in pairs], dtype=object)
     return _integer_form(den, a.reshape(n, d))
 
 
@@ -307,8 +317,18 @@ def _centred_radius(den: int, a) -> float:
     centroid, sum(x ** 2 for x in q - c) ** 0.5 with each coordinate of
     q - c rounded once; 0.0 for no points.  OverflowError for a value
     beyond float range.  With c = 0, as for a lattice ball, this is the
-    largest |q| on the float64 rows of the patch."""
-    n, rows = len(a), a.tolist()
+    largest |q| on the float64 rows of the patch.  A coordinate of q - c
+    is (n x - t) / (n den), t its column total: numpy divides when
+    2 n max(|A|, den) <= 2^53 makes both exact in float64, and adds each
+    row left to right; squares and root stay Python's pow, which need not
+    round as np.square and np.sqrt do."""
+    n = len(a)
+    if a.dtype == np.int64 and 2 * n * max(_abs_max(a), den) <= 2**53:
+        q = (n * a - a.sum(axis=0)) / (n * den)
+        squares = np.reshape(list(map(pow, q.ravel().tolist(), itertools.repeat(2))), q.shape)
+        sums = sum(squares.T, np.zeros(n))
+        return max(map(pow, sums.tolist(), itertools.repeat(0.5)), default=0.0)
+    rows = a.tolist()
     total = [sum(col) for col in zip(*rows)]
     return max(
         (sum(((n * x - t) / (n * den)) ** 2 for x, t in zip(q, total)) ** 0.5 for q in rows),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -24,16 +25,14 @@ from .geometry import Polytope, facet_widths, memo
 from .linalg import (
     INT64_MAX,
     Rat,
+    adjugate_rows,
     angular_sort,
     clear_denominators,
     cross3,
-    det,
     hnf_rational,
     idot,
-    inverse,
-    norm_sq,
     primitive,
-    rank,
+    rat_hnf,
     solve,
     sqrt_upper,
     transpose,
@@ -111,7 +110,8 @@ class Lattice:
 
     The canonical form (echelon, positive pivots, reduced entries, scaled
     by the common denominator) is unique per lattice, so equality of Lattice
-    objects is equality of the lattices as point sets.
+    objects is equality of the lattices as point sets.  The exact algebra
+    reads the basis cleared once to integer rows, _cleared, not the Rats.
     """
 
     basis: tuple
@@ -131,14 +131,20 @@ class Lattice:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _cleared(self) -> tuple:
+        """(den, Bi, det, C): the basis Bi / den, det and C = adjugate_rows(Bi)."""
+        den, bi = clear_denominators(self.basis)
+        return (den, bi, *adjugate_rows(bi))
+
     @property
     def covolume(self):
-        return abs(det(self.basis))
+        return Rat(abs(self._cleared[2]), self._cleared[0] ** self.dim)
 
     def dual(self) -> "Lattice":
         """All vectors with integer inner products against the lattice."""
-        m = transpose(inverse(self.basis))
-        return Lattice.from_generators(tuple(m))
+        den, _, d, c = self._cleared  # +-v generate one group: the sign of d is moot
+        return Lattice(basis=rat_hnf(abs(d), [[den * x for x in row] for row in c]))
 
     def coords(self, point):
         """Exact coordinates of a rational point in this basis."""
@@ -155,10 +161,10 @@ class Lattice:
 
         The test is exact on the integer Gram form (Fincke-Pohst, without
         the pruning).  With the basis cleared to integer rows Bi / den
-        (linalg.clear_denominators), a point is x = k Bi / den for an
-        integer coefficient vector k, and |x|^2 <= R^2 reads
-        k G k^T <= R^2 den^2 with G = Bi Bi^T.  The left side is an integer,
-        so each k of the coefficient box (bounded by the dual row norms;
+        (_cleared), a point is x = k Bi / den for an integer coefficient
+        vector k, and |x|^2 <= R^2 reads k G k^T <= R^2 den^2 with
+        G = Bi Bi^T.  The left side is an integer, so each k of the
+        coefficient box (bounded by the dual row norms |den C_j / det|;
         PreconditionFailed past MAX_BOX_CANDIDATES) is kept when
         k G k^T <= floor(R^2 den^2), or < ceil(R^2 den^2) when strict; no
         float prefilter is involved.  The box is tested in slabs of whole
@@ -176,15 +182,14 @@ class Lattice:
         otherwise: slower on an adversarial basis, never wrong.
         """
         d = self.dim
-        inv_t = transpose(inverse(self.basis))
+        den, bi, det_bi, adj = self._cleared
         r_sq = Rat(radius_sq)
         r_upper = sqrt_upper(r_sq)
         bounds = []
-        for row in inv_t:
-            b = sqrt_upper(norm_sq(row)) * r_upper
+        for row in adj:
+            b = sqrt_upper(Rat(den * den * idot(row, row), det_bi * det_bi)) * r_upper
             bounds.append(b.numerator // b.denominator + 1)
         _box_size(bounds, "lattice ball enumeration")
-        den, bi = clear_denominators(self.basis)
         big = max(abs(c) for row in bi for c in row)
         dtype = np.int64 if sum(bounds) ** 2 * d * big * big <= INT64_MAX else object
         basis = np.array(bi, dtype=dtype)
@@ -367,10 +372,10 @@ def tau_lattice_closure(p: Polytope) -> Lattice:
     condition; used both by lattice_T and as the diagnostic closure for
     non-tilers.  Raises NotALattice below full rank.
     """
-    taus = [t.tau for t in tau_vectors(p)]
-    if rank(taus) < p.dim:
+    basis = hnf_rational([t.tau for t in tau_vectors(p)])
+    if len(basis) < p.dim:
         raise NotALattice("facet translations do not span the space")
-    return Lattice.from_generators(taus)
+    return Lattice(basis=basis)
 
 
 def lattice_T(p: Polytope) -> Lattice:

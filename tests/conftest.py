@@ -90,3 +90,39 @@ def gram_det(vectors):
     """Determinant of the Gram matrix; squared k-volume of the spanned cell."""
     vs = list(vectors)
     return det(tuple(tuple(vdot(a, b) for b in vs) for a in vs))
+
+
+def fraction_rank(rows):
+    """Rank by Fraction Gauss-Jordan elimination, the reference oracle for
+    linalg.rank; entries coerced with rational(), so floats are refused."""
+    from spectile.linalg import rational
+
+    work = [[rational(x) for x in r] for r in rows]
+    if not work:
+        return 0
+    r = 0
+    for col in range(len(work[0])):
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col] / work[r][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+        if r == len(work):
+            break
+    return r
+
+
+def fraction_inverse(m):
+    """Inverse by one Fraction solve per unit vector (linalg.solve), the
+    reference oracle for linalg.inverse; ValueError("singular matrix")."""
+    from spectile.linalg import solve, transpose
+
+    n = len(m)
+    cols = [solve(m, tuple(Rat(int(i == j)) for i in range(n))) for j in range(n)]
+    if any(c is None for c in cols):
+        raise ValueError("singular matrix")
+    return transpose(tuple(cols))

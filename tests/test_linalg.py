@@ -28,7 +28,7 @@ from spectile.linalg import (
     vdot,
 )
 
-from conftest import gram_det
+from conftest import fraction_inverse, fraction_rank, gram_det
 
 
 def test_rational_parsing():
@@ -166,7 +166,7 @@ def test_hnf_matches_sympy_oracle(seed):
 
     rng = random.Random(seed)
     rows = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(rng.randint(3, 5))]
-    if rank(rows) < 3:
+    if fraction_rank(rows) < 3:  # rank itself is read off hnf
         return
     ours = hnf(rows)
     # sympy's HNF is column-style on the transpose; transpose back and
@@ -190,7 +190,7 @@ def test_hnf_matches_sympy_oracle(seed):
 def test_hnf_invariant_under_unimodular_mixing(seed):
     rng = random.Random(seed)
     rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-    if rank(rows) < 3:
+    if fraction_rank(rows) < 3:
         return
     mixed = list(rows)
     for _ in range(6):
@@ -217,3 +217,61 @@ def test_angular_sort_circle():
     }
     order = angular_sort(list(pts), pts)
     assert order == ["e", "ne", "n", "w", "s", "se"]
+
+
+small_rats = st.builds(Rat, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 7]))
+
+
+@st.composite
+def rational_rows(draw, square: bool = False):
+    """k x d rational rows, d <= 3 (k = d when square), often singular or
+    rank-deficient: entries are small, and one row may be a combination of
+    two others."""
+    d = draw(st.integers(1, 3))
+    k = d if square else draw(st.integers(0, 5))
+    rows = [draw(st.lists(small_rats, min_size=d, max_size=d)) for _ in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        i, f, g = draw(st.integers(0, k - 1)), draw(small_rats), draw(small_rats)
+        a, b = rows[(i + 1) % k], rows[(i + 2) % k]
+        rows[i] = [f * x + g * y for x, y in zip(a, b)]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@example([])
+@example([[Rat(0), Rat(0)], [Rat(0), Rat(0)]])
+@example([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+@example([["1/2", "3"], [1, 6]])  # strings coerce as rational() reads them
+@example([[np.int64(2), np.int64(4)], [1, 2]])
+@example([[Rat(1, 10**30), 1], [Rat(3, 7), Rat(2**70, 3)], [0, 0]])
+@given(rational_rows())
+def test_rank_matches_the_fraction_reference(rows):
+    assert rank(rows) == fraction_rank(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@example([[Rat(0)]])
+@example([[Rat(-3, 4)]])
+@example([[1, 2], [2, 4]])  # singular
+@example([[1, 2, 3], [4, 5, 6], [7, 8, 9]])  # singular
+@example([["1/2", 0], [0, "-3"]])
+@example([[Rat(1, 10**30), 1, 0], [Rat(3, 7), Rat(2**70, 3), 1], [0, 0, Rat(-1, 5)]])
+@given(rational_rows(square=True))
+def test_inverse_matches_the_fraction_reference(m):
+    try:
+        ref = fraction_inverse(m)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular matrix"):
+            inverse(m)
+        return
+    out = inverse(m)
+    assert out == ref and type(out) is tuple
+    assert all(type(row) is tuple and all(type(x) is Rat for x in row) for row in out)
+
+
+def test_rank_and_inverse_refuse_floats():
+    for fn in (rank, inverse, fraction_rank, fraction_inverse):
+        with pytest.raises(TypeError):
+            fn([[1, 0], [0, 0.5]])
+    with pytest.raises(ValueError, match="determinant implemented for n <= 3"):
+        inverse([[int(i == j) for j in range(4)] for i in range(4)])

@@ -17,7 +17,7 @@ from spectile.errors import (
     UnsupportedDimension,
     WindowTooSmall,
 )
-from spectile.linalg import clear_denominators, det, inverse
+from spectile.linalg import clear_denominators, det, integer_ratios, inverse
 from spectile.spectrum import (
     PrismSpectrumSpec,
     SpectrumPatch,
@@ -865,7 +865,7 @@ def _generic_forms(pts):
         a = np.array(ints, dtype=np.int64)
     except OverflowError:
         a = np.array(ints, dtype=object)
-    return spectrum._integer_form(den, a.reshape(len(pts), len(pts[0])))
+    return spectrum._integer_form(den, a.reshape(len(pts), len(pts[0]) if pts else 0))
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -891,20 +891,97 @@ def test_float_patch_forms_equal_clear_denominators(pts):
 
 
 def test_patch_forms_take_clear_denominators_for_other_input():
+    # all-float input converts in numpy; any other input reads each entry's
+    # ratio once (integer_ratios) and gives the form of clear_denominators
     seen = []
-    with mock.patch.object(spectrum, "clear_denominators", lambda rows: seen.append(rows) or clear_denominators(rows)):
+    with mock.patch.object(spectrum, "integer_ratios", lambda xs: seen.append(xs) or integer_ratios(xs)):
         assert spectrum._patch_forms(((0.5, -0.25), (3.0, 0.0)))[0] == 4  # all floats: numpy
         assert not seen
         for pts in (((0.5, Rat(1, 3)), (0.25, 1.0)), ((0.5, 1),), ((1e300, 0.1),), (), ((np.float64(0.5),),)):
             seen.clear()
             den, a = spectrum._patch_forms(pts)
-            assert seen == [pts]
-            if pts:
-                ref_den, ref = _generic_forms(pts)
-                assert den == ref_den and a.dtype == ref.dtype and a.tolist() == ref.tolist()
+            assert seen == [[c for q in pts for c in q]]
+            ref_den, ref = _generic_forms(pts)
+            assert den == ref_den and a.dtype == ref.dtype and a.tolist() == ref.tolist()
         with pytest.raises(PreconditionFailed, match="finite"):
             spectrum._patch_forms(((0.5, math.inf),))
-        assert seen[-1] == ((0.5, math.inf),)
+        assert seen[-1] == [0.5, math.inf]
+    with pytest.raises(ValueError, match="differ in length"):
+        spectrum._patch_forms(((Rat(1), Rat(2)), (Rat(3),), (Rat(4), Rat(5), Rat(6))))
+
+
+exact_entries = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.builds(Rat, st.integers(-(2**66), 2**66), st.sampled_from([1, 2, 3, 12, 2**31 - 1, 2**62, 2**64 + 1])),
+    fractions,
+    finite_floats,
+    st.integers(-(2**31), 2**31).map(np.int64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example([(1, 2), (3, -4), (0, 0)])  # ints only: den 1
+@example([(Rat(1, 2**62), Rat(1, 3)), (0, 1)])  # den 3 * 2^62, past 2^62
+@example([(Rat(1, 2**63 - 25), Rat(1, 7))])  # den past int64
+@example([(Rat(2**40, 3), Rat(1, 2**30))])  # every entry fits, a scaled one does not
+@example([(2**63 - 1, 0)])  # A = INT64_MAX: int64 scaling, Python ints after
+@example([(-(2**63), Rat(1, 2))])  # a numerator at INT64_MIN
+@example([(2**64, 0), (Rat(1, 2), 1)])  # a numerator past int64
+@example([(np.int64(3), np.int32(-2)), (1, np.int64(0))])  # numpy ints
+@example([(0.5, Rat(1, 3)), (0.1, 2)])  # mixed float and Rat
+@example([(Rat(5, 7), Rat(-2, 9), Rat(1, 11))])  # one point
+@example([])  # the empty patch
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(st.tuples(*[exact_entries] * d), max_size=8)))
+def test_exact_patch_forms_equal_clear_denominators(pts):
+    # the array scaling of any input that is not all floats gives the exact
+    # form of clear_denominators and _integer_form: den, A and its dtype
+    den, a = spectrum._patch_forms(tuple(pts))
+    ref_den, ref = _generic_forms(pts)
+    assert den == ref_den and a.dtype == ref.dtype and a.tolist() == ref.tolist()
+    assert not a.flags.writeable
+
+
+def _centred_radius_loop(den, a):
+    """The default window radius by the Python-int loop over rows: the
+    reference for _centred_radius."""
+    n, rows = len(a), a.tolist()
+    total = [sum(col) for col in zip(*rows)]
+    return max(
+        (sum(((n * x - t) / (n * den)) ** 2 for x, t in zip(q, total)) ** 0.5 for q in rows),
+        default=0.0,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+# the radius from (953/530, 64/530) is another float with squares by pow
+# than by x * x; the root of (437/864)^2 + (314/864)^2 is another float by
+# pow than by sqrt; (1/6)^2 + (2/6)^2 + (4/6)^2 differs when added from
+# the right; and 2 (2^53 + 1) / 3 is another float when its numerator is
+# rounded to float64 first
+@example([(Rat(0), Rat(0)), (Rat(953, 265), Rat(64, 265))])
+@example([(Rat(0), Rat(0)), (Rat(437, 432), Rat(314, 432))])
+@example([(Rat(2**53 + 1),), (Rat(0),), (Rat(0),)])
+@example([(Rat(0), Rat(0), Rat(0)), (Rat(1, 3), Rat(2, 3), Rat(4, 3))])
+@example([(Rat(1, 10**30), Rat(0)), (Rat(0), Rat(1))])  # n den past 2^53: the Python-int loop
+@example([(0.5, 1.25), (-3.0, 0.0)])  # dyadic floats: arrays
+@example([(0.1, 0.2), (0.3, 0.7)])  # den 2^55: the Python-int loop
+@example([(Rat(2**52), Rat(0)), (Rat(0), Rat(0))])  # 2 n max|A| past 2^53: the loop
+@example([])
+@given(st.one_of(exact_patches(), float_patches).map(lambda pd: pd[0]))
+def test_centred_radius_matches_the_loop(pts):
+    forms = spectrum._patch_forms(tuple(pts))
+    assert repr(spectrum._centred_radius(*forms)) == repr(_centred_radius_loop(*forms))
+
+
+@pytest.mark.parametrize("name, radius", [("truncated-octahedron", 1.625), ("hexagon", 8.0), ("cube", 5.0)])
+def test_centred_radius_of_lattice_patches(name, radius):
+    # a lattice patch (arrays), its shifted-float copy (the Python-int loop,
+    # den 2^K past 2^53) and its Fraction points (arrays) give the loop's value
+    rows = patch(decide_spectral(make(name)).spectrum, radius).points
+    shift = (math.sqrt(2) * 0.37, math.sqrt(3) * 0.37, math.sqrt(5) * 0.37)
+    for pts in (rows, [tuple(float(c) + s for c, s in zip(q, shift)) for q in rows], [tuple(map(float, q)) for q in rows]):
+        den, a = spectrum._patch_forms(tuple(pts))
+        assert repr(spectrum._centred_radius(den, a)) == repr(_centred_radius_loop(den, a))
 
 
 def test_c2_fails_an_overflowing_product():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from spectile import AffineMap, Rat, from_vertices, geometry, make, tiling, zonotope
 from spectile.errors import NotATiler, NotFullDimensional, PreconditionFailed
-from spectile.linalg import INT64_MAX, centroid, clear_denominators, det, inverse, norm_sq, transpose, vadd, vsub
+from spectile.linalg import INT64_MAX, centroid, clear_denominators, det, norm_sq, transpose, vadd, vsub
 from spectile.tiling import (
     FEDOROV_TABLE,
     FedorovClass,
@@ -25,7 +25,7 @@ from spectile.tiling import (
     venkov_mcmullen,
 )
 
-from conftest import random_generators
+from conftest import fraction_inverse, random_generators
 
 
 def test_belts_cube(cube):
@@ -138,7 +138,7 @@ def _ball_brute_force(lattice, radius_sq, strict=False):
     The basis is cleared once to integer rows Bi / den, so x = k Bi / den
     lies in the ball of radius^2 = p / q exactly when q |k Bi|^2 <= p den^2,
     compared in Python ints."""
-    dual = transpose(inverse(lattice.basis))
+    dual = transpose(fraction_inverse(lattice.basis))
     box = [int(math.sqrt(float(radius_sq) * float(norm_sq(row)))) + 1 for row in dual]
     den = math.lcm(*(Rat(c).denominator for row in lattice.basis for c in row))
     bi = [[int(c * den) for c in row] for row in lattice.basis]
@@ -442,3 +442,19 @@ def test_dual_lattice_roundtrip(hexagon):
     lt = lattice_T(hexagon)
     assert lt.dual().dual() == lt
     assert lt.dual().covolume == 1 / lt.covolume
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_dual_round_trip_on_seeded_zonotope_tilers(seed):
+    # a zonotope of d or d + 1 generators in general position tiles; its
+    # lattice algebra from the cleared basis and adjugate matches Fraction
+    # elimination
+    rng = random.Random(seed)
+    d = rng.choice((2, 3))
+    lt = tau_lattice_closure(zonotope(random_generators(rng, rng.randint(d, d + 1), d)))
+    dual = lt.dual()
+    assert dual == Lattice.from_generators(transpose(fraction_inverse(lt.basis)))
+    assert dual.dual() == lt
+    assert lt.covolume == abs(det(lt.basis)) and dual.covolume == abs(det(dual.basis))
+    assert lt.covolume * dual.covolume == 1
