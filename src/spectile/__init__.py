@@ -37,7 +37,6 @@ from .fourier import (
     ComplexValue,
     asymptotic_cone_check,
     decay_bound_check,
-    frequency,
     ft_indicator,
     ft_surface,
     ft_with_boundary,
@@ -90,7 +89,6 @@ __all__ = [
     "fedorov_classify",
     "is_prism",
     "ComplexValue",
-    "frequency",
     "ft_indicator",
     "ft_surface",
     "ft_with_boundary",

@@ -86,7 +86,6 @@ from .linalg import (
 __all__ = [
     "precision_bits",
     "ComplexValue",
-    "frequency",
     "ft_indicator",
     "ft_surface",
     "ft_with_boundary",
@@ -129,11 +128,6 @@ class ComplexValue:
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
-
-
-def frequency(coords) -> tuple:
-    """Rational frequency vector; floats are rejected (snap them first)."""
-    return tuple(rational(c) for c in coords)
 
 
 # libmp operations round to nearest, as mpmath's wrappers do by default

@@ -99,9 +99,6 @@ class AffineMap:
     def dim(self) -> int:
         return len(self.shift)
 
-    def determinant(self):
-        return det(self.matrix)
-
     def apply(self, point: Point) -> Point:
         return vadd(mat_vec(self.matrix, point), self.shift)
 

@@ -41,6 +41,7 @@ from .fourier import (
 )
 from .geometry import Polytope, facet_widths, memo
 from .linalg import INT64_MAX, Rat, clear_denominators, integer_ratios, norm_sq, primitive, vdot
+from .symmetry import linear_symmetries
 from .tiling import Lattice, TilingReport, is_prism, lattice_T, rat_rows, venkov_mcmullen
 
 __all__ = [
@@ -517,12 +518,58 @@ def _matmul_mod(u, t, m: int):
     return (u @ t.astype(np.int64)) % m
 
 
+# rows times group order per block of orbit codes
+_ORBIT_BLOCK = 1 << 18
+
+
+def _orbit_representatives(p: Polytope, U):
+    """rep, with rep[i] the index of the first row of U (in U's order) in
+    the orbit of row i under the polytope's linear symmetries, or None
+    when orbits are not formed.
+
+    A symmetry M of P - c (symmetry.linear_symmetries, x -> x M) maps a
+    frequency row u to u M^T with |1^_P(u M^T)| = |1^_P(u)|: substitute
+    x = y M in the transform of P - c, as |det M| = 1, and a translation
+    changes only the phase.  Every member of an orbit therefore has its
+    representative's exact magnitude.  A row's code is the least radix code
+    of its images u M^T: with b = max|U| and l the largest row 1-norm of
+    any M each image entry is at most b l, so radix 2 b l + 1 codes every
+    image exactly, and as the code is linear in the row one integer
+    product gives all the images' codes, a block of rows at a time.  The
+    integer symmetries are a group (an inverse is a power), so two rows
+    have equal codes exactly when they lie in one orbit.  None for
+    Python-int rows, a group of order at most 2 ({+-I}, under which the
+    sign-collapsed U has no two rows in one orbit), and codes that could
+    pass int64.
+    """
+    if U.dtype != np.int64 or len(U) < 2:
+        return None
+    group = linear_symmetries(p)
+    if len(group) <= 2:
+        return None
+    d = U.shape[1]
+    radix = 2 * _abs_max(U) * int(np.abs(group).sum(axis=2).max()) + 1
+    if (radix**d - 1) // 2 > INT64_MAX:
+        return None
+    places = np.array([radix**k for k in range(d - 1, -1, -1)], dtype=np.int64)
+    q = (group.transpose(0, 2, 1) @ places).T
+    step = max(1, _ORBIT_BLOCK // len(group))
+    codes = np.concatenate([(U[lo : lo + step] @ q).min(axis=1) for lo in range(0, len(U), step)])
+    _, first, orbit = np.unique(codes, return_index=True, return_inverse=True)
+    return first[orbit]
+
+
 @dataclass(frozen=True)
 class OrthogonalityReport:
     """passed is certified: every |1^_P(d)| plus its error bound is at most
-    tolerance * volume.  max_residual is the largest |1^_P(d)|, max_err_bound
-    the largest bound, and fallbacks counts the differences whose float64
-    bound was too coarse and that were evaluated at working precision."""
+    tolerance * volume.  The values are taken at one representative per
+    symmetry orbit of the differences (verify_orthogonality), whose exact
+    magnitude every member of its orbit shares.  max_residual is the
+    largest |1^_P| and max_err_bound the largest bound over the evaluated
+    differences, worst_difference the one with the largest |1^_P| (a
+    distinct difference of the patch), num_differences counts all distinct
+    differences, and fallbacks the evaluated differences whose float64
+    bound was too coarse and that went to working precision."""
 
     passed: bool
     max_residual: float
@@ -539,26 +586,32 @@ def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -
 
     The distinct differences up to sign (SpectrumPatch._differences, which
     num_differences counts) are exact rationals, the rows of U / den, float
-    patches included.  They go through the float64 batch kernel in one
-    call; a difference whose error bound exceeds FALLBACK_FRACTION of
-    tol * volume is evaluated again at working precision, and at higher
-    precisions while its bound still exceeds that
+    patches included.  The transform is evaluated at one representative
+    per orbit of U under the polytope's linear symmetries, the orbit's
+    first row (_orbit_representatives); every row is its own
+    representative for Python-int rows, a symmetry group of order at most
+    2 and codes past int64.  The representatives go through the float64
+    batch kernel in one call; one whose error bound exceeds
+    FALLBACK_FRACTION of tol * volume is evaluated again at working
+    precision, and at higher precisions while its bound still exceeds that
     (fourier._indicator_rows_hp).  worst_difference is a tuple of Rat.
     """
     require_finite(tol, "tolerance", non_negative=True)
     if len(s) == 0:
         raise PreconditionFailed("empty patch")
     den, U = s._differences
-    D = [den] * len(U)
+    rep = _orbit_representatives(p, U)
+    X = U if rep is None else U[rep == np.arange(len(U))]
+    D = [den] * len(X)
     limit = tol * float(p.volume)
-    val, err = _indicator_batch(p, U, D)
-    fallbacks = _indicator_rows_hp(p, U, D, val, err, lambda mag, e: e > FALLBACK_FRACTION * limit)
+    val, err = _indicator_batch(p, X, D)
+    fallbacks = _indicator_rows_hp(p, X, D, val, err, lambda mag, e: e > FALLBACK_FRACTION * limit)
     mag = np.abs(val)
     max_residual, worst_d, passed = -1.0, None, True
-    if len(U):
+    if len(X):
         i = int(np.argmax(mag))
         max_residual = float(mag[i])
-        worst_d = tuple(Rat(int(c), den) for c in U[i])
+        worst_d = tuple(Rat(int(c), den) for c in X[i])
         passed = bool(np.max(mag + err) <= limit)
     return OrthogonalityReport(
         passed=passed,

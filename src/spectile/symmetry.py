@@ -17,14 +17,19 @@ tau vectors become Rat once, at the end.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import NotSymmetric
 from .geometry import Polytope, memo
-from .linalg import Rat, vneg, vsub
+from .linalg import INT64_MAX, Rat, adjugate_rows, vneg, vsub
 
 __all__ = [
     "center_of_symmetry",
+    "linear_symmetries",
     "minkowski_check",
     "facet_symmetry_check",
     "tau_vectors",
@@ -73,6 +78,60 @@ def center_of_symmetry(p: Polytope):
     so a single candidate suffices.
     """
     return p.vertex_centroid if _symmetric(p.integer_vertices[1]) else None
+
+
+@memo
+def linear_symmetries(p: Polytope):
+    """The integer matrices M that permute the vertices of P - c, with c
+    the vertex centroid, acting on rows x -> x M: a read-only int64 array
+    of shape (order, d, d) that holds the identity.  These are the
+    polytope's affine symmetries, which all fix c, whose linear part is
+    integer in the vertex coordinates.
+
+    The vertices of P - c are the rows W of n V - sum(V), V the integer
+    vertex array, divided by their gcd.  A symmetry keeps the edge graph:
+    it maps vertex 0 to a vertex u of the same degree and 0's neighbours to
+    u's.  Vertex 0 and d - 1 of its neighbours with independent rows form
+    a basis B, so each candidate image T (such a u and an ordered tuple of
+    d - 1 of its neighbours) gives M = B^-1 T = adj(B) T / det(B), all
+    candidates in one product.  A candidate is kept when the division is
+    exact and W M is W as a set: every entry within max|W|, and the sorted
+    radix codes of the rows equal.  Every product fits int64 when
+    d d! max|W|^(d + 1) does; past that the result is the identity alone.
+    Keeping fewer symmetries, as here the non-integer ones, is sound for
+    every use: each M kept is a true symmetry.
+    """
+    d = p.dim
+    _, V = p.integer_vertices
+    n, total = len(V), [sum(col) for col in zip(*V)]
+    rows = [[n * c - t for c, t in zip(v, total)] for v in V]
+    g = math.gcd(*(c for r in rows for c in r))
+    w = max(abs(c) for r in rows for c in r) // g
+    if d * math.factorial(d) * w ** (d + 1) > INT64_MAX:
+        identity = np.eye(d, dtype=np.int64)[None]
+        identity.flags.writeable = False
+        return identity
+    W = np.array([[c // g for c in r] for r in rows], dtype=np.int64)
+    nbrs = [[] for _ in range(n)]
+    for i, j in p.faces(1) if d > 1 else ():
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    for basis in itertools.combinations(nbrs[0], d - 1):
+        det, adj = adjugate_rows(W[[0, *basis]].tolist())
+        if det:
+            break
+    degree = len(nbrs[0])
+    images = [(u, *t) for u in range(n) if len(nbrs[u]) == degree for t in itertools.permutations(nbrs[u], d - 1)]
+    prod = np.array(adj, dtype=np.int64).T @ W[np.array(images)]
+    m = prod[(prod % det == 0).all(axis=(1, 2))] // det
+    moved = W @ m
+    inside = (np.abs(moved) <= w).all(axis=(1, 2))
+    m, moved = m[inside], moved[inside]
+    places = np.array([(2 * w + 1) ** k for k in range(d - 1, -1, -1)], dtype=np.int64)
+    same = (np.sort((moved + w) @ places, axis=1) == np.sort((W + w) @ places)).all(axis=1)
+    group = m[same]
+    group.flags.writeable = False
+    return group
 
 
 @dataclass(frozen=True)

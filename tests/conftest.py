@@ -126,3 +126,67 @@ def fraction_inverse(m):
     if any(c is None for c in cols):
         raise ValueError("singular matrix")
     return transpose(tuple(cols))
+
+
+def _fraction_inverse_gj(m):
+    """Inverse of a square Fraction matrix by Gauss-Jordan elimination, or
+    None when it is singular."""
+    from fractions import Fraction
+
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def linear_symmetry_oracle(vertices):
+    """Every rational matrix M with {(v - c) M} = {v - c} over the vertices
+    v, c their centroid, as a set of tuples of Fraction rows: the reference
+    for symmetry.linear_symmetries, in Fractions and none of spectile's
+    code.
+
+    A linear map is fixed by the images of d independent vertices, so the
+    brute force runs over every ordered d-tuple of vertices as the image of
+    one such basis.  It only skips tuples whose Gram matrix under Q^-1,
+    Q = sum (v - c)^T (v - c), differs from the basis's: a symmetry M keeps
+    Q (M^T Q M = Q), hence those inner products.  Each remaining tuple
+    gives M = B^-1 T, kept when it maps the vertex set onto itself.
+    """
+    from fractions import Fraction
+
+    pts = [[Fraction(x) for x in v] for v in vertices]
+    n, d = len(pts), len(pts[0])
+    c = [sum(col) / n for col in zip(*pts)]
+    w = [tuple(x - y for x, y in zip(v, c)) for v in pts]
+    q_inv = _fraction_inverse_gj([[sum(v[i] * v[j] for v in w) for j in range(d)] for i in range(d)])
+    wq = [[sum(v[k] * q_inv[k][j] for k in range(d)) for j in range(d)] for v in w]
+    gram = [[sum(a * b for a, b in zip(x, v)) for v in w] for x in wq]
+    basis = []
+    for i in range(n):  # greedily, the first d vertices with independent rows
+        if len(basis) < d and _fraction_inverse_gj([[gram[a][b] for b in basis + [i]] for a in basis + [i]]):
+            basis.append(i)
+    b_inv = _fraction_inverse_gj([w[i] for i in basis])
+    vset, found = set(w), set()
+
+    def extend(images):
+        k = len(images)
+        if k == d:
+            m = [[sum(b_inv[i][j] * w[images[j]][col] for j in range(d)) for col in range(d)] for i in range(d)]
+            if {tuple(sum(v[i] * m[i][col] for i in range(d)) for col in range(d)) for v in w} == vset:
+                found.add(tuple(map(tuple, m)))
+            return
+        for u in range(n):
+            if all(gram[u][images[j]] == gram[basis[k]][basis[j]] for j in range(k)) and gram[u][u] == gram[basis[k]][basis[k]]:
+                extend(images + [u])
+
+    extend([])
+    return found

@@ -748,12 +748,16 @@ def _fourier_cases(tmp_path):
 
 
 # recorded at f827408 (spectrum, analyze) and cba86e2 (fourier); a change
-# here is a change of the output contract
+# here is a change of the output contract.  The analyze entries of the
+# hexagon, hexagonal prism, rhombic dodecahedron and elongated dodecahedron
+# were re-recorded when orthogonality moved to symmetry-orbit
+# representatives: their max_residual or max_err_bound is now taken over
+# the representatives, and moved in the last bits
 _PINNED_SHA256 = {'analyze cube 5.0': '4b37eaa92a1dad999a0975947370c2ec6171c41d47b7a9e37b61663846f23d96',
- 'analyze elongated-dodecahedron 1.125': '82311bf6453c21e9a31406b121696ca4c8d574fd747727df8f7cc5ff254138c3',
- 'analyze hexagon 5.0': '1ed20ee4f2712ecaa71d58f6902a73f3d7eca0b67c0168e52f70cd03a44d157d',
- 'analyze hexagonal-prism 2.0': 'e5c5d1022deacd5382327739ab54813d34029cc2f4a1aefee5fc815087d65e58',
- 'analyze rhombic-dodecahedron 1.25': '6d62795b257f408f8c46a39846b0e1c5980363ee7a87d7beb1cd65fe51adb41c',
+ 'analyze elongated-dodecahedron 1.125': 'c4aff98a256cca4af3e72b816f6078d19959361bb94b7ad24048a84a6d920e7e',
+ 'analyze hexagon 5.0': '9c8462c55e25dce0d89a710bad34281c351ab926b3fccb91127fb5746fc4dece',
+ 'analyze hexagonal-prism 2.0': 'b1e6f1c7dcbc868ee0ad832741d80a37bf7b14323745c54ab7f914a9dd56d9a3',
+ 'analyze rhombic-dodecahedron 1.25': 'c9c5f205e81e3d13eacfb2634c6ebc6e3f30b260c790c35fa18a5f145d493ea8',
  'analyze rhombic-icosahedron 5.0': '51a8be2e877b51a293ebfb637f2e0236a83ed934251fe7fdba02fdf665fc88b8',
  'analyze square 5.0': 'f38620285fd18a91919355372977e457e356da5e923d260fc1190c46418f4a45',
  'analyze triangle 5.0': '10c71ea81a29decbd9cd87ec85b5f767b9e662935686d4a2ddf02e75199edb5f',

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectile import Rat, make, zonotope
-from spectile import fourier
+from spectile import fourier, spectrum
 from spectile.fourier import (
     FALLBACK_FRACTION,
     TOL_ZERO,
@@ -29,7 +29,7 @@ from spectile.fourier import (
 )
 from spectile.linalg import cross3, vsub
 from spectile.oracle import simplex_ft
-from spectile.spectrum import decide_spectral, make_patch, patch, verify_orthogonality
+from spectile.spectrum import _orbit_representatives, decide_spectral, make_patch, patch, verify_orthogonality
 
 from conftest import random_frequency, random_generators, random_zonotope
 
@@ -201,6 +201,72 @@ def test_catalog_orthogonality_certified_without_fallbacks(name):
     rep = verify_orthogonality(p, patch(decide_spectral(p).spectrum, BENCH_RADII[name]))
     assert rep.passed and rep.fallbacks == 0
     assert rep.max_residual + rep.max_err_bound <= TOL_ZERO * float(p.volume)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_RADII))
+def test_orbit_representatives_certify_every_member(name):
+    # every distinct difference evaluated, against the report taken over
+    # one representative per symmetry orbit: the same verdict, and each
+    # member's magnitude within both bounds of its representative's
+    p = make(name)
+    s = patch(decide_spectral(p).spectrum, BENCH_RADII[name])
+    den, U = s._differences
+    rep = _orbit_representatives(p, U)
+    assert rep is not None and (rep <= np.arange(len(U))).all() and (rep[rep] == rep).all()
+    val, err = _indicator_batch(p, U, [den] * len(U))
+    limit = TOL_ZERO * float(p.volume)
+    assert not (err > FALLBACK_FRACTION * limit).any()
+    report = verify_orthogonality(p, s)
+    assert report.passed == bool(np.max(np.abs(val) + err) <= limit)
+    assert report.num_differences == len(U)
+    mag = np.abs(val)
+    assert (np.abs(mag - mag[rep]) <= err + err[rep]).all()
+    worst = np.array([int(c * den) for c in report.worst_difference])
+    assert (U[rep] == worst).all(axis=1).any()
+
+
+def _kernel_rows(monkeypatch) -> list:
+    """The number of rows of each orthogonality call of the float64 kernel."""
+    batch, seen = fourier._indicator_batch, []
+
+    def counted(p, X, D):
+        seen.append(len(D))
+        return batch(p, X, D)
+
+    monkeypatch.setattr(spectrum, "_indicator_batch", counted)
+    return seen
+
+
+def test_kernel_evaluates_one_row_per_orbit(monkeypatch, truncated_octahedron):
+    seen = _kernel_rows(monkeypatch)
+    sp = patch(decide_spectral(truncated_octahedron).spectrum, 1.25)
+    rep = verify_orthogonality(truncated_octahedron, sp)
+    assert seen == [60] and rep.num_differences == 848 and rep.passed
+
+
+# reports recorded before orthogonality formed orbits: a hexagon whose
+# only symmetries are +-I, and a truncated-octahedron patch shifted by
+# (1, 2, 3) / 10^9, whose orbit codes could pass int64
+_ALL_ROWS_REPORTS = (
+    "OrthogonalityReport(passed=True, max_residual=0.0, worst_difference=(Fraction(0, 1), Fraction(1, 1)), "
+    "num_points=223, num_differences=432, tolerance=1e-10, max_err_bound=4.275873648002812e-14, fallbacks=0)",
+    "OrthogonalityReport(passed=True, max_residual=5.654319433712919e-16, worst_difference=(Fraction(0, 1), "
+    "Fraction(1, 4), Fraction(-1, 4)), num_points=249, num_differences=848, tolerance=1e-10, "
+    "max_err_bound=1.281997497878603e-13, fallbacks=0)",
+)
+
+
+def test_kernel_evaluates_every_row_without_orbits(monkeypatch, truncated_octahedron):
+    seen = _kernel_rows(monkeypatch)
+    hexagon = zonotope([(1, 0), (1, 2), (3, 1)])
+    plain = verify_orthogonality(hexagon, patch(decide_spectral(hexagon).spectrum, 3.0))
+    shift = (Rat(1, 10**9), Rat(2, 10**9), Rat(3, 10**9))
+    points = patch(decide_spectral(truncated_octahedron).spectrum, 1.25).points
+    shifted = make_patch([tuple(a + b for a, b in zip(q, shift)) for q in points], 1.25)
+    assert shifted._differences[1].dtype == np.int64
+    oversized = verify_orthogonality(truncated_octahedron, shifted)
+    assert seen == [432, 848]
+    assert (repr(plain), repr(oversized)) == _ALL_ROWS_REPORTS
 
 
 def test_orthogonality_counts_fallbacks(cube):

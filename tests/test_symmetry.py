@@ -2,18 +2,19 @@ import random
 
 import pytest
 
-from spectile import AffineMap, Rat, from_vertices, zonotope
+from spectile import AffineMap, Rat, from_vertices, make, zonotope
 from spectile.errors import NotSymmetric
 from spectile.linalg import centroid, det, rank, vadd, vsub
 from spectile.symmetry import (
     center_of_symmetry,
     facet_symmetry_check,
+    linear_symmetries,
     minkowski_check,
     symmetry_report,
     tau_vectors,
 )
 
-from conftest import random_generators
+from conftest import linear_symmetry_oracle, random_generators, random_zonotope
 
 # Convex hexagon with three pairs of parallel edges of unequal lengths:
 # the pair along (1,2) has squared lengths 5 and 20.
@@ -272,3 +273,53 @@ def test_symmetry_and_belt_keys_match_fraction_reference(cube, hexagonal_prism, 
         kinds["prism"] += prism is not None
         kinds["asymmetric" if center is None else "asymmetric facets" if witnesses else "symmetric"] += 1
     assert all(kinds.values()), kinds
+
+
+CATALOG_GROUP_ORDERS = {
+    "square": 8,
+    "hexagon": 12,
+    "cube": 48,
+    "hexagonal-prism": 24,
+    "rhombic-dodecahedron": 48,
+    "elongated-dodecahedron": 16,
+    "truncated-octahedron": 48,
+}
+
+
+def _matrix_set(group) -> set:
+    return {tuple(map(tuple, m.tolist())) for m in group}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_GROUP_ORDERS))
+def test_linear_symmetries_match_the_fraction_oracle(name):
+    p = make(name)
+    group = _matrix_set(linear_symmetries(p))
+    assert len(group) == CATALOG_GROUP_ORDERS[name]
+    assert group == linear_symmetry_oracle(p.vertices)
+
+
+def _seeded_zonotope(seed: int):
+    """A 2D zonotope of 3 to 5 generators for an even seed, a 3D one of 4
+    or 5 for an odd seed."""
+    rng = random.Random(seed)
+    if seed % 2 == 0:
+        return random_zonotope(rng, rng.randint(3, 5), 2)
+    return random_zonotope(rng, rng.randint(4, 5), 3)
+
+
+def test_generic_zonotopes_have_only_plus_minus_identity():
+    for seed in (0, 2, 4, 6, 10, 5, 7, 9, 13, 15):
+        p = _seeded_zonotope(seed)
+        identity = tuple(tuple(int(i == j) for j in range(p.dim)) for i in range(p.dim))
+        minus = tuple(tuple(-c for c in row) for row in identity)
+        assert _matrix_set(linear_symmetries(p)) == linear_symmetry_oracle(p.vertices) == {identity, minus}
+
+
+def test_non_integer_symmetries_are_left_out():
+    # these zonotopes also have a symmetry with non-integer entries in the
+    # vertex coordinates (a 5/4, an 8/3); the integer ones are a subset
+    # that still holds the identity
+    for seed in (1, 18):
+        p = _seeded_zonotope(seed)
+        group, full = _matrix_set(linear_symmetries(p)), linear_symmetry_oracle(p.vertices)
+        assert len(group) == 2 and len(full) == 4 and group < full
