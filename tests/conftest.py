@@ -185,8 +185,9 @@ def linear_symmetry_oracle(vertices):
                 found.add(tuple(map(tuple, m)))
             return
         for u in range(n):
-            if all(gram[u][images[j]] == gram[basis[k]][basis[j]] for j in range(k)) and gram[u][u] == gram[basis[k]][basis[k]]:
-                extend(images + [u])
+            tried = images + [u]
+            if all(gram[u][tried[j]] == gram[basis[k]][basis[j]] for j in range(k + 1)):
+                extend(tried)
 
     extend([])
     return found

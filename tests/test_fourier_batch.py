@@ -30,6 +30,7 @@ from spectile.fourier import (
 from spectile.linalg import cross3, vsub
 from spectile.oracle import simplex_ft
 from spectile.spectrum import _orbit_representatives, decide_spectral, make_patch, patch, verify_orthogonality
+from spectile.symmetry import linear_symmetries
 
 from conftest import random_frequency, random_generators, random_zonotope
 
@@ -223,6 +224,36 @@ def test_orbit_representatives_certify_every_member(name):
     assert (np.abs(mag - mag[rep]) <= err + err[rep]).all()
     worst = np.array([int(c * den) for c in report.worst_difference])
     assert (U[rep] == worst).all(axis=1).any()
+
+
+def _brute_force_representatives(group, U) -> list:
+    """For each row of U, the index of the first row of U among its images
+    u M^T over the group."""
+    first = {}
+    for j, row in enumerate(map(tuple, U.tolist())):
+        first.setdefault(row, j)
+    images = (U @ group.transpose(0, 2, 1)).transpose(1, 0, 2).tolist()
+    return [min(first[image] for image in map(tuple, row_images) if image in first) for row_images in images]
+
+
+@pytest.mark.parametrize("name", ["hexagon", "hexagonal-prism", "elongated-dodecahedron", "truncated-octahedron"])
+def test_orbits_off_the_spectrum(name):
+    # random frequencies and some of their images, where |1^_P| is far
+    # from zero: each row's representative is the first row of its orbit,
+    # and shares its magnitude within both bounds
+    p = make(name)
+    group = linear_symmetries(p)
+    rng = np.random.default_rng(3)
+    rows = rng.integers(-9, 10, size=(80, p.dim))
+    images = np.einsum("rj,rkij->rki", rows, group[rng.integers(0, len(group), size=(80, 3))])
+    U = np.concatenate([rows, images.reshape(-1, p.dim)])
+    U = U[rng.permutation(len(U))]
+    rep = _orbit_representatives(p, U)
+    assert rep.tolist() == _brute_force_representatives(group, U)
+    val, err = _indicator_batch(p, U, [7] * len(U))
+    mag = np.abs(val)
+    assert np.median(mag) > 1e-3 * float(p.volume)
+    assert (np.abs(mag - mag[rep]) <= err + err[rep]).all()
 
 
 def _kernel_rows(monkeypatch) -> list:

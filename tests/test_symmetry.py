@@ -307,19 +307,19 @@ def _seeded_zonotope(seed: int):
     return random_zonotope(rng, rng.randint(4, 5), 3)
 
 
-def test_generic_zonotopes_have_only_plus_minus_identity():
-    for seed in (0, 2, 4, 6, 10, 5, 7, 9, 13, 15):
+def test_seeded_zonotopes_keep_exactly_the_integer_symmetries():
+    # over the first twenty seeds: the group is the oracle's integer
+    # members, generic zonotopes give +-I, and a non-integer symmetry (a
+    # 5/4, an 8/3 in the vertex coordinates) is left out
+    orders = {}
+    for seed in range(20):
         p = _seeded_zonotope(seed)
+        full = linear_symmetry_oracle(p.vertices)
+        group = _matrix_set(linear_symmetries(p))
+        assert group == {m for m in full if all(c.denominator == 1 for row in m for c in row)}
         identity = tuple(tuple(int(i == j) for j in range(p.dim)) for i in range(p.dim))
         minus = tuple(tuple(-c for c in row) for row in identity)
-        assert _matrix_set(linear_symmetries(p)) == linear_symmetry_oracle(p.vertices) == {identity, minus}
-
-
-def test_non_integer_symmetries_are_left_out():
-    # these zonotopes also have a symmetry with non-integer entries in the
-    # vertex coordinates (a 5/4, an 8/3); the integer ones are a subset
-    # that still holds the identity
-    for seed in (1, 18):
-        p = _seeded_zonotope(seed)
-        group, full = _matrix_set(linear_symmetries(p)), linear_symmetry_oracle(p.vertices)
-        assert len(group) == 2 and len(full) == 4 and group < full
+        assert {identity, minus} <= group
+        orders[seed] = (len(group), len(full))
+    assert sum(o == (2, 2) for o in orders.values()) >= 10
+    assert orders[1] == orders[18] == (2, 4) and orders[8] == (4, 4)
