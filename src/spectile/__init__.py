@@ -46,7 +46,6 @@ from .fourier import (
 from .spectrum import (
     PrismSpectrumSpec,
     SpectrumPatch,
-    chi_estimate,
     condition_C2_check,
     decide_spectral,
     dual_lattice,
@@ -56,6 +55,7 @@ from .spectrum import (
     uniqueness_check,
     verify_density,
     verify_orthogonality,
+    zero_free_radius,
 )
 from .oracle import SampleConfig, mc_volume, multiplicity_sample, simplex_ft
 from .catalog import CATALOG_NAMES, make, parallelepiped, polytope_from_json, prism
@@ -106,7 +106,7 @@ __all__ = [
     "condition_C2_check",
     "uniqueness_check",
     "prism_spectrum",
-    "chi_estimate",
+    "zero_free_radius",
     "SampleConfig",
     "mc_volume",
     "multiplicity_sample",

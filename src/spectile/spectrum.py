@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -35,12 +33,9 @@ from .fourier import (
     TOL_ZERO,
     _indicator_batch,
     _indicator_rows_hp,
-    _phase,
-    _walk_at,
-    precision_bits,
 )
-from .geometry import Polytope, facet_widths, memo
-from .linalg import INT64_MAX, Rat, clear_denominators, integer_ratios, norm_sq, primitive, vdot
+from .geometry import Polytope, memo
+from .linalg import INT64_MAX, Rat, clear_denominators, det, integer_ratios, sqrt_lower, sqrt_upper
 from .symmetry import linear_symmetries
 from .tiling import Lattice, TilingReport, is_prism, lattice_T, rat_rows, venkov_mcmullen
 
@@ -60,7 +55,7 @@ __all__ = [
     "condition_C2_check",
     "uniqueness_check",
     "prism_spectrum",
-    "chi_estimate",
+    "zero_free_radius",
 ]
 
 
@@ -566,10 +561,11 @@ class OrthogonalityReport:
     symmetry orbit of the differences (verify_orthogonality), whose exact
     magnitude every member of its orbit shares.  max_residual is the
     largest |1^_P| and max_err_bound the largest bound over the evaluated
-    differences, worst_difference the one with the largest |1^_P| (a
-    distinct difference of the patch), num_differences counts all distinct
-    differences, and fallbacks the evaluated differences whose float64
-    bound was too coarse and that went to working precision."""
+    differences (both 0.0 when there are none), worst_difference the one
+    with the largest |1^_P| (a distinct difference of the patch),
+    num_differences counts all distinct differences, and fallbacks the
+    evaluated differences whose float64 bound was too coarse and that went
+    to working precision."""
 
     passed: bool
     max_residual: float
@@ -607,7 +603,7 @@ def verify_orthogonality(p: Polytope, s: SpectrumPatch, tol: float = TOL_ZERO) -
     val, err = _indicator_batch(p, X, D)
     fallbacks = _indicator_rows_hp(p, X, D, val, err, lambda mag, e: e > FALLBACK_FRACTION * limit)
     mag = np.abs(val)
-    max_residual, worst_d, passed = -1.0, None, True
+    max_residual, worst_d, passed = 0.0, None, True
     if len(X):
         i = int(np.argmax(mag))
         max_residual = float(mag[i])
@@ -760,104 +756,78 @@ class PrismSpectrumSpec:
 
 
 def prism_spectrum(base: Polytope, spec: PrismSpectrumSpec, radius: float) -> SpectrumPatch:
-    """Patch of the prism spectrum {(k + theta(gamma), gamma)}.
+    """Patch of the prism spectrum {(k + theta(gamma), gamma)} in the closed
+    ball of the given radius.
 
     The 1D factor is the first coordinate, the prism axis of I x base
     (catalog.prism).  Offsets come from spec.theta, one per base point,
-    each in [0, 1).
+    each in [0, 1).  The window test is exact, as patch's is:
+    |(k + theta, gamma)|^2 <= Rat(radius)^2.
     """
-    r2 = float(radius) ** 2
+    require_finite(radius, "window radius", non_negative=True)
+    r = Rat(radius)
     pts = []
     for gamma in spec.base_patch.points:
         th = spec.theta[tuple(gamma)]
-        thf = float(th)
-        if not (0.0 <= thf < 1.0):
+        if not (0.0 <= float(th) < 1.0):
             raise ThetaOutOfRange(f"theta {th} outside [0,1)")
-        g2 = sum(float(c) ** 2 for c in gamma)
-        if g2 > r2:
-            continue
-        room = math.sqrt(r2 - g2)
-        k = math.ceil(-room - thf)
-        while k + thf <= room:
-            pts.append((k + th, *gamma))
-            k += 1
+        room = r * r - sum(Rat(c) ** 2 for c in gamma)
+        if room >= 0:
+            root = sqrt_upper(room)
+            ks = range(math.floor(-root - th), math.ceil(root - th) + 1)
+            pts += [(k + th, *gamma) for k in ks if (k + th) ** 2 <= room]
     pts.sort(key=lambda q: tuple(float(c) for c in q))
     return make_patch(pts, float(radius))
 
 
-def chi_estimate(p: Polytope, seed: int = 0) -> float:
-    """Heuristic smallest zero radius of the indicator transform.
+@memo
+def _second_moment(p: Polytope) -> tuple:
+    """M = the integral over P of (x - c)(x - c)^T dx, c the vertex
+    centroid, exactly: d rows of Rat.
 
-    Scans rays (facet normals, axes, short dual-lattice vectors for
-    tilers, a few seeded random directions) for sign changes of the
-    centered transform, refines by bisection, and returns the smallest
-    radius found.  This is an upper bound for the true minimal zero radius
-    with no optimality guarantee.
+    The n vertices V / s (Polytope.integer_vertices) are scaled by n s, so
+    that c and every vertex are integer rows.  P is the fan of simplices
+    from c over its facets, a 3D facet split into triangles along its
+    cycle.  A simplex S with edge rows w_1..w_d from c contributes
+    |S| (sum w_i w_i^T + (sum w_i)(sum w_i)^T) / ((d + 1)(d + 2)), with
+    |S| = |det w| / d!; M sums the integer numerators over one
+    (d + 2)! (n s)^(d + 2).
     """
     d = p.dim
-    dirs = {tuple(f.normal) for f in p.facets}
-    for j in range(d):
-        e = [0] * d
-        e[j] = 1
-        dirs.add(tuple(e))
-    try:
-        verdict = decide_spectral(p)
-        if verdict.is_spectral:
-            short = verdict.spectrum.points_in_ball(
-                max(norm_sq(b) for b in verdict.spectrum.basis)
-            )
-            for v in short:
-                if any(c != 0 for c in v):
-                    dirs.add(primitive(v, canonical_sign=True))
-    except UnsupportedDimension:
-        pass
-    rnd = random.Random(seed)
-    for _ in range(6):
-        dirs.add(tuple(rnd.randint(-5, 5) or 1 for _ in range(d)))
-    center = p.vertex_centroid
-    vol = float(p.volume)
+    s, V = p.integer_vertices
+    n = len(V)
+    c = [sum(col) for col in zip(*V)]
+    W = [[n * x - t for x, t in zip(v, c)] for v in V]
+    acc = [[0] * d for _ in range(d)]
+    for f in p.facets:
+        first, *rest = f.indices
+        for cell in [f.indices] if d < 3 else [(first, a, b) for a, b in zip(rest, rest[1:])]:
+            w = [W[i] for i in cell]
+            weight = abs(int(det(w)))
+            w.append([sum(col) for col in zip(*w)])
+            for j, k in itertools.product(range(d), repeat=2):
+                acc[j][k] += weight * sum(row[j] * row[k] for row in w)
+    scale = math.factorial(d + 2) * (n * s) ** (d + 2)
+    return tuple(tuple(Rat(x, scale) for x in row) for row in acc)
 
-    def centered_re(xi):
-        val, _ = _walk_at(p, xi)[-1][0]
-        c = vdot(xi, center)
-        with mpmath.workprec(precision_bits()):
-            shift = _phase(-c.numerator, c.denominator)  # e^{+2 pi i <xi, c>}
-            return float((shift * val).real), float(abs(val))
 
-    best = math.inf
-    min_width = min(
-        float(w) / math.sqrt(float(norm_sq(f.normal))) for f, w in zip(p.facets, facet_widths(p))
-    )
-    for u in sorted(dirs):
-        ulen = math.sqrt(sum(float(c) ** 2 for c in u))
-        t_hi = 3.0 * max(1.0, 1.0 / min_width) / ulen
-        steps = 96
-        prev_t, (prev_g, _) = None, (None, None)
-        t = Rat(0)
-        step = Rat(t_hi / steps).limit_denominator(10**4)
-        for k in range(1, steps + 1):
-            t = step * k
-            if float(t) * ulen >= best:
-                break
-            xi = tuple(t * c for c in u)
-            g, mag = centered_re(xi)
-            if mag <= 1e-12 * vol:
-                best = min(best, float(t) * ulen)
-                break
-            if prev_g is not None and (prev_g < 0 < g or g < 0 < prev_g):
-                lo, hi = prev_t, t
-                glo = prev_g
-                for _ in range(60):
-                    mid = (lo + hi) / 2
-                    gm, _ = centered_re(tuple(mid * c for c in u))
-                    if gm == 0:
-                        lo = hi = mid
-                        break
-                    if (glo < 0) == (gm < 0):
-                        lo, glo = mid, gm
-                    else:
-                        hi = mid
-                best = min(best, float((lo + hi) / 2) * ulen)
-                break
-            prev_t, prev_g = t, g
-    return best
+def zero_free_radius(p: Polytope) -> float:
+    """A certified radius r0: the indicator transform has no zero in the
+    open ball |xi| < r0.
+
+    For every c, Re(e^{2 pi i <xi, c>} 1^_P(xi)) is the integral over P of
+    cos 2 pi <xi, x - c>, at least |P| - 2 pi^2 xi^T M xi with M the
+    second moment about c (_second_moment), since cos t >= 1 - t^2 / 2.
+    So there is no zero where |xi|^2 < |P| / (2 pi^2 lambda_max(M)).  Each
+    step only shrinks that bound: lambda_max(M) is bounded by the largest
+    absolute row sum of M (Gershgorin), pi by 355/113, the root is taken
+    from below (linalg.sqrt_lower) and its float rounded toward 0.  Every
+    difference of two spectrum points is a zero of the transform
+    (Kolountzakis, Illinois J. Math. 2000), so r0 bounds the separation of
+    every spectrum of P from below.  An interval of length L has
+    r0 = sqrt(6) / (pi L) within those roundings.
+    """
+    gershgorin = max(sum(map(abs, row)) for row in _second_moment(p))
+    exact = sqrt_lower(p.volume / (2 * Rat(355, 113) ** 2 * gershgorin))
+    r0 = float(exact)
+    return math.nextafter(r0, 0.0) if Rat(r0) > exact else r0

@@ -484,6 +484,8 @@ def test_analyze_one_point_patch_separation_is_null(capsys):
     code, out, _ = run_cli(capsys, "analyze", "catalog:cube", "--radius", "0.5")
     assert code == 0
     assert strict_json(out)["verification"]["patch"] == {"radius": 0.5, "count": 1, "separation": None}
+    # no differences: the largest residual, like the largest bound, is 0.0
+    assert strict_json(out)["verification"]["orthogonality"]["max_residual"] == 0.0
 
 
 def test_verify_one_point_patch_separation_is_null(capsys, tmp_path):
@@ -492,6 +494,7 @@ def test_verify_one_point_patch_separation_is_null(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "catalog:cube", "--patch", str(patch_file))
     assert code == 0
     assert strict_json(out)["patch"]["separation"] is None
+    assert strict_json(out)["orthogonality"]["max_residual"] == 0.0
 
 
 def test_verify_residual_without_a_finite_value_is_null(capsys, tmp_path):
@@ -604,6 +607,18 @@ def test_stdlib_backend_importable():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+def test_every_exported_name_resolves():
+    # spectile.__all__ and each submodule's __all__ name only what exists
+    import importlib
+
+    names = sorted(p.stem for p in Path(spectile.__file__).parent.glob("*.py") if not p.stem.startswith("__"))
+    modules = [spectile] + [importlib.import_module(f"spectile.{n}") for n in names]
+    exported = [(m.__name__, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert [(m, name) for m, name in exported if not hasattr(sys.modules[m], name)] == []
+    assert ("spectile", "zero_free_radius") in exported and ("spectile.spectrum", "zero_free_radius") in exported
+    assert len({m for m, _ in exported}) >= 8
 
 
 def test_imports_leave_scipy_out():

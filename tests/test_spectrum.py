@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectile import AffineMap, Rat, make, spectrum
+from spectile import CATALOG_NAMES, AffineMap, Rat, make, spectrum, zonotope
 from spectile.catalog import prism
 from spectile.errors import (
     PreconditionFailed,
@@ -18,11 +19,11 @@ from spectile.errors import (
     WindowTooSmall,
 )
 from spectile.linalg import clear_denominators, det, integer_ratios, inverse
+from spectile.oracle import simplex_ft
 from spectile.spectrum import (
     PrismSpectrumSpec,
     SpectrumPatch,
     _separation,
-    chi_estimate,
     condition_C2_check,
     decide_spectral,
     dual_lattice,
@@ -32,9 +33,12 @@ from spectile.spectrum import (
     uniqueness_check,
     verify_density,
     verify_orthogonality,
+    zero_free_radius,
 )
 from spectile.symmetry import tau_vectors
 from spectile.tiling import Lattice, lattice_T
+
+from conftest import random_frequency, random_generators
 
 
 def test_dual_lattice_examples(hexagon):
@@ -685,19 +689,102 @@ def test_prism_spectrum_non_uniqueness(hexagon, hexagonal_prism):
         assert rep.max_residual <= 1e-10 * float(hexagonal_prism.volume)
 
 
-def test_chi_estimates(interval, cube, hexagon):
-    assert abs(chi_estimate(interval) - 1.0) <= 1e-6
-    assert abs(chi_estimate(cube) - 1.0) <= 1e-6
-    # regression fixture for the catalog hexagon: sqrt(2)/3, the length of
-    # the shortest dual lattice vector (1/3, -1/3)
-    assert abs(chi_estimate(hexagon) - math.sqrt(2) / 3) <= 1e-6
+def test_second_moment_of_unit_cells_and_under_affine_maps():
+    # intervals, squares and cubes of side 1 have M = I / 12 about their
+    # centre; M(A P + t) = |det A| A M(P) A^T, exactly, on every catalog shape
+    for name in ("interval", "square", "cube"):
+        d = make(name).dim
+        assert spectrum._second_moment(make(name)) == tuple(
+            tuple(Rat(int(j == k), 12) for k in range(d)) for j in range(d)
+        )
+    rng = random.Random(28)
+    for name in CATALOG_NAMES:
+        p = make(name)
+        d = p.dim
+        while True:
+            a = tuple(tuple(Rat(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d)) for _ in range(d))
+            if det(a) != 0:
+                break
+        t = tuple(Rat(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d))
+        m = spectrum._second_moment(p)
+        ama = [[sum(a[j][x] * m[x][y] * a[k][y] for x in range(d) for y in range(d)) for k in range(d)] for j in range(d)]
+        expect = tuple(tuple(abs(det(a)) * x for x in row) for row in ama)
+        assert spectrum._second_moment(p.apply_affine(AffineMap(a, t))) == expect, name
 
 
-def test_separation_at_least_chi(cube, hexagon, truncated_octahedron):
-    for p in (cube, hexagon, truncated_octahedron):
+def test_zero_free_radius_of_unit_cells():
+    # sqrt(6) / pi for side 1, from below: 355/113 exceeds pi
+    for name in ("interval", "square", "cube"):
+        r0 = zero_free_radius(make(name))
+        assert r0 <= math.sqrt(6) / math.pi and math.isclose(r0, math.sqrt(6) / math.pi, rel_tol=1e-6)
+    assert zero_free_radius(make("hexagon")) == zero_free_radius(make("hexagonal-prism"))
+
+
+def _tiler_duals():
+    """The dual lattices of every catalog tiler, then of 100 seeded
+    zonotopes of d or d + 1 generators, which tile."""
+    for name in CATALOG_NAMES:
+        p = make(name)
+        if p.dim in (2, 3) and decide_spectral(p).is_spectral:
+            yield name, p, decide_spectral(p).spectrum
+    for seed in range(100):
+        rng = random.Random(seed)
+        d = rng.choice((2, 3))
+        p = zonotope(random_generators(rng, rng.randint(d, d + 1), d))
+        verdict = decide_spectral(p)
+        assert verdict.is_spectral, seed
+        yield seed, p, verdict.spectrum
+
+
+def test_no_spectrum_point_inside_the_zero_free_radius():
+    # differences of spectrum points are zeros of the transform, so the
+    # dual lattice has no point but the origin strictly inside r0
+    catalog = 0
+    for key, p, dual in _tiler_duals():
+        _, x = dual.ball_rows(Rat(zero_free_radius(p)) ** 2, strict=True)
+        assert x.tolist() == [[0] * p.dim], key
+        if isinstance(key, str):
+            catalog += 1
+            assert patch(dual, 3.0).separation >= zero_free_radius(p), key
+    assert catalog == 7
+
+
+def test_zero_free_radius_bound_holds_on_the_oracle():
+    # Re(e^{2 pi i <xi, c>} 1^_P(xi)) >= |P| - 2 pi^2 xi^T M xi > 0 for
+    # |xi| < r0, on simplex_ft within its error bound and the rounding of
+    # the rotation
+    rng = random.Random(13)
+    for name in CATALOG_NAMES:
+        p = make(name)
+        d, vol, r0 = p.dim, float(p.volume), zero_free_radius(p)
+        m, c = spectrum._second_moment(p), p.vertex_centroid
+        for _ in range(4):
+            u = random_frequency(rng, d, span=5, max_den=1)
+            xi = tuple(x * Rat(rng.uniform(0.3, 0.99) * r0 / math.hypot(*u)).limit_denominator(1000) for x in u)
+            assert sum(x * x for x in xi) < Rat(r0) ** 2
+            v = simplex_ft(p, xi)
+            turn = 2 * math.pi * float(sum(x * y for x, y in zip(xi, c)) % 1)
+            re = v.re * math.cos(turn) - v.im * math.sin(turn)
+            quad = sum(xi[j] * m[j][k] * xi[k] for j in range(d) for k in range(d))
+            slack = v.err_bound + 8 * sys.float_info.epsilon * vol
+            assert re + slack >= vol - 2 * math.pi**2 * float(quad), (name, xi)
+            assert re - slack > 0, (name, xi)
+
+
+def test_prism_spectrum_window_is_exact(square, cube, hexagon, hexagonal_prism):
+    # with theta = 0 the family is Z x (the base's dual lattice), the
+    # prism's dual lattice; its patch equals patch's at every squared
+    # norm's float root and one ulp on either side
+    for base, p in ((square, cube), (hexagon, hexagonal_prism)):
         dual = dual_lattice(lattice_T(p))
-        sp = patch(dual, 3.0)
-        assert sp.separation >= chi_estimate(p) - 1e-6
+        base_patch = patch(dual_lattice(lattice_T(base)), 3.0)
+        spec = PrismSpectrumSpec(base_patch, {q: 0 for q in base_patch.points})
+        for n2 in sorted({sum(c * c for c in q) for q in patch(dual, 2.5).points} - {0}):
+            r = math.sqrt(n2)
+            for x in (math.nextafter(r, 0), r, math.nextafter(r, math.inf)):
+                assert set(prism_spectrum(base, spec, x).points) == set(patch(dual, x).points), (n2, x)
+        with pytest.raises(PreconditionFailed):
+            prism_spectrum(base, spec, math.nan)
 
 
 def test_spectrum_covariance(hexagon, truncated_octahedron):
