@@ -29,6 +29,12 @@ Mat = tuple
 INT64_MAX = 2**63 - 1
 
 
+def _abs_max(a) -> int:
+    """The largest magnitude in the integer array a (0 when empty), exact
+    at INT64_MIN."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
 def rational(x) -> Rat:
     """Coerce ints, rational strings ("p/q", "3", "0.25") and Fractions to Rat.
 

@@ -35,7 +35,7 @@ from .fourier import (
     _indicator_rows_hp,
 )
 from .geometry import Polytope, memo
-from .linalg import INT64_MAX, Rat, clear_denominators, det, integer_ratios, sqrt_lower, sqrt_upper
+from .linalg import INT64_MAX, Rat, _abs_max, clear_denominators, det, integer_ratios, sqrt_lower, sqrt_upper
 from .symmetry import linear_symmetries
 from .tiling import Lattice, TilingReport, is_prism, lattice_T, rat_rows, venkov_mcmullen
 
@@ -62,10 +62,6 @@ __all__ = [
 # pair differences (_pair_blocks) and _separation's index pairs are formed
 # about this many at a time
 _BLOCK = 1 << 15
-
-
-def _abs_max(a) -> int:  # exact at INT64_MIN
-    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 class SpectrumPatch:
@@ -421,18 +417,27 @@ def patch(lattice: Lattice, radius: float) -> SpectrumPatch:
 
 
 def _unique(a):
-    """The distinct entries of a 1-D array, or rows of a 2-D one, in
-    (lexicographic) order."""
+    """The distinct rows of a 2-D array in lexicographic order."""
     if len(a) < 2:
         return a
+    a = a[np.lexsort(a.T[::-1])]
     keep = np.ones(len(a), dtype=bool)
-    if a.ndim == 1:
-        a = np.sort(a)
-        keep[1:] = a[1:] != a[:-1]
-    else:
-        a = a[np.lexsort(a.T[::-1])]
-        keep[1:] = (a[1:] != a[:-1]).any(axis=1)
+    keep[1:] = (a[1:] != a[:-1]).any(axis=1)
     return a[keep]
+
+
+def _pair_indices(n: int):
+    """The index pairs i < j of n items, as arrays (i, j) of about _BLOCK
+    pairs each (all pairs of one i at least), i ascending."""
+    if n < 2:
+        return
+    count = np.arange(n - 1, 0, -1)
+    ends = np.cumsum(count)
+    cuts = np.flatnonzero(np.diff(ends // _BLOCK)) + 1
+    for s, t in zip((0, *cuts), (*cuts, len(ends))):
+        c = count[s:t]
+        i = np.repeat(np.arange(s, t), c)
+        yield i, np.arange(ends[s] - c[0], ends[t - 1]) - np.repeat(ends[s:t] - c, c) + i + 1
 
 
 def _pair_blocks(a):
@@ -458,7 +463,9 @@ def _radix(a):
     A difference d of two rows has |d_k| <= span_k, the range of column k,
     so sum(d_k * place_k), with place_k the product of 2 * span_l + 1 over
     the later columns l, determines d and orders differences as their rows
-    order lexicographically.  None when that code could overflow int64.
+    order lexicographically.  None when that product passes INT64_MAX / 2:
+    the codes of the rows then stay below 2^61, and _run_differences' keys,
+    at most three times a code, fit int64.
     """
     if a.dtype != np.int64 or not a.size:
         return None
@@ -467,41 +474,113 @@ def _radix(a):
     for span in reversed(spans):
         places.insert(0, size)
         size *= 2 * span + 1
-    return (spans, places) if size <= INT64_MAX else None
+    return (spans, places) if size <= INT64_MAX // 2 else None
+
+
+def _merge_intervals(start, end):
+    """The union of the integer intervals [start_i, end_i], as sorted
+    intervals no two of which touch."""
+    if len(start) < 2:
+        return start, end
+    order = np.argsort(start)
+    start, end = start[order], np.maximum.accumulate(end[order])
+    first = np.flatnonzero(np.concatenate([[True], start[1:] > end[:-1] + 1]))
+    return start[first], end[np.append(first[1:] - 1, len(end) - 1)]
+
+
+def _run_differences(c, line):
+    """The distinct c[j] - c[i] (i < j) of the sorted int64 codes c, in
+    increasing order; codes with equal c // line lie on one line (line
+    None: all of them).
+
+    c is not empty.  Duplicate codes give 0.  The distinct codes split into runs, maximal
+    stretches whose consecutive codes differ by h, the gcd of the gaps
+    within lines (1 when there are none), so that run i is lo_i, lo_i + h,
+    ..., hi_i.  A lattice ball meets each line in one run.  Runs i < j give
+    every code from lo_j - hi_i to hi_j - lo_i in steps of h, and run i
+    alone every multiple of h up to hi_i - lo_i.  Such an interval, of
+    residue r mod h, is keyed as r M + [s // h, e // h] with M two past the
+    largest quotient, so that the intervals of one residue lie apart from
+    the others' and merge as integer intervals; with h = 1 the keys are the
+    codes.  The run pairs are formed about _BLOCK at a time (_pair_indices),
+    and each block's merged intervals join the running union once they
+    outnumber it, so memory stays near the distinct codes plus one block.
+    The union is expanded last, and sorted back to code order when h > 1.
+    """
+    step = np.diff(c)
+    zero = [] if step.all() else [np.zeros(1, dtype=np.int64)]
+    c = c[np.append(True, step != 0)]
+    gaps = np.diff(c)
+    within = gaps if line is None else gaps[c[1:] // line == c[:-1] // line]
+    h = int(np.gcd.reduce(within)) if len(within) else 1
+    cut = np.flatnonzero(gaps != h) + 1
+    lo, hi = c[np.append(0, cut)], c[np.append(cut - 1, len(c) - 1)]
+    m = int(c[-1] - c[0]) // h + 2
+
+    def blocks():
+        long = hi > lo
+        s, e = np.full(int(long.sum()), h), (hi - lo)[long]
+        yield (s, e) if h == 1 else (s // h, e // h)
+        for i, j in _pair_indices(len(lo)):
+            s, e = lo[j] - hi[i], hi[j] - lo[i]
+            if h == 1:
+                yield s, e
+            else:
+                r = (lo[j] - lo[i]) % h * m
+                yield r + s // h, r + e // h
+
+    union, parts, size = (c[:0], c[:0]), [], 0
+    for s, e in blocks():
+        parts.append(_merge_intervals(s, e))
+        size += len(parts[-1][0])
+        if size >= max(len(union[0]), _BLOCK):
+            union = _merge_intervals(*map(np.concatenate, zip(union, *parts)))
+            parts, size = [], 0
+    start, end = _merge_intervals(*map(np.concatenate, zip(union, *parts)))
+    count = end - start + 1
+    ends = np.cumsum(count)
+    t = np.repeat(start - (ends - count), count)
+    t += np.arange(len(t), dtype=np.int64)
+    if h > 1:
+        r, t = np.divmod(t, m)
+        t *= h
+        t += r
+        t.sort()
+    return np.concatenate([*zero, t]) if zero else t
 
 
 def _distinct_differences(a):
-    """The distinct differences a[j] - a[i] (i < j) of the rows of a, as
-    the rows of one array in lexicographic order.
+    """The distinct differences a[j] - a[i] (i < j) of the lexicographically
+    sorted rows of a, as the rows of one array in lexicographic order.
 
-    The array has the dtype of a (see SpectrumPatch._coords).  The pairs are
-    formed one block at a time, offset by offset, and each block is
-    deduplicated before it joins the distinct set, so memory stays bounded
-    by the distinct set plus a few blocks; on a lattice patch the
-    differences at one offset repeat heavily.  Integer rows are coded as
-    single int64 numbers where _radix allows, so that a block sorts as a
-    1-D array; other rows are sorted with np.lexsort.
+    The array has the dtype of a (see SpectrumPatch._coords).  Integer rows
+    with a one-number code (_radix), every lattice patch among them, are
+    sorted codes, and their differences come from runs of collinear points
+    (_run_differences).  Other rows, such as shifted float patches and
+    Python-int rows, walk the pairs: the pairs are formed one block at a
+    time, offset by offset (_pair_blocks), and each block is deduplicated
+    before it joins the distinct set, so memory stays bounded by the
+    distinct set plus a few blocks.
     """
     radix = _radix(a)
-    if radix is not None:
-        spans, places = radix
-        a = (a - a.min(axis=0)) @ np.array(places, dtype=np.int64)
-    distinct, fresh, size = a[:0], [], 0
-    for diff in _pair_blocks(a):
-        fresh.append(_unique(diff))
-        size += len(fresh[-1])
-        if size >= max(len(distinct), _BLOCK):
-            distinct = _unique(np.concatenate([distinct, *fresh]))
-            fresh, size = [], 0
-    distinct = _unique(np.concatenate([distinct, *fresh]))
     if radix is None:
-        return distinct
-    rest = distinct + sum(span * place for span, place in zip(spans, places))
-    cols = []
-    for span, place in zip(spans, places):
-        digit, rest = np.divmod(rest, place)
-        cols.append(digit - span)
-    return np.stack(cols, axis=1).reshape(-1, len(spans))
+        distinct, fresh, size = a[:0], [], 0
+        for diff in _pair_blocks(a):
+            fresh.append(_unique(diff))
+            size += len(fresh[-1])
+            if size >= max(len(distinct), _BLOCK):
+                distinct = _unique(np.concatenate([distinct, *fresh]))
+                fresh, size = [], 0
+        return _unique(np.concatenate([distinct, *fresh]))
+    spans, places = radix
+    codes = (a - a.min(axis=0)) @ np.array(places, dtype=np.int64)
+    rest = _run_differences(codes, places[-2] if len(places) > 1 else None)
+    rest += sum(span * place for span, place in zip(spans, places))
+    out = np.empty((len(rest), len(spans)), dtype=np.int64)
+    for col, span, place in zip(out.T, spans, places):
+        np.divmod(rest, place, out=(col, rest))
+        col -= span
+    return out
 
 
 def _matmul_mod(u, t, m: int):
@@ -755,7 +834,7 @@ class PrismSpectrumSpec:
     theta: dict
 
 
-def prism_spectrum(base: Polytope, spec: PrismSpectrumSpec, radius: float) -> SpectrumPatch:
+def prism_spectrum(spec: PrismSpectrumSpec, radius: float) -> SpectrumPatch:
     """Patch of the prism spectrum {(k + theta(gamma), gamma)} in the closed
     ball of the given radius.
 

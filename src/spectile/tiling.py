@@ -25,6 +25,7 @@ from .geometry import Polytope, facet_widths, memo
 from .linalg import (
     INT64_MAX,
     Rat,
+    _abs_max,
     adjugate_rows,
     angular_sort,
     clear_denominators,
@@ -36,9 +37,6 @@ from .linalg import (
     solve,
     sqrt_upper,
     transpose,
-    vadd,
-    vdot,
-    vscale,
     vsub,
 )
 from .symmetry import center_of_symmetry, facet_symmetry_check, facet_translate, tau_vectors
@@ -392,39 +390,35 @@ def lattice_T(p: Polytope) -> Lattice:
 # --- packing / covering -------------------------------------------------------
 
 
-def _interiors_overlap(p: Polytope, center, tau) -> bool:
-    """Exact test for vol(P n (P + tau)) > 0, for P centrally symmetric
-    about center."""
-    # Width reject: if the shift along some facet normal reaches the width
-    # of P in that direction, the interiors cannot meet.
-    for f, width in zip(p.facets, facet_widths(p)):
-        if abs(vdot(f.normal, tau)) >= width:
-            return False
-    # P n (P + tau) is symmetric about center + tau/2, so when it is solid
-    # it holds that midpoint in its interior.
-    return p.contains(vadd(center, vscale(tau, Rat(1, 2))), strict=True)
-
-
 @memo
 def packing_verify(p: Polytope, lattice: Lattice) -> bool:
     """Translates along the lattice are pairwise disjoint up to measure zero.
 
     P must be centrally symmetric (PreconditionFailed otherwise), as every
     translational tiler is.  Only vectors shorter than the diameter can
-    produce overlap, so the check enumerates the finitely many lattice
-    points in that ball.
+    produce overlap, so the check reads the finitely many nonzero lattice
+    points tau in that open ball (Lattice.ball_rows).  P n (P + tau) is
+    symmetric about c + tau/2, c the centre, so it is solid exactly when it
+    holds that point in its interior: <n, tau> < width_n for every facet
+    normal n (geometry.facet_widths), the facets coming in pairs +-n.  With
+    the vertices V / s (Polytope.integer_vertices) and tau = x / den, that
+    reads (x N^T) s < (max <n, V> - min <n, V>) den in every column, one
+    integer product over all tau: int64 when the magnitudes fit, Python
+    ints otherwise.
     """
     if lattice.dim != p.dim:
         raise PreconditionFailed("lattice dimension differs from polytope dimension")
-    center = center_of_symmetry(p)
-    if center is None:
+    if center_of_symmetry(p) is None:
         raise PreconditionFailed("packing is verified for centrally symmetric polytopes only")
-    for tau in lattice.points_in_ball(p.diameter_sq, strict=True):
-        if all(c == 0 for c in tau):
-            continue
-        if _interiors_overlap(p, center, tau):
-            return False
-    return True
+    den, x = lattice.ball_rows(p.diameter_sq, strict=True)
+    x = x[(x != 0).any(axis=1)]
+    s = p.integer_vertices[0]
+    normals = [f.normal for f in p.facets]
+    widths = [int(w * s) for w in facet_widths(p)]
+    big = max(abs(c) for n in normals for c in n)
+    dtype = np.int64 if max(p.dim * _abs_max(x) * big * s, max(widths) * den) <= INT64_MAX else object
+    heights = (x.astype(dtype, copy=False) @ np.array(normals, dtype=dtype).T) * s
+    return not (heights < np.array(widths, dtype=dtype) * den).all(axis=1).any()
 
 
 def covering_verify(p: Polytope, lattice: Lattice, samples: int = 20000, seed: int = 7) -> bool:

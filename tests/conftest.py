@@ -191,3 +191,32 @@ def linear_symmetry_oracle(vertices):
 
     extend([])
     return found
+
+
+def _interiors_overlap(p, center, tau) -> bool:
+    """Exact test for vol(P n (P + tau)) > 0, for P centrally symmetric
+    about center, in Fraction arithmetic."""
+    from spectile.geometry import facet_widths
+    from spectile.linalg import vadd, vscale
+
+    # Width reject: if the shift along some facet normal reaches the width
+    # of P in that direction, the interiors cannot meet.
+    for f, width in zip(p.facets, facet_widths(p)):
+        if abs(vdot(f.normal, tau)) >= width:
+            return False
+    # P n (P + tau) is symmetric about center + tau/2, so when it is solid
+    # it holds that midpoint in its interior.
+    return p.contains(vadd(center, vscale(tau, Rat(1, 2))), strict=True)
+
+
+def packing_reference(p, lattice) -> bool:
+    """The reference for tiling.packing_verify: every nonzero lattice point
+    tau shorter than the diameter, as a tuple of Fractions, tested one at a
+    time with _interiors_overlap."""
+    from spectile.symmetry import center_of_symmetry
+
+    center = center_of_symmetry(p)
+    for tau in lattice.points_in_ball(p.diameter_sq, strict=True):
+        if any(c != 0 for c in tau) and _interiors_overlap(p, center, tau):
+            return False
+    return True

@@ -302,8 +302,8 @@ def test_criterion_09_prism_non_uniqueness():
     base = patch(dual_lattice(lattice_T(hexagon)), 2.0)
     theta0 = {q: 0 for q in base.points}
     theta1 = {q: sum(c * w for c, w in zip(q, (Rat(1, 5), Rat(1, 5)))) % 1 for q in base.points}
-    sp0 = prism_spectrum(hexagon, PrismSpectrumSpec(base, theta0), 2.0)
-    sp1 = prism_spectrum(hexagon, PrismSpectrumSpec(base, theta1), 2.0)
+    sp0 = prism_spectrum(PrismSpectrumSpec(base, theta0), 2.0)
+    sp1 = prism_spectrum(PrismSpectrumSpec(base, theta1), 2.0)
     vol = float(hex_prism.volume)
     for sp in (sp0, sp1):
         rep = verify_orthogonality(hex_prism, sp)

@@ -289,23 +289,29 @@ def test_float_patch_checks_equal_its_exact_conversion(hexagon, pts):
 
 
 def test_analyze_walks_the_pairs_once(monkeypatch):
-    # orthogonality forms the difference set once; C2 on the exact patch
-    # reads per-point residues and walks no pairs
+    # orthogonality forms the difference set once, from the runs of the
+    # lattice patch, and walks no pairs; C2 on the exact patch reads
+    # per-point residues
     from spectile.report import analyze
 
-    walks = []
-    pair_blocks = spectrum._pair_blocks
+    runs, walks = [], []
+    run_differences, pair_blocks = spectrum._run_differences, spectrum._pair_blocks
 
-    def counted(a):
+    def counted_runs(c, line):
+        runs.append(len(c))
+        return run_differences(c, line)
+
+    def counted_walk(a):
         walks.append(len(a))
         return pair_blocks(a)
 
-    monkeypatch.setattr(spectrum, "_pair_blocks", counted)
+    monkeypatch.setattr(spectrum, "_run_differences", counted_runs)
+    monkeypatch.setattr(spectrum, "_pair_blocks", counted_walk)
     for name in ("hexagon", "truncated-octahedron"):
-        walks.clear()
+        runs.clear()
         rep = analyze(make(name), radius=2.0)
         assert rep["verification"]["c2_integrality"]["passed"]
-        assert walks == [rep["verification"]["patch"]["count"]]
+        assert runs == [rep["verification"]["patch"]["count"]] and walks == []
 
 
 def _brute_gap(r, m):
@@ -380,9 +386,15 @@ def test_c2_of_a_moved_lattice_point_matches_every_pair(hexagon):
 
 def test_c2_never_walks_pairs(monkeypatch, hexagon):
     # C2 reads per-point residues, float taus and float patches included;
-    # orthogonality alone walks the pairs, once
-    walks, uniques = [], []
-    pair_blocks, unique = spectrum._pair_blocks, spectrum._unique
+    # orthogonality alone forms differences, once: from runs on the lattice
+    # patch, by the pair walk on its shifted float copy, which has no
+    # one-number code
+    runs, walks, uniques = [], [], []
+    run_differences, pair_blocks, unique = spectrum._run_differences, spectrum._pair_blocks, spectrum._unique
+
+    def counted_runs(c, line):
+        runs.append(len(c))
+        return run_differences(c, line)
 
     def counted_walk(a):
         walks.append(len(a))
@@ -392,6 +404,7 @@ def test_c2_never_walks_pairs(monkeypatch, hexagon):
         uniques.append(len(a))
         return unique(a)
 
+    monkeypatch.setattr(spectrum, "_run_differences", counted_runs)
     monkeypatch.setattr(spectrum, "_pair_blocks", counted_walk)
     monkeypatch.setattr(spectrum, "_unique", counted_unique)
     taus = [t.tau for t in tau_vectors(hexagon)]
@@ -400,9 +413,11 @@ def test_c2_never_walks_pairs(monkeypatch, hexagon):
     float_taus = [tuple(float(c) for c in t) for t in taus]
     for s, t in ((sp, taus), (sp, float_taus), (floats, taus)):
         assert condition_C2_check(s, t).passed
-        assert walks == [] and uniques == []
+        assert runs == walks == uniques == []
     verify_orthogonality(hexagon, sp)
-    assert walks == [len(sp)] and uniques
+    assert runs == [len(sp)] and walks == uniques == []
+    verify_orthogonality(hexagon, floats)
+    assert runs == [len(sp)] and walks == [len(floats)] and uniques
 
 
 def test_c2_empty_and_single_point_patches():
@@ -412,6 +427,76 @@ def test_c2_empty_and_single_point_patches():
         rep = condition_C2_check(sp, taus)
         assert rep.passed and rep.max_distance_to_integer == 0.0
         assert len(sp._differences[1]) == 0
+
+
+# the largest product of (2 span + 1) over the columns that keeps a
+# one-number code (spectrum._radix)
+_CODE_LIMIT = (2**63 - 1) // 2
+
+
+@st.composite
+def difference_rows(draw):
+    """(a, coded): int64 rows in lexicographic order in 1 to 3 dimensions,
+    and whether they have a one-number code (None: either).  The rows are a
+    lattice ball of a random integer upper triangular basis, random points
+    with duplicates, one point, or points whose spans put the code just
+    inside or just past its int64 limit."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["ball", "points", "one", "limit"]))
+    coded = None
+    if kind == "ball":
+        rows = [[0] * k + [draw(st.integers(1, 4))] + draw(st.lists(st.integers(-3, 3), min_size=d - k - 1, max_size=d - k - 1)) for k in range(d)]
+        _, x = Lattice.from_generators(rows).ball_rows(draw(st.integers(0, 60)))
+        rows = x.tolist()
+    elif kind == "points":
+        pool = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=25))
+        rows = pool + draw(st.lists(st.sampled_from(pool), max_size=8))
+    elif kind == "one":
+        rows = [draw(st.tuples(*[st.integers(-9, 9)] * d))]
+    else:
+        lead = draw(st.lists(st.integers(0, 3), min_size=d - 1, max_size=d - 1))
+        top = (_CODE_LIMIT // math.prod(2 * s + 1 for s in lead) - 1) // 2
+        delta = draw(st.sampled_from([-1, 0, 1, 2]))
+        coded = delta <= 0
+        span = top + delta
+        inner = draw(st.lists(st.tuples(*[st.integers(0, s) for s in lead], st.integers(0, span)), max_size=10))
+        rows = [(*lead, 0), (0,) * (d - 1) + (span,), *inner]
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    a = np.array(sorted(map(tuple, rows)), dtype=np.int64).reshape(-1, d)
+    return a, coded
+
+
+@settings(max_examples=200, deadline=None)
+@example((np.zeros((1, 3), dtype=np.int64), None))
+@example((np.array([[0], [2], [2], [4], [7], [9], [11]], dtype=np.int64), None))  # h = 2, two runs
+@example((np.array([[0, 0], [0, 3], [1, 1], [1, 4], [1, 7]], dtype=np.int64), None))  # h = 3, residues 0 to 2
+@given(difference_rows())
+def test_run_walk_matches_every_pair(case):
+    # the distinct a[j] - a[i] (i < j), rows and order, on both sides of
+    # the one-number code's limit
+    a, coded = case
+    if coded is not None:
+        assert (spectrum._radix(a) is not None) == coded
+    brute = sorted({tuple(y - x for x, y in zip(a[i], a[j])) for i in range(len(a)) for j in range(i + 1, len(a))})
+    got = spectrum._distinct_differences(a)
+    assert got.dtype == np.int64 and got.shape == (len(brute), a.shape[1])
+    assert [tuple(r) for r in got.tolist()] == brute
+
+
+def test_differences_keep_memory_near_the_output():
+    # the run pairs are formed a block at a time: on the cube patch of
+    # radius 12 (7,153 points, 452 runs, 101,926 run pairs) the peak stays
+    # within a few times the 27,700 differences' own bytes
+    import tracemalloc
+
+    sp = patch(Lattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 12.0)
+    tracemalloc.start()
+    try:
+        den, u = sp._differences
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(u) == 27700 and peak < 6 * u.nbytes, peak / u.nbytes
 
 
 def test_integer_differences_match_fraction_brute_force():
@@ -643,7 +728,7 @@ def test_prism_spectrum_zero_offsets_is_product(square):
     base_dual = dual_lattice(lattice_T(square))
     base_patch = patch(base_dual, 2.0)
     spec = PrismSpectrumSpec(base_patch=base_patch, theta={q: 0 for q in base_patch.points})
-    sp = prism_spectrum(square, spec, 2.0)
+    sp = prism_spectrum(spec, 2.0)
     z3 = Lattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert set(sp.points) == set(patch(z3, 2.0).points)
 
@@ -654,7 +739,7 @@ def test_prism_spectrum_orthogonal_on_cube(cube, square):
     theta = {}
     for i, q in enumerate(sorted(base_patch.points)):
         theta[q] = Rat(i % 5, 5)
-    sp = prism_spectrum(square, PrismSpectrumSpec(base_patch=base_patch, theta=theta), 2.0)
+    sp = prism_spectrum(PrismSpectrumSpec(base_patch=base_patch, theta=theta), 2.0)
     rep = verify_orthogonality(cube, sp)
     assert rep.passed
 
@@ -664,7 +749,7 @@ def test_prism_spectrum_theta_guard(square):
     base_patch = patch(base_dual, 1.0)
     theta = {q: Rat(3, 2) for q in base_patch.points}
     with pytest.raises(ThetaOutOfRange):
-        prism_spectrum(square, PrismSpectrumSpec(base_patch=base_patch, theta=theta), 1.5)
+        prism_spectrum(PrismSpectrumSpec(base_patch=base_patch, theta=theta), 1.5)
 
 
 def _not_translates(a, b):
@@ -680,8 +765,8 @@ def test_prism_spectrum_non_uniqueness(hexagon, hexagonal_prism):
     base_patch = patch(base_dual, 2.0)
     theta0 = {q: 0 for q in base_patch.points}
     theta1 = {q: sum(c * w for c, w in zip(q, (Rat(1, 5), Rat(1, 5)))) % 1 for q in base_patch.points}
-    sp0 = prism_spectrum(hexagon, PrismSpectrumSpec(base_patch, theta0), 2.0)
-    sp1 = prism_spectrum(hexagon, PrismSpectrumSpec(base_patch, theta1), 2.0)
+    sp0 = prism_spectrum(PrismSpectrumSpec(base_patch, theta0), 2.0)
+    sp1 = prism_spectrum(PrismSpectrumSpec(base_patch, theta1), 2.0)
     assert _not_translates(sp0, sp1)
     for sp in (sp0, sp1):
         rep = verify_orthogonality(hexagonal_prism, sp)
@@ -782,9 +867,9 @@ def test_prism_spectrum_window_is_exact(square, cube, hexagon, hexagonal_prism):
         for n2 in sorted({sum(c * c for c in q) for q in patch(dual, 2.5).points} - {0}):
             r = math.sqrt(n2)
             for x in (math.nextafter(r, 0), r, math.nextafter(r, math.inf)):
-                assert set(prism_spectrum(base, spec, x).points) == set(patch(dual, x).points), (n2, x)
+                assert set(prism_spectrum(spec, x).points) == set(patch(dual, x).points), (n2, x)
         with pytest.raises(PreconditionFailed):
-            prism_spectrum(base, spec, math.nan)
+            prism_spectrum(spec, math.nan)
 
 
 def test_spectrum_covariance(hexagon, truncated_octahedron):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectile import AffineMap, Rat, from_vertices, geometry, make, tiling, zonotope
+from spectile import CATALOG_NAMES, AffineMap, Rat, from_vertices, geometry, make, tiling, zonotope
 from spectile.errors import NotATiler, NotFullDimensional, PreconditionFailed
 from spectile.linalg import INT64_MAX, centroid, clear_denominators, det, norm_sq, transpose, vadd, vsub
 from spectile.tiling import (
@@ -25,7 +25,7 @@ from spectile.tiling import (
     venkov_mcmullen,
 )
 
-from conftest import fraction_inverse, random_generators
+from conftest import fraction_inverse, packing_reference, random_generators
 
 
 def test_belts_cube(cube):
@@ -220,6 +220,29 @@ def test_packing(cube, hexagon, truncated_octahedron):
     assert not packing_verify(cube, half)
     assert packing_verify(hexagon, lattice_T(hexagon))
     assert packing_verify(truncated_octahedron, lattice_T(truncated_octahedron))
+
+
+def test_packing_matches_the_fraction_reference():
+    # the integer product against the per-translate Fraction loop, on the
+    # catalog tilers and 40 seeded zonotope tilers: their lattices L and 2L
+    # pack, L/2 and L/3 do not
+    tilers = [make(name) for name in CATALOG_NAMES]
+    for seed in range(40):
+        rng = random.Random(seed)
+        d = rng.choice((2, 3))
+        tilers.append(zonotope(random_generators(rng, rng.randint(d, d + 1), d)))
+    tilers = [p for p in tilers if p.dim in (2, 3) and venkov_mcmullen(p).tiles]
+    assert len(tilers) == 47
+    for p in tilers:
+        lattice = lattice_T(p)
+        for scale, packs in ((1, True), (2, True), (Rat(1, 2), False), (Rat(1, 3), False)):
+            scaled = Lattice.from_generators([[c * scale for c in row] for row in lattice.basis])
+            assert packing_verify(p, scaled) == packing_reference(p, scaled) == packs, (p, scale)
+    # denominators near 2^31 put the product past int64: Python ints
+    cube = make("cube")
+    for scale, packs in ((1, True), (Rat(1, 2), False)):
+        wide = Lattice.from_generators([(scale + Rat(1, 2**31 - 1), 0, 0), (0, scale + Rat(1, 2**31), 0), (0, 0, scale)])
+        assert packing_verify(cube, wide) == packing_reference(cube, wide) == packs, scale
 
 
 def test_packing_needs_central_symmetry(triangle):
