@@ -463,9 +463,9 @@ def _radix(a):
     A difference d of two rows has |d_k| <= span_k, the range of column k,
     so sum(d_k * place_k), with place_k the product of 2 * span_l + 1 over
     the later columns l, determines d and orders differences as their rows
-    order lexicographically.  None when that product passes INT64_MAX / 2:
-    the codes of the rows then stay below 2^61, and _run_differences' keys,
-    at most three times a code, fit int64.
+    order lexicographically.  None when that product passes INT64_MAX // 2,
+    so that every code stays below 2^61 and _run_differences' keys, at most
+    three times a code, fit int64.
     """
     if a.dtype != np.int64 or not a.size:
         return None
