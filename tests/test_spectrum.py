@@ -445,7 +445,8 @@ def difference_rows(draw):
     kind = draw(st.sampled_from(["ball", "points", "one", "limit"]))
     coded = None
     if kind == "ball":
-        rows = [[0] * k + [draw(st.integers(1, 4))] + draw(st.lists(st.integers(-3, 3), min_size=d - k - 1, max_size=d - k - 1)) for k in range(d)]
+        tail = st.integers(-3, 3)
+        rows = [[0] * k + [draw(st.integers(1, 4))] + [draw(tail) for _ in range(d - k - 1)] for k in range(d)]
         _, x = Lattice.from_generators(rows).ball_rows(draw(st.integers(0, 60)))
         rows = x.tolist()
     elif kind == "points":

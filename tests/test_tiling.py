@@ -241,7 +241,8 @@ def test_packing_matches_the_fraction_reference():
     # denominators near 2^31 put the product past int64: Python ints
     cube = make("cube")
     for scale, packs in ((1, True), (Rat(1, 2), False)):
-        wide = Lattice.from_generators([(scale + Rat(1, 2**31 - 1), 0, 0), (0, scale + Rat(1, 2**31), 0), (0, 0, scale)])
+        wide = [(scale + Rat(1, 2**31 - 1), 0, 0), (0, scale + Rat(1, 2**31), 0), (0, 0, scale)]
+        wide = Lattice.from_generators(wide)
         assert packing_verify(cube, wide) == packing_reference(cube, wide) == packs, scale
 
 
