@@ -23,18 +23,24 @@ whose integer m agree up to sign (a zonotope's edges have one class per
 generator direction); the walk forms each weight <xi, m> / |m| once per
 class, and each child takes the weight or its exact negation.  The walk
 has two arithmetics.  Values (ft_indicator, ft_surface, ft_with_boundary,
-asymptotic_cone_check) come from _walk_hp at a working precision of 128
-bits (precision_bits()); it runs on mpmath's libmp tuples, with the
+asymptotic_cone_check) come from walk._walk_hp at a working precision of
+128 bits (precision_bits()); it runs on mpmath's libmp tuples, with the
 precision and rounding (to nearest) that mpmath's mpf and mpc objects
 would use, so its values are theirs.  One walk evaluates every face: its
 facet level is the surface transforms and its body the indicator.  It
 divides by -2 pi i |xi_par|^2 with mpc_div's own steps minus the terms of
-the divisor's zero real part (_div_imag).  Decisions over many
+the divisor's zero real part (walk._div_imag).  Decisions over many
 frequencies (spectrum.verify_orthogonality, decay_bound_check) go
 through the float64 batch kernel on integer-scaled frequencies, a
 floating-point filter: a frequency whose float64 bound is too coarse to
 decide is walked again at working precision, and again at 256, 512 and
 1024 bits while its bound stays too coarse.
+
+The walk lives in walk.py, the one module that imports mpmath when it is
+loaded; this module imports it only inside the functions that compute a
+working-precision value.  So mpmath is loaded by the `fourier` command,
+`oracle --op transform`, the decay and cone checks, and by `analyze` and
+`verify` only when some row climbs the precision ladder.
 """
 
 from __future__ import annotations
@@ -43,24 +49,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
-from mpmath.libmp import (
-    fzero,
-    from_int,
-    mpc_mul_mpf,
-    mpf_add,
-    mpf_cos_sin,
-    mpf_div,
-    mpf_hypot,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_pi,
-    mpf_sqrt,
-    to_float,
-)
-from mpmath.libmp.libmpf import round_fast
 
 from .errors import DimensionMismatch, NotStandardPosition, ZeroFrequency
 from .geometry import Polytope, memo
@@ -130,46 +119,6 @@ class ComplexValue:
         return complex(self.re, self.im)
 
 
-# libmp operations round to nearest, as mpmath's wrappers do by default
-_RND = "n"
-
-
-def _ratio_t(num: int, den: int, prec: int):
-    """num / den for integers, den > 0, as a libmp value at prec bits.  The
-    fraction is reduced first, so the value does not depend on how it was
-    scaled even where its numerator is wider than the precision."""
-    g = math.gcd(num, den)
-    return mpf_div(from_int(num // g, prec, _RND), from_int(den // g), prec, _RND)
-
-
-def _ratio(num: int, den: int):
-    """_ratio_t at the current working precision."""
-    return mpmath.mp.make_mpf(_ratio_t(num, den, mpmath.mp.prec))
-
-
-def _mpf(q):
-    """A Fraction at the current working precision."""
-    return _ratio(q.numerator, q.denominator)
-
-
-def _minus_two_pi(prec: int):
-    return mpf_mul_int(mpf_pi(prec, _RND), -2, prec, _RND)
-
-
-def _phase_t(num: int, mod: int, m2pi, prec: int):
-    """e^{-2 pi i num / mod} for integers num and mod > 0 as a libmp pair
-    (cos, sin) at prec bits, with m2pi = -2 pi at prec bits; num is reduced
-    modulo mod in integers first, so the angle lies in [-2 pi, 0] however
-    large the arguments."""
-    return mpf_cos_sin(mpf_mul(m2pi, _ratio_t(num % mod, mod, prec), prec, _RND), prec, _RND)
-
-
-def _phase(num: int, mod: int):
-    """_phase_t at the current working precision."""
-    prec = mpmath.mp.prec
-    return mpmath.mp.make_mpc(_phase_t(num, mod, _minus_two_pi(prec), prec))
-
-
 def _phase_eps(bits: int) -> float:
     """Bound on |computed cis(-2 pi t) - e^{-2 pi i t}| at `bits` of precision
     for an exactly reduced rational t; it is also a generous per-operation
@@ -182,7 +131,7 @@ def _phase_eps(bits: int) -> float:
       more, so the angle is off by at most 5u * pi < 16u.  numpy documents
       at most 4 ulp for its float64 sin and cos, at most 4u each for values
       in [-1, 1], which adds sqrt(2) * 4u < 6u: 22u in all.
-    * working precision (_phase): t is reduced to [0, 1), so the angle
+    * working precision (walk._phase): t is reduced to [0, 1), so the angle
       lies in [0, 2 pi].  The conversion of t, the rounded pi and the
       product cost at most 4u relative, 8u * pi < 26u, and mpmath's sin
       and cos are within 1 ulp, sqrt(2) u more: 27u in all.
@@ -318,159 +267,6 @@ def _batch_geometry(p: Polytope):
     }
 
 
-# --- the working-precision level walk ----------------------------------------
-
-
-@memo
-def _hp_roots(p: Polytope, bits: int):
-    """-2 pi, and per level the square roots of the face measures (with
-    their floats) and of the weight classes' |m|^2, as libmp values at
-    `bits` of precision.  Each distinct square is rooted once."""
-    roots = {}
-
-    def root(q):
-        if q not in roots:
-            roots[q] = mpf_sqrt(_ratio_t(q.numerator, q.denominator, bits), bits, _RND)
-        return roots[q]
-
-    levels = []
-    for lv in _batch_geometry(p)["levels"]:
-        measures = [root(q) for q in lv["measure_sq"]]
-        levels.append((measures, [to_float(m, rnd=_RND) for m in measures], [root(q) for q in lv["m_sq"]]))
-    return {
-        "eps": _phase_eps(bits),
-        "pi_f": to_float(mpf_pi(bits, _RND), rnd=_RND),
-        "m2pi": _minus_two_pi(bits),
-        "levels": levels,
-    }
-
-
-def _imag_divisor(d, bits: int):
-    """For a nonzero real d, the divisor i d of _div_imag: d and its square
-    as mpc_div forms it, at bits + 10 with its default rounding."""
-    return d, mpf_mul(d, d, bits + 10, round_fast)
-
-
-def _div_imag(z, divisor, bits: int):
-    """z / (i d) for a complex z and divisor = _imag_divisor(d, bits), bit
-    for bit mpc_div(z, (fzero, d), bits, _RND): mpc_div's own steps, with
-    the products of its zero real part dropped.  Its numerators b d and
-    -a d are rounded at bits + 10 with its default rounding, as d^2 is,
-    and the quotients at bits to nearest."""
-    (a, b), (d, mag) = z, divisor
-    wp = bits + 10
-    return (
-        mpf_div(mpf_mul(b, d, wp, round_fast), mag, bits, _RND),
-        mpf_div(mpf_mul(mpf_neg(a), d, wp, round_fast), mag, bits, _RND),
-    )
-
-
-def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
-    """The boundary recursion at xi = x / den, for integers x and a positive
-    integer den, at `bits` of working precision.  Returns one list per
-    level (the vertices, the edges in 3D, the facets, the body) of (value,
-    error bound) for every face, the values as mpmath.mpc.  Arithmetic on
-    the values needs a workprec of its own.
-
-    Every operand reaches mpmath as integers: a phase as its numerator
-    modulo den * scale, |xi_par|^2 as its integer numerator over
-    den^2 |n|^2, and a weight <xi, m> / |m| as lam <x, row> / den over
-    sqrt(|m|^2) for the row and lam of its weight class (_batch_level).  A
-    weight is formed once per class, and a child takes it or its exact
-    negation: rounding to nearest is symmetric, so that is the value the
-    child's own division gives.  A child of weight zero is skipped.  The
-    error bound of a combination is the children's bounds through the
-    weights plus 3 eps per term and 2 eps for the division by
-    -2 pi i |xi_par|^2, which _div_imag performs as mpc_div would; faces
-    with equal |xi_par|^2 share its divisor.
-
-    The arithmetic is mpmath's own libmp layer on raw (sign, man, exp, bc)
-    tuples, one call per operation at `bits` and rounding to nearest, so
-    the values are those of the same expressions on mpmath.mpf and
-    mpmath.mpc, without their wrapper objects.  Each face keeps the float
-    of its magnitude, formed once, for the bounds of its parents; a
-    vertex's is 1.0.
-    """
-    g = _batch_geometry(p)
-    x = np.array([int(c) for c in x], dtype=object)
-    den = int(den)
-    x_sq = int(x @ x)
-    # per level: the numerators of |xi_par|^2 over den^2 |n|^2, zero exactly
-    # on the flat branch
-    ints = []
-    for lv in g["levels"]:
-        if lv["kind"] == "body":  # |xi|^2
-            nums, par_dens = [x_sq], [den * den]
-        else:
-            c = (lv["normal"] @ x).tolist()
-            n_sq = lv["normal_sq"].tolist()
-            par_dens = [den * den * q for q in n_sq]
-            if lv["kind"] == "edge":  # <xi, u>^2 / |u|^2
-                nums = [ci * ci for ci in c]
-            else:  # a facet: |xi|^2 - <xi, n>^2 / |n|^2
-                nums = [x_sq * q - ci * ci for ci, q in zip(c, n_sq)]
-        ints.append((nums, par_dens))
-
-    hp = _hp_roots(p, bits)
-    eps, m2pi, two_pi_f = hp["eps"], hp["m2pi"], 2 * hp["pi_f"]
-    # per distinct |xi_par|^2 (parallel edges and opposite facets share
-    # one): the divisor of _div_imag and the float 2 pi |xi_par|^2
-    divisors = {}
-
-    def magnitude(z):
-        return to_float(mpf_hypot(*z, bits, _RND), rnd=_RND)
-
-    # a vertex value is a phase, cos and sin each within an ulp at `bits`:
-    # its modulus, as mpc_abs rounds it, is 1 within a few 2^-bits, far
-    # inside the 2^-54 around 1 that rounds to the float 1.0
-    mod = den * g["v_scale"]
-    below = [(_phase_t(r, mod, m2pi, bits), eps, 1.0) for r in (g["verts"] @ x).tolist()]
-    levels = [below]
-    for lv, (measures, measures_f, roots), (nums, par_dens) in zip(g["levels"], hp["levels"], ints):
-        # per class: the weight, its negation and the float of |weight|, or
-        # None for weight zero
-        weights = []
-        for c, (num, dnm), w_den in zip((lv["rows"] @ x).tolist(), lv["lams"], roots):
-            if c == 0:
-                weights.append(None)
-                continue
-            w = mpf_div(_ratio_t(num * c, dnm * den, bits), w_den, bits, _RND)
-            weights.append((w, mpf_neg(w), abs(to_float(w, rnd=_RND))))
-        out = []
-        for f, terms in enumerate(lv["terms"]):
-            if nums[f] == 0:
-                phase = _phase_t(int(lv["centroid"][f] @ x), den * lv["c_scale"], m2pi, bits)
-                z = mpc_mul_mpf(phase, measures[f], bits, _RND)
-                # the phase costs eps, the rounded measure and product far less
-                out.append((z, 2 * eps * measures_f[f], magnitude(z)))
-                continue
-            # the sum of weight * value, as mpc_add of mpc_mul_mpf would form it
-            re, im, err = fzero, fzero, 0.0
-            for j, k, flip in terms:
-                weight = weights[k]
-                if weight is None:
-                    continue
-                (zr, zi), e, mag = below[j]
-                w, aw = weight[flip], weight[2]
-                re = mpf_add(re, mpf_mul(zr, w, bits, _RND), bits, _RND)
-                im = mpf_add(im, mpf_mul(zi, w, bits, _RND), bits, _RND)
-                err += aw * e + aw * (mag + 1) * 3 * eps
-            key = (nums[f], par_dens[f])
-            if key not in divisors:
-                s = _ratio_t(*key, bits)
-                divisors[key] = (_imag_divisor(mpf_mul(m2pi, s, bits, _RND), bits), two_pi_f * to_float(s, rnd=_RND))
-            divisor, scale = divisors[key]
-            val = _div_imag((re, im), divisor, bits)
-            mag = magnitude(val)
-            # an |xi_par|^2 below the normal floats leaves no finite bound
-            err = err / scale if scale >= sys.float_info.min else math.inf
-            out.append((val, err + (mag + 1) * 2 * eps, mag))
-        levels.append(out)
-        below = out
-    make = mpmath.mp.make_mpc
-    return [[(make(z), e) for z, e, _ in level] for level in levels]
-
-
 def _integer_rows(xis):
     """Rational rows as integer numerators over one denominator per row."""
     nums, dens = [], []
@@ -479,12 +275,6 @@ def _integer_rows(xis):
         nums.append(x)
         dens.append(den)
     return nums, dens
-
-
-def _walk_at(p: Polytope, xi):
-    """_walk_hp at one rational frequency."""
-    (x,), (den,) = _integer_rows([xi])
-    return _walk_hp(p, x, den)
 
 
 # --- the float64 batch kernel ------------------------------------------------
@@ -537,7 +327,7 @@ def _cis(num, mod):
 
 
 def _batch_combine(lv, x, den, den_f, x_sq, z, e):
-    """One level of _walk_hp for every row and every parent, given the
+    """One level of walk._walk_hp for every row and every parent, given the
     children's values z and error bounds e."""
     # the weights per class, then per child: the int -> float conversion and
     # the division are sign-symmetric and the product with -1.0 is exact, so
@@ -579,7 +369,7 @@ def _batch_combine(lv, x, den, den_f, x_sq, z, e):
         phase = (x[rows] * lv["centroid"].astype(x.dtype)[faces]).sum(axis=1)
         measure = lv["measure"][faces]
         val[rows, faces] = measure * _cis(phase, den[rows] * lv["c_scale"])
-        # as in _walk_hp: the measure's rounding is far below eps
+        # as in walk._walk_hp: the measure's rounding is far below eps
         err[rows, faces] = 2 * _phase_eps(53) * measure
     return val, err
 
@@ -634,16 +424,21 @@ def _indicator_rows_hp(p: Polytope, X, D, val, err, too_coarse) -> int:
     """Settle the rows of a batch result whose bound is too coarse to decide.
 
     too_coarse(|val|, err) is the caller's decision test, a mask over all
-    rows.  The rows it flags are overwritten by their _walk_hp values, and
-    those it still flags are walked again at each higher precision of
+    rows.  The rows it flags are overwritten by their walk._walk_hp values,
+    and those it still flags are walked again at each higher precision of
     _LADDER; past the cap the last result stands.  The walk's bound is a
     multiple of _phase_eps(bits), so a row that even the cap's smaller
     bound would leave too coarse (a tolerance of 0, a value exactly on a
     decision bound) stops climbing at once.  Returns the number of rows
-    the float64 bound left too coarse.
+    the float64 bound left too coarse; with none, the walk (and mpmath) is
+    not loaded.
     """
     rows = np.flatnonzero(too_coarse(np.abs(val), err))
     fallbacks = len(rows)
+    if not fallbacks:
+        return 0
+    from .walk import _walk_hp
+
     for bits in _LADDER:
         for i in rows:
             z, err[i] = _walk_hp(p, X[i], D[i], bits=bits)[-1][0]
@@ -671,11 +466,15 @@ def ft_indicator(p: Polytope, xi) -> ComplexValue:
     xi = _check_frequency(p, xi)
     if is_zero_vec(xi):
         return ComplexValue(float(p.volume), 0.0, 0.0)
+    from .walk import _walk_at
+
     return _complex_value(_walk_at(p, xi)[-1][0])
 
 
 def ft_surface(p: Polytope, facet: int, xi) -> ComplexValue:
     """Transform of the surface measure of one facet."""
+    from .walk import _walk_at
+
     xi = _check_frequency(p, xi)
     return _complex_value(_walk_at(p, xi)[-2][facet])
 
@@ -691,6 +490,8 @@ def ft_with_boundary(p: Polytope, xi):
     xi = _check_frequency(p, xi)
     if is_zero_vec(xi):
         raise ZeroFrequency("boundary identity is stated for nonzero frequencies")
+    from .walk import _walk_at
+
     *_, facets, body = _walk_at(p, xi)
     return _complex_value(body[0]), tuple(_complex_value(f) for f in facets)
 
@@ -834,6 +635,10 @@ def asymptotic_cone_check(p: Polytope, sigma: Polytope, alpha: float, xi1_values
     scaled residual |r| |xi_1|, whose boundedness over a growing ladder is
     the checkable content.  For a prism the residual vanishes identically.
     """
+    import mpmath
+
+    from .walk import _mpf, _phase, _walk_at
+
     _require_standard_position(p, sigma)
     alpha_r = rational_from_float(float(alpha), 1000)
     dbase = p.dim - 1

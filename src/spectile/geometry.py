@@ -235,6 +235,7 @@ class Polytope:
                 acc += abs(idot(c0, cross3(a, b)))
         return Rat(acc, 6 * s**3)
 
+    @memo
     def face_measure_squared(self, face):
         """Exact squared k-volume of a face given as (k, index).
 

@@ -14,11 +14,10 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .errors import PreconditionFailed, RankDeficient
-from .fourier import ComplexValue, _check_frequency, _phase, _phase_eps, _ratio, precision_bits
+from .fourier import ComplexValue, _check_frequency, _phase_eps, precision_bits
 from .geometry import Polytope, memo
 from .linalg import (
     ZERO,
@@ -239,6 +238,8 @@ def _fan(p: Polytope):
 @functools.cache
 def _minus_two_pi_i(prec: int):
     """-2 pi i rounded at prec bits, formed once per working precision."""
+    import mpmath
+
     with mpmath.workprec(prec):
         return mpmath.mpc(0, -2) * (+mpmath.pi)
 
@@ -252,6 +253,10 @@ def _divided_difference_exp(nums, mod, phases):
     the recursion never divides by a difference that is only numerically
     small.
     """
+    import mpmath
+
+    from .walk import _ratio
+
     ts = sorted(nums)
     n = len(ts)
     minus_two_pi_i = _minus_two_pi_i(mpmath.mp.prec)
@@ -277,6 +282,10 @@ def simplex_ft(p: Polytope, xi) -> ComplexValue:
     Every <xi, v> is an integer over one modulus, the denominator of xi
     times the vertex scale, so each vertex phase is evaluated once.
     """
+    import mpmath
+
+    from .walk import _phase, _ratio
+
     xi = _check_frequency(p, xi)
     scale, rows, simplices, total_weight = _fan(p)
     if all(c == 0 for c in xi):  # the volume, the total weight over d!

@@ -585,7 +585,7 @@ def test_stdlib_backend_importable():
     # phase, with no other arithmetic backend to choose
     code = (
         "from spectile import BACKEND, Rat, ft_indicator, make\n"
-        "from spectile.fourier import _phase\n"
+        "from spectile.walk import _phase\n"
         "import mpmath\n"
         "assert BACKEND == 'stdlib', BACKEND\n"
         "assert Rat(1, 3) + Rat(1, 6) == Rat(1, 2)\n"
@@ -621,14 +621,35 @@ def test_every_exported_name_resolves():
     assert len({m for m, _ in exported}) >= 8
 
 
-def test_imports_leave_scipy_out():
+def test_imports_leave_scipy_out(tmp_path):
     # scipy is no dependency; importing it would add about 37 MB of resident
-    # memory and half a second of start-up to every run
+    # memory and half a second of start-up to every run.  mpmath is imported
+    # by the walk module alone, which a command loads only when it computes
+    # a working-precision value: not for a spectrum, not for analyze or
+    # verify with no row on the precision ladder, but for a transform
     src_root = Path(spectile.__file__).resolve().parents[1]
     names = sorted(p.stem for p in Path(spectile.__file__).parent.glob("*.py") if p.stem != "__main__")
-    code = "import importlib, sys\n"
-    code += "".join(f"importlib.import_module('spectile.{n}')\n" for n in names if n != "__init__")
-    code += "import spectile\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    cube_csv, freqs = tmp_path / "cube.csv", tmp_path / "freqs.csv"
+    freqs.write_text("1/3,1/5,1/7\n")
+    lean = [
+        ["spectrum", "catalog:cube", "--output", str(cube_csv)],
+        ["analyze", "catalog:cube", "--output", str(tmp_path / "cube.json")],
+        ["analyze", "catalog:rhombic-icosahedron", "--output", str(tmp_path / "ri.json")],
+        ["verify", "catalog:cube", "--patch", str(cube_csv), "--output", str(tmp_path / "verify.json")],
+    ]
+    transform = ["fourier", "catalog:cube", "--frequencies", str(freqs), "--output", str(tmp_path / "ft.csv")]
+    code = "import contextlib, importlib, io, sys\n"
+    code += "def loaded(top):\n    return sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
+    code += "".join(f"importlib.import_module('spectile.{n}')\n" for n in names if n not in ("__init__", "walk"))
+    code += "import spectile\nfrom spectile.cli import main\n"
+    code += "assert not loaded('mpmath'), loaded('mpmath')\n"
+    code += f"for argv in {lean!r}:\n"
+    code += "    with contextlib.redirect_stdout(io.StringIO()):\n        assert main(argv) == 0, argv\n"
+    code += "    assert not loaded('mpmath'), (argv, loaded('mpmath'))\n"
+    code += f"assert main({transform!r}) == 0\n"
+    code += "assert 'mpmath' in sys.modules and 'spectile.walk' in sys.modules\n"
+    code += "importlib.import_module('spectile.walk')\n"
+    code += "print(loaded('scipy'))\n"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -638,6 +659,7 @@ def test_imports_leave_scipy_out():
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
     assert len(names) > 10  # every module was imported
+    assert (tmp_path / "ft.csv").read_text().startswith("xi,re,im,abs,is_zero")
 
 
 # the lattice-patches and analyze-catalog shapes and radii of perfbench

@@ -13,11 +13,8 @@ from spectile import AffineMap, Rat, zonotope
 from spectile.errors import NotStandardPosition, ZeroFrequency
 from spectile.fourier import (
     _batch_geometry,
-    _div_imag,
-    _imag_divisor,
     _indicator_rows_hp,
     _integer_rows,
-    _phase,
     _phase_eps,
     asymptotic_cone_check,
     decay_bound_check,
@@ -30,6 +27,7 @@ from spectile.fourier import (
 )
 from spectile.linalg import cross3, det, idot, norm_sq, transpose, vdot, vsub
 from spectile.oracle import simplex_ft
+from spectile.walk import _div_imag, _imag_divisor, _phase
 
 from conftest import random_frequency, random_generators, random_zonotope
 
@@ -462,7 +460,7 @@ def _flat_faces(p, x):
 
 
 def test_walk_matches_the_mpmath_object_reference():
-    from spectile.fourier import _walk_hp
+    from spectile.walk import _walk_hp
 
     cases = list(_walk_cases())
     assert sum(_flat_faces(p, x) for p, xis in cases for x in _integer_rows(xis)[0]) > 0

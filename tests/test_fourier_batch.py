@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectile import Rat, make, zonotope
-from spectile import fourier, spectrum
+from spectile import fourier, spectrum, walk
 from spectile.fourier import (
     FALLBACK_FRACTION,
     TOL_ZERO,
@@ -23,14 +23,13 @@ from spectile.fourier import (
     _indicator_batch,
     _indicator_rows_hp,
     _integer_rows,
-    _phase,
     _phase_eps,
-    _walk_at,
 )
 from spectile.linalg import cross3, vsub
 from spectile.oracle import simplex_ft
 from spectile.spectrum import _orbit_representatives, decide_spectral, make_patch, patch, verify_orthogonality
 from spectile.symmetry import linear_symmetries
+from spectile.walk import _phase, _walk_at
 
 from conftest import random_frequency, random_generators, random_zonotope
 
@@ -349,7 +348,7 @@ def test_decay_check_undecided_at_the_cap_does_not_pass(monkeypatch, truncated_o
     # climbs the whole ladder and, still undecided at the cap, does not pass
     samples = [(Rat(1, 3), Rat(1, 5), Rat(2, 7))]
     assert fourier.decay_bound_check(truncated_octahedron, samples).passed
-    batch, walk = fourier._indicator_batch, fourier._walk_hp
+    batch, walk_hp = fourier._indicator_batch, walk._walk_hp
     seen = []
 
     def coarse_batch(p, X, D):
@@ -358,26 +357,26 @@ def test_decay_check_undecided_at_the_cap_does_not_pass(monkeypatch, truncated_o
 
     def coarse_walk(p, x, den, bits):
         seen.append(bits)
-        levels = walk(p, x, den, bits=bits)
+        levels = walk_hp(p, x, den, bits=bits)
         z, e = levels[-1][0]
         levels[-1][0] = (z, e + 1e3)
         return levels
 
     monkeypatch.setattr(fourier, "_indicator_batch", coarse_batch)
-    monkeypatch.setattr(fourier, "_walk_hp", coarse_walk)
+    monkeypatch.setattr(walk, "_walk_hp", coarse_walk)
     assert not fourier.decay_bound_check(truncated_octahedron, samples).passed
     assert seen == [128, 256, 512, 1024]
 
 
 def test_orthogonality_at_tolerance_zero_stays_at_128_bits(monkeypatch, cube):
     # no precision certifies a tolerance of 0, so no row climbs the ladder
-    walk, seen = fourier._walk_hp, []
+    walk_hp, seen = walk._walk_hp, []
 
     def counted(p, x, den, bits):
         seen.append(bits)
-        return walk(p, x, den, bits=bits)
+        return walk_hp(p, x, den, bits=bits)
 
-    monkeypatch.setattr(fourier, "_walk_hp", counted)
+    monkeypatch.setattr(walk, "_walk_hp", counted)
     rep = verify_orthogonality(cube, patch(decide_spectral(cube).spectrum, 2.0), tol=0.0)
     assert not rep.passed and rep.fallbacks == len(seen) > 0
     assert set(seen) == {128}

@@ -229,8 +229,13 @@ def test_face_measures(cube):
     edge = from_vertices([(0, 0, 0), (1, 2, 2), (1, 0, 0), (0, 0, 1)])
     eidx = edge.faces(1).index(tuple(sorted((edge.vertices.index((Rat(0), Rat(0), Rat(0))), edge.vertices.index((Rat(1), Rat(2), Rat(2)))))))
     assert edge.face_measure_squared((1, eidx)) == 9
+    # formed once per polytope: a second call returns the cached value
+    first = edge.face_measure_squared((2, 0))
+    assert edge.face_measure_squared((2, 0)) is first
+    assert edge._cache[("face_measure_squared", (2, 0))] is first
     with pytest.raises(ZeroDimensionalFace):
         cube.face_measure_squared((0, 0))
+    assert ("face_measure_squared", (0, 0)) not in cube._cache
 
 
 def test_rhombic_dodecahedron_facets_equal(rhombic_dodecahedron):

@@ -280,7 +280,7 @@ def test_simplex_ft_reads_no_fast_path(monkeypatch):
     # the oracle checks the walk, so it computes from the vertices and
     # facets alone: not from the walk, its face geometry or the polytope's
     # integer vertex array
-    from spectile import fourier, geometry
+    from spectile import fourier, geometry, walk
 
     shapes = [zonotope(g) for g in ([(1, 0), (0, 1), (1, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, Rat(1, 2))])]
     expected = [(simplex_ft(p, (0,) * p.dim), simplex_ft(p, (Rat(1, 3),) * p.dim)) for p in shapes]
@@ -289,13 +289,16 @@ def test_simplex_ft_reads_no_fast_path(monkeypatch):
         raise AssertionError("the oracle reached a fast path")
 
     monkeypatch.setattr(fourier, "_batch_geometry", refuse)
-    monkeypatch.setattr(fourier, "_walk_hp", refuse)
+    monkeypatch.setattr(walk, "_walk_hp", refuse)
     monkeypatch.setattr(geometry.Polytope, "integer_vertices", property(refuse))
     monkeypatch.setattr(geometry.Polytope, "volume", property(refuse))
     for p, (at_zero, at_third) in zip(shapes, expected):
         p._cache.clear()  # the oracle's own memo is rebuilt under the patches
         assert simplex_ft(p, (0,) * p.dim) == at_zero
         assert simplex_ft(p, (Rat(1, 3),) * p.dim) == at_third
+    # the walk's patch sits on the binding a transform reaches
+    with pytest.raises(AssertionError, match="fast path"):
+        fourier.ft_indicator(shapes[0], (Rat(1, 3),) * 2)
 
 
 def test_minus_two_pi_i_is_formed_once_per_precision():
