@@ -39,14 +39,14 @@ decide is walked again at working precision, and again at 256, 512 and
 The walk lives in walk.py, the one module that imports mpmath when it is
 loaded; this module imports it only inside the functions that compute a
 working-precision value.  So mpmath is loaded by the `fourier` command,
-`oracle --op transform`, the decay and cone checks, and by `analyze` and
-`verify` only when some row climbs the precision ladder.
+`oracle --op transform` and asymptotic_cone_check, and by `analyze`,
+`verify` and decay_bound_check only when some row climbs the precision
+ladder.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np

@@ -10,8 +10,8 @@ the same levels and weight classes as the float64 batch kernel there.
 This is the only spectile module that imports mpmath when it is loaded.
 fourier and oracle import it inside the functions that compute a
 working-precision value, so a command that evaluates none (spectrum,
-verify, classify, and analyze or verify when no row climbs the precision
-ladder) never loads mpmath.
+classify, and analyze or verify when no row climbs the precision ladder)
+never loads mpmath.
 """
 
 from __future__ import annotations
@@ -143,11 +143,10 @@ def _walk_hp(p: Polytope, x, den, bits: int = _BITS):
     (fourier._batch_level).  A weight is formed once per class, and a
     child takes it or its exact negation: rounding to nearest is
     symmetric, so that is the value the child's own division gives.  A
-    child of weight zero is skipped.  The
-    error bound of a combination is the children's bounds through the
-    weights plus 3 eps per term and 2 eps for the division by
-    -2 pi i |xi_par|^2, which _div_imag performs as mpc_div would; faces
-    with equal |xi_par|^2 share its divisor.
+    child of weight zero is skipped.  The error bound of a combination is
+    the children's bounds through the weights plus 3 eps per term and
+    2 eps for the division by -2 pi i |xi_par|^2, which _div_imag performs
+    as mpc_div would; faces with equal |xi_par|^2 share its divisor.
 
     The arithmetic is mpmath's own libmp layer on raw (sign, man, exp, bc)
     tuples, one call per operation at `bits` and rounding to nearest, so
